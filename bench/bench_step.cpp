@@ -501,6 +501,7 @@ int main(int argc, char** argv) {
     jw.field("ranks", kRanks);
     jw.field("steps", opt.steps);
     jw.field("n_particles", final_n);
+    jw.field("n_mesh", cfg.pm.n_mesh);
     jw.field("wall_seconds", wall_seconds);
     jw.field("step_report", jsonl_path);
     jw.field("trace", trace_path);

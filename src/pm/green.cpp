@@ -1,10 +1,16 @@
 #include "pm/green.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numbers>
 
 #include "fft/fft3d.hpp"
 #include "pp/cutoff.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace greem::pm {
 namespace {
@@ -27,11 +33,20 @@ double axis_window(double k, double h, int power) {
   return w;
 }
 
-/// Reference force spectrum component a: r_a(k) = 4 pi G k_a s2^2 / k^2.
-double ref_force(double ka, double k2, double rcut, double G) {
-  if (k2 <= 0) return 0.0;
-  const double s2 = pp::s2_fourier(std::sqrt(k2) * rcut / 2.0);
-  return 4.0 * std::numbers::pi * G * ka * s2 * s2 / k2;
+/// Sorted absolute wavenumbers a >= b >= c of (kx, ky, kz): the
+/// representative of the mode's class under the cubic symmetry group.
+std::array<long, 3> canonical(long kx, long ky, long kz) {
+  std::array<long, 3> c = {std::abs(kx), std::abs(ky), std::abs(kz)};
+  std::sort(c.begin(), c.end(), std::greater<>());
+  return c;
+}
+
+/// Position of the sorted class (a, b, c) in the wedge a >= b >= c >= 0:
+/// C(a+2, 3) + C(b+1, 2) + c.
+std::size_t wedge_index(const std::array<long, 3>& c) {
+  const auto a = static_cast<std::size_t>(c[0]);
+  const auto b = static_cast<std::size_t>(c[1]);
+  return a * (a + 1) * (a + 2) / 6 + b * (b + 1) / 2 + static_cast<std::size_t>(c[2]);
 }
 
 }  // namespace
@@ -55,41 +70,58 @@ double green_potential(const GreenParams& p, long kx, long ky, long kz) {
 }
 
 double green_optimal(const GreenParams& p, long kx, long ky, long kz) {
-  if (kx == 0 && ky == 0 && kz == 0) return 0.0;
-  const auto n = static_cast<double>(p.n_mesh);
-  const double h = 1.0 / n;
+  const std::array<long, 3> c = canonical(kx, ky, kz);
+  if (c[0] == 0) return 0.0;
+  const long n = static_cast<long>(p.n_mesh);
+  const double h = 1.0 / static_cast<double>(n);
+  const double ks = kTwoPi * static_cast<double>(n);
   const int wp = support(p.scheme);
-  const double k[3] = {kTwoPi * static_cast<double>(kx), kTwoPi * static_cast<double>(ky),
-                       kTwoPi * static_cast<double>(kz)};
 
-  const double d[3] = {fd_transfer(k[0], h), fd_transfer(k[1], h), fd_transfer(k[2], h)};
-  const double d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-  if (d2 <= 0) return 0.0;  // Nyquist-only mode: the FD cannot act on it
+  // Per axis: the FD transfer d_a, and the alias wavenumbers
+  // k_a + 2 pi N m (m in [-range, range]) with their windows U.  At the
+  // Nyquist wavenumber sin(k h) and sin(2 k h) vanish, but evaluated they
+  // leave ~1e-15 n, which would turn G of an FD-blind mode into a ratio of
+  // roundoff; d_a is set to 0 exactly there.
+  double d[3];
+  std::array<std::vector<double>, 3> q, u;
+  for (std::size_t a = 0; a < 3; ++a) {
+    const double k = kTwoPi * static_cast<double>(c[a]);
+    d[a] = 2 * c[a] == n ? 0.0 : fd_transfer(k, h);
+    for (int m = -p.alias_range; m <= p.alias_range; ++m) {
+      q[a].push_back(k + ks * m);
+      u[a].push_back(axis_window(q[a].back(), h, wp));
+    }
+  }
+  const double dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+  if (dd == 0) return 0.0;  // FD-blind mode: the FD cannot act on it
 
-  // Alias sums: k_n = k + 2 pi N m, m in [-range, range]^3.
-  const double ks = kTwoPi * n;
-  double usum = 0;          // sum U^2
-  double dr[3] = {0, 0, 0};  // sum U^2 r_a
-  for (int mx = -p.alias_range; mx <= p.alias_range; ++mx) {
-    const double ax = k[0] + ks * mx;
-    const double ux = axis_window(ax, h, wp);
-    for (int my = -p.alias_range; my <= p.alias_range; ++my) {
-      const double ay = k[1] + ks * my;
-      const double uxy = ux * axis_window(ay, h, wp);
-      for (int mz = -p.alias_range; mz <= p.alias_range; ++mz) {
-        const double az = k[2] + ks * mz;
-        const double u = uxy * axis_window(az, h, wp);
-        const double u2 = u * u;
+  // Alias sums of U^2 and U^2 r_a, with r_a = 4 pi G k_a s2^2 / k^2 and
+  // one s2 per alias image (k^2 > 0 there: no image of a nonzero mode
+  // reaches the origin).  The numerator cancels heavily near the mesh
+  // scale, so r_a keeps the operation order of the reference force.
+  const double four_pi_g = 4.0 * std::numbers::pi * p.G;
+  double usum = 0;
+  double dr[3] = {0, 0, 0};
+  for (std::size_t mx = 0; mx < q[0].size(); ++mx) {
+    const double ax = q[0][mx];
+    for (std::size_t my = 0; my < q[1].size(); ++my) {
+      const double ay = q[1][my];
+      const double uxy = u[0][mx] * u[1][my];
+      for (std::size_t mz = 0; mz < q[2].size(); ++mz) {
+        const double az = q[2][mz];
+        const double uu = uxy * u[2][mz];
+        const double u2 = uu * uu;
         const double k2n = ax * ax + ay * ay + az * az;
+        const double s2 = pp::s2_fourier(std::sqrt(k2n) * p.rcut / 2.0);
         usum += u2;
-        dr[0] += u2 * ref_force(ax, k2n, p.rcut, p.G);
-        dr[1] += u2 * ref_force(ay, k2n, p.rcut, p.G);
-        dr[2] += u2 * ref_force(az, k2n, p.rcut, p.G);
+        dr[0] += u2 * (four_pi_g * ax * s2 * s2 / k2n);
+        dr[1] += u2 * (four_pi_g * ay * s2 * s2 / k2n);
+        dr[2] += u2 * (four_pi_g * az * s2 * s2 / k2n);
       }
     }
   }
   const double num = d[0] * dr[0] + d[1] * dr[1] + d[2] * dr[2];
-  return -num / (d2 * usum * usum);
+  return -num / (dd * usum * usum);
 }
 
 double green_value(const GreenParams& p, long kx, long ky, long kz) {
@@ -97,36 +129,55 @@ double green_value(const GreenParams& p, long kx, long ky, long kz) {
                                        : green_potential(p, kx, ky, kz);
 }
 
-std::vector<double> build_green_table_r2c(const GreenParams& p) {
+GreenMemo::GreenMemo(const GreenParams& p) : p_(p) {
+  const auto m = static_cast<long>(p.n_mesh / 2);
+  value_.assign(wedge_index({m, m, m}) + 1, std::numeric_limits<double>::quiet_NaN());
+  telemetry::Registry::global().counter("pm/green_tables").add();
+}
+
+double GreenMemo::operator()(long kx, long ky, long kz) {
+  static telemetry::Counter& evals = telemetry::Registry::global().counter("pm/green_evals");
+  const std::array<long, 3> c = canonical(kx, ky, kz);
+  assert(2 * static_cast<std::size_t>(c[0]) <= p_.n_mesh);
+  double& v = value_[wedge_index(c)];
+  if (std::isnan(v)) {
+    v = green_value(p_, c[0], c[1], c[2]);
+    ++evaluations_;
+    evals.add();
+  }
+  return v;
+}
+
+namespace {
+
+/// Table over z in [z_begin, z_end), all y and x in [0, nx), laid out
+/// ((z - z_begin)*n + y)*nx + x.  nx = n/2 + 1 gives the half spectrum:
+/// there fft::wavenumber(x, n) = x.
+std::vector<double> fill_table(const GreenParams& p, std::size_t z_begin, std::size_t z_end,
+                               std::size_t nx) {
   const std::size_t n = p.n_mesh;
-  const std::size_t h = n / 2 + 1;
-  std::vector<double> table(h * n * n);
-  for (std::size_t z = 0; z < n; ++z) {
+  GreenMemo green(p);
+  std::vector<double> table((z_end - z_begin) * n * nx);
+  for (std::size_t z = z_begin; z < z_end; ++z) {
     const long kz = fft::wavenumber(z, n);
     for (std::size_t y = 0; y < n; ++y) {
       const long ky = fft::wavenumber(y, n);
-      for (std::size_t x = 0; x < h; ++x)
-        table[(z * n + y) * h + x] = green_value(p, static_cast<long>(x), ky, kz);
+      for (std::size_t x = 0; x < nx; ++x)
+        table[((z - z_begin) * n + y) * nx + x] = green(fft::wavenumber(x, n), ky, kz);
     }
   }
   return table;
 }
 
+}  // namespace
+
+std::vector<double> build_green_table_r2c(const GreenParams& p) {
+  return fill_table(p, 0, p.n_mesh, p.n_mesh / 2 + 1);
+}
+
 std::vector<double> build_green_table(const GreenParams& p, std::size_t z_begin,
                                       std::size_t z_end) {
-  const std::size_t n = p.n_mesh;
-  std::vector<double> table((z_end - z_begin) * n * n);
-  for (std::size_t z = z_begin; z < z_end; ++z) {
-    const long kz = fft::wavenumber(z, n);
-    for (std::size_t y = 0; y < n; ++y) {
-      const long ky = fft::wavenumber(y, n);
-      for (std::size_t x = 0; x < n; ++x) {
-        const long kx = fft::wavenumber(x, n);
-        table[((z - z_begin) * n + y) * n + x] = green_value(p, kx, ky, kz);
-      }
-    }
-  }
-  return table;
+  return fill_table(p, z_begin, z_end, p.n_mesh);
 }
 
 }  // namespace greem::pm

@@ -27,8 +27,14 @@
 //
 //    where k_n = k + 2 pi N n are the alias images, r(k) = 4 pi k s2^2/k^2
 //    is the reference force spectrum and d(k) the FD transfer function.
+//
+// Both kinds are invariant under the 48 sign flips and axis permutations
+// of k, so a table needs one evaluation per class (|kx|, |ky|, |kz|):
+// GreenMemo evaluates each class once, at its sorted absolute
+// wavenumbers, and every table builder fills through it.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "pm/assign.hpp"
@@ -52,10 +58,29 @@ struct GreenParams {
 double green_potential(const GreenParams& p, long kx, long ky, long kz);
 
 /// Optimal influence function at one wavenumber (slow; use the table).
+/// Evaluated at the sorted absolute wavenumbers, so all 48 cubic images of
+/// a mode get identical bits.  Modes the FD cannot act on (every nonzero
+/// component at the Nyquist wavenumber n/2) are exactly 0.
 double green_optimal(const GreenParams& p, long kx, long ky, long kz);
 
 /// Value of the configured kind at one wavenumber.
 double green_value(const GreenParams& p, long kx, long ky, long kz);
+
+/// green_value memoized per symmetry class, keyed by the sorted absolute
+/// wavenumbers n/2 >= a >= b >= c >= 0: C(n/2+3, 3) entries, each evaluated
+/// on first use.  One per table build; counts "pm/green_tables" (one per
+/// memo) and "pm/green_evals" (one per class evaluated).
+class GreenMemo {
+ public:
+  explicit GreenMemo(const GreenParams& p);
+  double operator()(long kx, long ky, long kz);
+  std::uint64_t evaluations() const { return evaluations_; }
+
+ private:
+  GreenParams p_;
+  std::vector<double> value_;  ///< NaN until evaluated
+  std::uint64_t evaluations_ = 0;
+};
 
 /// Precomputed multiplier table for the z-plane range [z_begin, z_end) of
 /// an n^3 mesh in slab layout (z-major, ((z - z_begin)*n + y)*n + x).

@@ -50,15 +50,14 @@ PencilPm::PencilPm(parx::Comm& world, PencilPmParams params)
     const fft::Range xr = fft_->out_x();
     const fft::Range yr = fft_->out_y();
     green_.resize(fft_->out_cells());
-    const GreenParams gp{n, params_.effective_rcut(), params_.scheme, 2, params_.G,
-                         params_.green, 2};
+    GreenMemo green({n, params_.effective_rcut(), params_.scheme, 2, params_.G,
+                     params_.green, 2});
     for (std::size_t y = yr.begin; y < yr.end(); ++y) {
       const long ky = fft::wavenumber(y, n);
       for (std::size_t x = xr.begin; x < xr.end(); ++x) {
         const long kx = fft::wavenumber(x, n);
         for (std::size_t z = 0; z < n; ++z)
-          green_[fft_->out_index(x, y, z)] =
-              green_value(gp, kx, ky, fft::wavenumber(z, n));
+          green_[fft_->out_index(x, y, z)] = green(kx, ky, fft::wavenumber(z, n));
       }
     }
   }

@@ -4,16 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <numbers>
 
 #include "core/direct_force.hpp"
 #include "ewald/ewald.hpp"
+#include "fft/fft3d.hpp"
 #include "pm/assign.hpp"
 #include "pm/gradient.hpp"
 #include "pm/green.hpp"
 #include "pm/pm_solver.hpp"
 #include "pp/cutoff.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -184,6 +192,212 @@ TEST(Green, SuppressedAboveCutoffScale) {
   const double low = std::abs(green_potential(gp, 1, 0, 0));
   const double high = std::abs(green_potential(gp, 40, 0, 0));
   EXPECT_LT(high, low * 1e-4);
+}
+
+// Per-mode alias sum of the optimal influence function as it stood before
+// the symmetry-class evaluation: 3 s2 evaluations per alias image, FD
+// transfer taken as computed.  Kept as the reference the tables must match.
+double reference_green_optimal(const GreenParams& p, long kx, long ky, long kz) {
+  if (kx == 0 && ky == 0 && kz == 0) return 0.0;
+  const double two_pi = 2.0 * std::numbers::pi;
+  const auto n = static_cast<double>(p.n_mesh);
+  const double h = 1.0 / n;
+  const int wp = support(p.scheme);
+  auto fd = [h](double k) { return (8.0 * std::sin(k * h) - std::sin(2.0 * k * h)) / (6.0 * h); };
+  auto win = [h, wp](double k) {
+    const double x = 0.5 * k * h;
+    const double sinc = std::abs(x) < 1e-12 ? 1.0 : std::sin(x) / x;
+    double w = sinc;
+    for (int i = 1; i < wp; ++i) w *= sinc;
+    return w;
+  };
+  auto ref = [&p](double ka, double k2) {
+    if (k2 <= 0) return 0.0;
+    const double s2 = pp::s2_fourier(std::sqrt(k2) * p.rcut / 2.0);
+    return 4.0 * std::numbers::pi * p.G * ka * s2 * s2 / k2;
+  };
+  const double k[3] = {two_pi * static_cast<double>(kx), two_pi * static_cast<double>(ky),
+                       two_pi * static_cast<double>(kz)};
+  const double d[3] = {fd(k[0]), fd(k[1]), fd(k[2])};
+  const double d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+  if (d2 <= 0) return 0.0;
+  const double ks = two_pi * n;
+  double usum = 0;
+  double dr[3] = {0, 0, 0};
+  for (int mx = -p.alias_range; mx <= p.alias_range; ++mx) {
+    const double ax = k[0] + ks * mx;
+    const double ux = win(ax);
+    for (int my = -p.alias_range; my <= p.alias_range; ++my) {
+      const double ay = k[1] + ks * my;
+      const double uxy = ux * win(ay);
+      for (int mz = -p.alias_range; mz <= p.alias_range; ++mz) {
+        const double az = k[2] + ks * mz;
+        const double u = uxy * win(az);
+        const double u2 = u * u;
+        const double k2n = ax * ax + ay * ay + az * az;
+        usum += u2;
+        dr[0] += u2 * ref(ax, k2n);
+        dr[1] += u2 * ref(ay, k2n);
+        dr[2] += u2 * ref(az, k2n);
+      }
+    }
+  }
+  return -(d[0] * dr[0] + d[1] * dr[1] + d[2] * dr[2]) / (d2 * usum * usum);
+}
+
+/// The optimal-Green configurations the table properties are checked on.
+std::vector<GreenParams> green_property_configs() {
+  std::vector<GreenParams> out;
+  for (std::size_t n : {16, 32})
+    for (Scheme s : {Scheme::kTSC, Scheme::kCIC})
+      for (int range : {1, 2})
+        out.push_back({n, 3.0 / static_cast<double>(n), s, 2, 1.0, GreenKind::kOptimal, range});
+  return out;
+}
+
+/// True when every nonzero component of the mode is the Nyquist n/2: the
+/// 4-point FD is zero on such a mode.
+bool fd_blind(long kx, long ky, long kz, std::size_t n) {
+  const long ny = static_cast<long>(n) / 2;
+  auto blind = [ny](long k) { return k == 0 || std::abs(k) == ny; };
+  return blind(kx) && blind(ky) && blind(kz);
+}
+
+TEST(Green, FdBlindNyquistModesAreExactlyZero) {
+  for (std::size_t n : {16, 32})
+    for (Scheme s : {Scheme::kTSC, Scheme::kCIC}) {
+      const GreenParams gp{n, 3.0 / static_cast<double>(n), s, 2, 1.0};
+      const long ny = static_cast<long>(n) / 2;
+      for (long kx : {0L, ny})
+        for (long ky : {0L, ny})
+          for (long kz : {0L, ny}) EXPECT_EQ(green_value(gp, kx, ky, kz), 0.0) << n;
+      // A mode with one component the FD does act on is not blind.
+      EXPECT_LT(green_value(gp, ny, 1, 0), 0.0);
+    }
+}
+
+TEST(Green, TableIsBitwiseInvariantUnderCubicSymmetry) {
+  for (const GreenParams& gp : green_property_configs()) {
+    const std::size_t n = gp.n_mesh;
+    const std::vector<double> t = build_green_table(gp, 0, n);
+    auto bits = [&](const std::array<std::size_t, 3>& i) {
+      return std::bit_cast<std::uint64_t>(t[(i[2] * n + i[1]) * n + i[0]]);
+    };
+    std::size_t mismatches = 0;
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x) {
+          std::array<std::size_t, 3> perm = {x, y, z};
+          const std::uint64_t v = bits(perm);
+          std::sort(perm.begin(), perm.end());
+          do {
+            for (int flips = 0; flips < 8; ++flips) {
+              std::array<std::size_t, 3> img = perm;
+              for (int a = 0; a < 3; ++a)
+                if (flips >> a & 1) img[a] = (n - img[a]) % n;  // k -> -k
+              mismatches += bits(img) != v;
+            }
+          } while (std::next_permutation(perm.begin(), perm.end()));
+        }
+    // The per-mode evaluation is canonical too: it matches the table on a
+    // whole plane, in every axis order and sign.
+    for (std::size_t y = 0; y < n; ++y)
+      for (std::size_t x = 0; x < n; ++x) {
+        const long kx = fft::wavenumber(x, n), ky = fft::wavenumber(y, n);
+        const std::uint64_t v = bits({x, y, 1});
+        mismatches += std::bit_cast<std::uint64_t>(green_value(gp, kx, ky, 1)) != v;
+        mismatches += std::bit_cast<std::uint64_t>(green_value(gp, -1, ky, kx)) != v;
+      }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n << " scheme=" << static_cast<int>(gp.scheme)
+                              << " range=" << gp.alias_range;
+  }
+}
+
+TEST(Green, TableMatchesPerModeAliasSum) {
+  // Near the mesh scale the numerator cancels heavily (CIC at 32^3: ~1e4),
+  // so the reference itself differs by up to ~1.5e-12 relative between
+  // the 48 symmetric images of one mode.  Each table value must lie within
+  // 1e-12 relative of the interval the reference spans over its images.
+  for (const GreenParams& gp : green_property_configs()) {
+    const std::size_t n = gp.n_mesh;
+    const std::vector<double> t = build_green_table(gp, 0, n);
+    auto class_of = [](long kx, long ky, long kz) {
+      std::array<long, 3> c = {std::abs(kx), std::abs(ky), std::abs(kz)};
+      std::sort(c.begin(), c.end());
+      return c;
+    };
+    std::map<std::array<long, 3>, std::pair<double, double>> span;  // class -> [lo, hi]
+    std::vector<double> ref(n * n * n);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const long kx = fft::wavenumber(i % n, n), ky = fft::wavenumber(i / n % n, n),
+                 kz = fft::wavenumber(i / (n * n), n);
+      ref[i] = reference_green_optimal(gp, kx, ky, kz);
+      const auto it = span.try_emplace(class_of(kx, ky, kz), ref[i], ref[i]).first;
+      it->second.first = std::min(it->second.first, ref[i]);
+      it->second.second = std::max(it->second.second, ref[i]);
+    }
+    double worst = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const long kx = fft::wavenumber(i % n, n), ky = fft::wavenumber(i / n % n, n),
+                 kz = fft::wavenumber(i / (n * n), n);
+      if (fd_blind(kx, ky, kz, n)) {
+        EXPECT_EQ(t[i], 0.0);
+        continue;
+      }
+      const auto [lo, hi] = span.at(class_of(kx, ky, kz));
+      const double outside = std::max({lo - t[i], t[i] - hi, 0.0});
+      worst = std::max(worst, outside / std::abs(ref[i]));
+    }
+    EXPECT_LE(worst, 1e-12) << "n=" << n << " scheme=" << static_cast<int>(gp.scheme)
+                            << " range=" << gp.alias_range;
+  }
+}
+
+TEST(Green, SlabAndHalfSpectrumTablesAreBitwiseViewsOfTheFullTable) {
+  for (const GreenParams& gp : green_property_configs()) {
+    const std::size_t n = gp.n_mesh;
+    const std::vector<double> full = build_green_table(gp, 0, n);
+    // Uneven split, including a one-plane slab and the Nyquist plane alone.
+    std::vector<double> joined;
+    const std::size_t cuts[] = {0, 3, n / 2, n / 2 + 1, n};
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      const std::vector<double> slab = build_green_table(gp, cuts[i], cuts[i + 1]);
+      ASSERT_EQ(slab.size(), (cuts[i + 1] - cuts[i]) * n * n);
+      joined.insert(joined.end(), slab.begin(), slab.end());
+    }
+    EXPECT_EQ(std::memcmp(joined.data(), full.data(), full.size() * sizeof(double)), 0);
+
+    const std::vector<double> half = build_green_table_r2c(gp);
+    const std::size_t h = n / 2 + 1;
+    ASSERT_EQ(half.size(), h * n * n);
+    std::size_t mismatches = 0;
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < h; ++x)
+          mismatches += std::bit_cast<std::uint64_t>(half[(z * n + y) * h + x]) !=
+                        std::bit_cast<std::uint64_t>(full[(z * n + y) * n + x]);
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(Green, FullTableCostsOneEvaluationPerSymmetryClass) {
+  const std::size_t n = 32;
+  const GreenParams gp{n, 3.0 / 32.0, Scheme::kTSC, 2, 1.0};
+  constexpr std::uint64_t kClasses = 969;  // C(n/2 + 3, 3): the wedge a >= b >= c
+  GreenMemo green(gp);
+  for (long kz = -15; kz <= 16; ++kz)
+    for (long ky = -15; ky <= 16; ++ky)
+      for (long kx = -15; kx <= 16; ++kx) green(kx, ky, kz);
+  EXPECT_LE(green.evaluations(), kClasses);
+
+  if constexpr (telemetry::enabled()) {
+    auto& reg = telemetry::Registry::global();
+    const std::uint64_t tables = reg.counter("pm/green_tables").value();
+    const std::uint64_t evals = reg.counter("pm/green_evals").value();
+    build_green_table(gp, 0, n);
+    EXPECT_EQ(reg.counter("pm/green_tables").value() - tables, 1u);
+    EXPECT_LE(reg.counter("pm/green_evals").value() - evals, kClasses);
+  }
 }
 
 TEST(Gradient, FourPointIsExactForCubicPotential) {
