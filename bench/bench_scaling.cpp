@@ -161,7 +161,7 @@ double pp_spawn_pass(const tree::Octree& tree, const tree::TraversalParams& para
     std::vector<Vec3> group_acc;
     tree::TraversalStats stats;
     for (std::size_t gi = lo; gi < hi; ++gi) {
-      const auto& g = tree.nodes()[groups[gi]];
+      const tree::TreeNode g = tree.node(groups[gi]);
       list.clear();
       tree::build_interaction_list(tree, groups[gi], params, Vec3{}, list, stats);
       list.pad4();

@@ -274,7 +274,7 @@ void ParallelSimulation::pp_finish(GhostWork& g) {
                             ? static_cast<double>(gc.interactions)
                             : gc.walk_s + gc.force_s) /
                        static_cast<double>(gc.ni);
-      const tree::TreeNode& node = octree.nodes()[gc.node];
+      const tree::TreeNode node = octree.node(gc.node);
       for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
         const std::uint32_t orig = octree.original_index(i);
         if (orig < n_local) particles_[orig].lb_w = w;
@@ -685,6 +685,9 @@ void ParallelSimulation::write_step_record() {
   rec.interactions = gstats.interactions;
   rec.flops = static_cast<double>(rec.interactions) * pp::kFlopsPerInteraction;
   rec.flop_rate = rec.pp_seconds_max > 0 ? rec.flops / rec.pp_seconds_max : 0;
+  rec.nodes_visited = gstats.nodes_visited;
+  const double walk_s = world_.allreduce_sum(report_.pp.get("tree traversal"));
+  rec.walk_mnodes_s = walk_s > 0 ? static_cast<double>(rec.nodes_visited) / walk_s / 1e6 : 0;
   rec.ghosts_imported =
       world_.allreduce_sum(static_cast<std::uint64_t>(report_.n_ghost_imported));
 

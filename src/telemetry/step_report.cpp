@@ -38,6 +38,8 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("interactions", r.interactions);
   w.field("flops", r.flops);
   w.field("flop_rate", r.flop_rate);
+  w.field("nodes_visited", r.nodes_visited);
+  w.field("walk_mnodes_s", r.walk_mnodes_s);
   w.field("ghosts_imported", r.ghosts_imported);
   w.key("pool").begin_object();
   w.field("loops", r.pool_loops);

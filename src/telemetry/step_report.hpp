@@ -49,6 +49,12 @@ struct StepRecord {
   double flops = 0;      ///< interactions * flops/interaction
   double flop_rate = 0;  ///< flops / pp_seconds_max
 
+  // Tree-walk work (Table I "tree traversal"): global nodes classified by
+  // the group walks, and the walk rate against the traversal seconds
+  // summed over ranks (each rank's pool-slot CPU seconds).
+  std::uint64_t nodes_visited = 0;
+  double walk_mnodes_s = 0;  ///< nodes_visited / sum of traversal s / 1e6
+
   std::uint64_t ghosts_imported = 0;  ///< global boundary-particle imports
 
   // Intra-rank task-pool activity during this step (the pool is shared

@@ -53,38 +53,61 @@ Octree::Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreePa
     sorted_keys[i] = keys[order_[i]];
   }
 
-  nodes_.clear();
-  nodes_.reserve(n / std::max<std::size_t>(params.leaf_capacity, 1) * 3 + 16);
-  nodes_.push_back(TreeNode{});
+  const std::size_t expect = n / std::max<std::size_t>(params.leaf_capacity, 1) * 3 + 16;
+  nodes_.reserve(expect);
+  if (params.with_quadrupole) quads_.reserve(expect);
   const Vec3 root_center = box_origin_ + Vec3(size / 2, size / 2, size / 2);
   struct Ctx {
     Octree* self;
     const OctreeParams& params;
+    int max_depth;
     std::span<const std::uint64_t> keys;
+
+    /// Append `k` zeroed nodes; returns the index of the first.
+    std::uint32_t append(unsigned k) {
+      const auto at = static_cast<std::uint32_t>(self->nodes_.size());
+      self->nodes_.resize(at + std::size_t{k});
+      if (params.with_quadrupole) self->quads_.resize(at + std::size_t{k});
+      return at;
+    }
+
+    Vec3 com_of(std::uint32_t node) const {
+      const NodeArrays& a = self->nodes_;
+      return {a.comx[node], a.comy[node], a.comz[node]};
+    }
+
+    void set_moments(std::uint32_t node, const Vec3& com, double m) {
+      NodeArrays& a = self->nodes_;
+      a.comx[node] = com.x;
+      a.comy[node] = com.y;
+      a.comz[node] = com.z;
+      a.mass[node] = m;
+    }
 
     void build(std::uint32_t node, std::uint32_t lo_i, std::uint32_t hi_i, int level,
                Vec3 center, double half) {
       auto& t = *self;
-      t.nodes_[node].center = center;
-      t.nodes_[node].half = half;
-      t.nodes_[node].first = lo_i;
-      t.nodes_[node].count = hi_i - lo_i;
+      NodeArrays& a = t.nodes_;
+      a.cx[node] = center.x;
+      a.cy[node] = center.y;
+      a.cz[node] = center.z;
+      a.half[node] = half;
+      a.first[node] = lo_i;
+      a.count[node] = hi_i - lo_i;
 
       const std::uint32_t count = hi_i - lo_i;
-      if (count <= params.leaf_capacity || level >= params.max_depth) {
+      if (count <= params.leaf_capacity || level >= max_depth) {
         Vec3 com{};
         double m = 0;
         for (std::uint32_t i = lo_i; i < hi_i; ++i) {
           com += t.sorted_pos_[i] * t.sorted_mass_[i];
           m += t.sorted_mass_[i];
         }
-        t.nodes_[node].com = m > 0 ? com / m : center;
-        t.nodes_[node].mass = m;
+        set_moments(node, m > 0 ? com / m : center, m);
         if (params.with_quadrupole) {
-          auto& q = t.nodes_[node].quad;
+          auto& q = t.quads_[node];
           for (std::uint32_t i = lo_i; i < hi_i; ++i)
-            add_point_quadrupole(q, t.sorted_pos_[i] - t.nodes_[node].com,
-                                 t.sorted_mass_[i]);
+            add_point_quadrupole(q, t.sorted_pos_[i] - com_of(node), t.sorted_mass_[i]);
         }
         return;
       }
@@ -104,46 +127,40 @@ Octree::Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreePa
 
       struct Child {
         unsigned o;
-        std::uint32_t lo, hi, node;
+        std::uint32_t lo, hi;
       };
       Child children[8];
       unsigned nchild = 0;
-      const std::uint32_t first_child = static_cast<std::uint32_t>(t.nodes_.size());
-      for (unsigned o = 0; o < 8; ++o) {
-        if (bounds[o + 1] == bounds[o]) continue;
-        children[nchild] = {o, bounds[o], bounds[o + 1],
-                            static_cast<std::uint32_t>(t.nodes_.size())};
-        t.nodes_.push_back(TreeNode{});
-        ++nchild;
-      }
-      t.nodes_[node].first_child = first_child;
-      t.nodes_[node].nchildren = nchild;
+      for (unsigned o = 0; o < 8; ++o)
+        if (bounds[o + 1] != bounds[o]) children[nchild++] = {o, bounds[o], bounds[o + 1]};
+      const std::uint32_t first_child = append(nchild);
+      a.first_child[node] = first_child;
+      a.nchildren[node] = nchild;
 
       Vec3 com{};
       double m = 0;
       for (unsigned c = 0; c < nchild; ++c) {
-        const auto [o, clo, chi, cnode] = children[c];
+        const auto [o, clo, chi] = children[c];
+        const std::uint32_t cnode = first_child + c;
         const double q = half / 2;
         const Vec3 ccenter = center + Vec3{(o & 1) ? q : -q, (o & 2) ? q : -q, (o & 4) ? q : -q};
         build(cnode, clo, chi, level + 1, ccenter, q);
-        com += t.nodes_[cnode].com * t.nodes_[cnode].mass;
-        m += t.nodes_[cnode].mass;
+        com += com_of(cnode) * a.mass[cnode];
+        m += a.mass[cnode];
       }
-      t.nodes_[node].com = m > 0 ? com / m : center;
-      t.nodes_[node].mass = m;
+      set_moments(node, m > 0 ? com / m : center, m);
       if (params.with_quadrupole) {
         // Parallel-axis combination: a child's moment about the parent com
         // is its own moment plus its mass shifted by s = com_c - com.
-        auto& q = t.nodes_[node].quad;
-        for (unsigned c = 0; c < nchild; ++c) {
-          const TreeNode& child = t.nodes_[children[c].node];
-          for (int k = 0; k < 6; ++k) q[static_cast<std::size_t>(k)] += child.quad[static_cast<std::size_t>(k)];
-          add_point_quadrupole(q, child.com - t.nodes_[node].com, child.mass);
+        auto& q = t.quads_[node];
+        for (std::uint32_t cnode = first_child; cnode < first_child + nchild; ++cnode) {
+          for (std::size_t k = 0; k < 6; ++k) q[k] += t.quads_[cnode][k];
+          add_point_quadrupole(q, com_of(cnode) - com_of(node), a.mass[cnode]);
         }
       }
     }
 
-    static void add_point_quadrupole(std::array<double, 6>& q, const Vec3& d, double m) {
+    static void add_point_quadrupole(Quadrupole& q, const Vec3& d, double m) {
       const double d2 = d.norm2();
       q[0] += m * (3.0 * d.x * d.x - d2);
       q[1] += m * 3.0 * d.x * d.y;
@@ -153,28 +170,52 @@ Octree::Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreePa
       q[5] += m * (3.0 * d.z * d.z - d2);
     }
   };
-  Ctx ctx{this, params, sorted_keys};
+  // Deeper levels have no key bits left to split on.
+  Ctx ctx{this, params, std::min(params.max_depth, kMortonBits), sorted_keys};
+  ctx.append(1);
   ctx.build(0, 0, static_cast<std::uint32_t>(n), 0, root_center, size / 2);
 }
 
+void NodeArrays::reserve(std::size_t n) {
+  for (auto* v : {&cx, &cy, &cz, &half, &comx, &comy, &comz, &mass}) v->reserve(n);
+  for (auto* v : {&first_child, &nchildren, &first, &count}) v->reserve(n);
+}
+
+void NodeArrays::resize(std::size_t n) {
+  for (auto* v : {&cx, &cy, &cz, &half, &comx, &comy, &comz, &mass}) v->resize(n);
+  for (auto* v : {&first_child, &nchildren, &first, &count}) v->resize(n);
+}
+
+TreeNode Octree::node(std::uint32_t i) const {
+  const NodeArrays& a = nodes_;
+  return {{a.cx[i], a.cy[i], a.cz[i]},
+          a.half[i],
+          {a.comx[i], a.comy[i], a.comz[i]},
+          a.mass[i],
+          a.first_child[i],
+          a.nchildren[i],
+          a.first[i],
+          a.count[i]};
+}
+
 std::vector<std::uint32_t> Octree::groups(std::uint32_t ncrit) const {
+  const NodeArrays& a = nodes_;
   std::vector<std::uint32_t> out;
   std::vector<std::uint32_t> stack{0};
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
-    const TreeNode& node = nodes_[ni];
-    if (node.count == 0) continue;
-    if (node.count <= ncrit || node.is_leaf()) {
+    if (a.count[ni] == 0) continue;
+    if (a.count[ni] <= ncrit || a.nchildren[ni] == 0) {
       out.push_back(ni);
       continue;
     }
-    for (std::uint32_t c = 0; c < node.nchildren; ++c) stack.push_back(node.first_child + c);
+    for (std::uint32_t c = 0; c < a.nchildren[ni]; ++c) stack.push_back(a.first_child[ni] + c);
   }
   // DFS with a stack visits children in reverse; restore tree order so
   // groups sweep the particle array contiguously.
   std::sort(out.begin(), out.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return nodes_[a].first < nodes_[b].first; });
+            [&](std::uint32_t x, std::uint32_t y) { return a.first[x] < a.first[y]; });
   return out;
 }
 

@@ -6,7 +6,12 @@
 // a flat array built by recursive partitioning of the key-sorted range.
 // Monopole (center-of-mass) moments are accumulated bottom-up, which is
 // the expansion GreeM uses for the short-range tree walk.
+//
+// Node storage is a structure of arrays (NodeArrays): the siblings of a
+// cell are contiguous, so the block walk (tree/walk.hpp) loads one field
+// of up to eight children with a single vector load.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,15 +20,13 @@
 
 namespace greem::tree {
 
+/// One node's fields, assembled by value from the node arrays (for code
+/// off the walk's hot path: group bookkeeping, tests, load balance).
 struct TreeNode {
   Vec3 center;               ///< geometric center of the cubic cell
   double half = 0;           ///< half of the cell side length
   Vec3 com;                  ///< center of mass of contained particles
   double mass = 0;           ///< total contained mass
-  /// Trace-free quadrupole tensor about the center of mass,
-  /// Q_ij = sum m (3 d_i d_j - delta_ij d^2), packed xx,xy,xz,yy,yz,zz.
-  /// Zero unless OctreeParams::with_quadrupole.
-  std::array<double, 6> quad{};
   std::uint32_t first_child = 0;  ///< index of first child node (0 = leaf)
   std::uint32_t nchildren = 0;
   std::uint32_t first = 0;   ///< first particle (tree order)
@@ -32,9 +35,30 @@ struct TreeNode {
   bool is_leaf() const { return nchildren == 0; }
 };
 
+/// The node storage: entry i of every array belongs to node i.  Children
+/// of a node are the contiguous range [first_child, first_child +
+/// nchildren).
+struct NodeArrays {
+  std::vector<double> cx, cy, cz;        ///< cell centers
+  std::vector<double> half;              ///< half cell side lengths
+  std::vector<double> comx, comy, comz;  ///< centers of mass
+  std::vector<double> mass;              ///< contained masses
+  std::vector<std::uint32_t> first_child, nchildren;  ///< child range
+  std::vector<std::uint32_t> first, count;            ///< particle range
+
+  std::size_t size() const { return half.size(); }
+  void reserve(std::size_t n);
+  void resize(std::size_t n);  ///< new nodes are zeroed
+};
+
+/// Trace-free quadrupole tensor about a node's center of mass,
+/// Q_ij = sum m (3 d_i d_j - delta_ij d^2), packed xx,xy,xz,yy,yz,zz.
+using Quadrupole = std::array<double, 6>;
+
 struct OctreeParams {
   std::uint32_t leaf_capacity = 8;  ///< split cells with more particles
-  int max_depth = 21;               ///< Morton key resolution bound
+  /// Morton key resolution bound; values above kMortonBits are clamped.
+  int max_depth = 21;
   /// Accumulate quadrupole moments (the multipole order of the classic
   /// pure-tree Gordon Bell codes; the TreePM cutoff walk stays monopole,
   /// as in GreeM, because gP3M applies to point-pair force shapes).
@@ -48,8 +72,13 @@ class Octree {
   /// back to the caller's indexing.
   Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreeParams params = {});
 
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
-  const TreeNode& root() const { return nodes_[0]; }
+  const NodeArrays& node_arrays() const { return nodes_; }
+  std::size_t num_nodes() const { return nodes_.size(); }
+  TreeNode node(std::uint32_t i) const;
+  TreeNode root() const { return node(0); }
+
+  /// Per-node quadrupoles; empty unless OctreeParams::with_quadrupole.
+  std::span<const Quadrupole> quads() const { return quads_; }
 
   /// Positions/masses in tree (Morton) order.
   std::span<const Vec3> sorted_pos() const { return sorted_pos_; }
@@ -67,7 +96,8 @@ class Octree {
   std::vector<std::uint32_t> groups(std::uint32_t ncrit) const;
 
  private:
-  std::vector<TreeNode> nodes_;
+  NodeArrays nodes_;
+  std::vector<Quadrupole> quads_;
   std::vector<Vec3> sorted_pos_;
   std::vector<double> sorted_mass_;
   std::vector<std::uint32_t> order_;

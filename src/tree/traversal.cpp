@@ -1,91 +1,16 @@
 #include "tree/traversal.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "tree/walk.hpp"
 #include "util/parallel_for.hpp"
 #include "util/timer.hpp"
 
 namespace greem::tree {
 namespace {
-
-/// Squared distance between two axis-aligned cubes (center, half-size).
-double box_box_dist2(const Vec3& c1, double h1, const Vec3& c2, double h2) {
-  double d2 = 0;
-  for (int a = 0; a < 3; ++a) {
-    const double gap = std::abs(c1[static_cast<std::size_t>(a)] - c2[static_cast<std::size_t>(a)]) - (h1 + h2);
-    if (gap > 0) d2 += gap * gap;
-  }
-  return d2;
-}
-
-/// Squared distance from a point to a cube (center, half-size).
-double point_box_dist2(const Vec3& p, const Vec3& c, double h) {
-  double d2 = 0;
-  for (int a = 0; a < 3; ++a) {
-    const double gap = std::abs(p[static_cast<std::size_t>(a)] - c[static_cast<std::size_t>(a)]) - h;
-    if (gap > 0) d2 += gap * gap;
-  }
-  return d2;
-}
-
-struct Walker {
-  const Octree& tree;
-  const TraversalParams& params;
-  const TreeNode* group;
-  Vec3 offset;
-  pp::InteractionList* list;
-  TraversalStats* stats;
-  std::vector<pp::QuadSource>* quad_list = nullptr;  ///< kNewtonQuad only
-  /// Opened leaf sources with original index >= ghost_from are counted as
-  /// ghost imports (parallel ranks: locals precede ghosts).  count_ghosts
-  /// false (the default) skips the per-particle index lookup entirely.
-  bool count_ghosts = false;
-  std::uint32_t ghost_from = std::numeric_limits<std::uint32_t>::max();
-  std::uint64_t ghost_sources = 0;
-
-  void walk(std::uint32_t ni) {
-    const TreeNode& node = tree.nodes()[ni];
-    ++stats->nodes_visited;
-    if (node.count == 0) return;
-
-    const Vec3 node_center = node.center + offset;
-    // Cutoff pruning: if every pair (group target, node source) is beyond
-    // rcut, the gP3M factor vanishes and the node contributes nothing.
-    if (std::isfinite(params.rcut)) {
-      const double d2 = box_box_dist2(group->center, group->half, node_center, node.half);
-      if (d2 > params.rcut * params.rcut) return;
-    }
-
-    // Multipole acceptance: cell size over the closest approach of the
-    // group box to the node's center of mass, plus non-overlap.
-    const Vec3 node_com = node.com + offset;
-    const double dcom2 = point_box_dist2(node_com, group->center, group->half);
-    const double size = 2.0 * node.half;
-    const bool accept = dcom2 > 0 && size * size < params.theta * params.theta * dcom2 &&
-                        box_box_dist2(group->center, group->half, node_center, node.half) > 0;
-    if (accept) {
-      if (quad_list) {
-        quad_list->push_back({node_com, node.mass, node.quad});
-      } else {
-        list->add(node_com, node.mass);
-      }
-      return;
-    }
-    if (node.is_leaf()) {
-      const auto pos = tree.sorted_pos();
-      const auto mass = tree.sorted_mass();
-      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
-        list->add(pos[i] + offset, mass[i]);
-        if (count_ghosts && tree.original_index(i) >= ghost_from) ++ghost_sources;
-      }
-      return;
-    }
-    for (std::uint32_t c = 0; c < node.nchildren; ++c) walk(node.first_child + c);
-  }
-};
 
 TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
                              std::size_t n_targets, std::span<Vec3> acc,
@@ -95,6 +20,9 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
                              std::vector<DeferredGroup>* deferred) {
   static const Vec3 kHome{0, 0, 0};
   if (image_offsets.empty()) image_offsets = {&kHome, 1};
+
+  if (params.kernel == KernelKind::kNewtonQuad && tree.quads().size() != tree.num_nodes())
+    throw std::invalid_argument("run_traversal: kNewtonQuad needs a tree built with_quadrupole");
 
   telemetry::Span span("tree/traversal_force");
   TraversalStats stats;
@@ -108,7 +36,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   // the groups that own at least one target, in groups(ncrit) order.
   std::vector<std::uint32_t> group_nodes;
   for (const std::uint32_t gn : tree.groups(params.ncrit)) {
-    const TreeNode& g = tree.nodes()[gn];
+    const TreeNode g = tree.node(gn);
     const auto members = tree.order().subspan(g.first, g.count);
     if (std::any_of(members.begin(), members.end(),
                     [&](std::uint32_t orig) { return orig < n_targets; }))
@@ -119,9 +47,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   // not ship; donation is simply inactive under kNewtonQuad.
   const bool may_defer = deferred && !quad;
   if (group_costs) group_costs->assign(group_nodes.size(), GroupCost{});
-  // Ghost attribution only pays its per-source index lookup when ghosts
-  // can exist at all (parallel ranks importing sources beyond n_targets).
-  const bool count_ghosts = n_targets < tree.num_particles();
 
   // Groups own disjoint particle ranges, so the group loop parallelizes
   // over the intra-rank thread pool (the paper's MPI/OpenMP hybrid: ranks
@@ -151,7 +76,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     Stopwatch sw;
 
     for (std::size_t gidx = lo; gidx < hi; ++gidx) {
-      const TreeNode& g = tree.nodes()[group_nodes[gidx]];
+      const TreeNode g = tree.node(group_nodes[gidx]);
 
       sw.restart();
       // Only the group's targets are evaluated; its ghost members still
@@ -163,14 +88,11 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
 
       list.clear();
       quad_nodes.clear();
-      Walker walker{tree, params, &g, {}, &list, &local_stats,
-                    quad ? &quad_nodes : nullptr};
-      walker.count_ghosts = count_ghosts;
-      walker.ghost_from = static_cast<std::uint32_t>(n_targets);
-      for (const Vec3& off : image_offsets) {
-        walker.offset = off;
-        walker.walk(0);
-      }
+      // Ghost attribution only pays its per-source index lookup when ghosts
+      // can exist (n_targets below the particle count: parallel ranks).
+      WalkSink sink{&list, quad ? &quad_nodes : nullptr, static_cast<std::uint32_t>(n_targets)};
+      walk_group(tree, group_nodes[gidx], params.theta, params.rcut, image_offsets, sink);
+      local_stats.nodes_visited += sink.nodes_visited;
       const std::uint64_t nj = list.size() + quad_nodes.size();
       const double walk_s = sw.seconds();
       sc.traverse_s += walk_s;
@@ -179,7 +101,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       local_stats.sum_ni += ni;
       local_stats.sum_nj += nj;
       local_stats.interactions += ni * nj;
-      local_stats.ghost_sources += walker.ghost_sources;
+      local_stats.ghost_sources += sink.ghost_sources;
 
       // Per-group cost record: slot gidx is this group's regardless of
       // which pool slot ran it, so the output is deterministically indexed.
@@ -189,7 +111,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
         gc->ni = static_cast<std::uint32_t>(ni);
         gc->nj = nj;
         gc->interactions = ni * nj;
-        gc->ghost_sources = walker.ghost_sources;
+        gc->ghost_sources = sink.ghost_sources;
         gc->walk_s = walk_s;
         gc->center = g.center;
         gc->half = g.half;
@@ -328,13 +250,11 @@ TraversalStats tree_potentials(const Octree& tree, const TraversalParams& params
   pp::InteractionList list;
   std::vector<double> group_pot;
   for (const std::uint32_t gi : group_nodes) {
-    const TreeNode& g = tree.nodes()[gi];
+    const TreeNode g = tree.node(gi);
     list.clear();
-    Walker walker{tree, params, &g, {}, &list, &stats, nullptr};
-    for (const Vec3& off : image_offsets) {
-      walker.offset = off;
-      walker.walk(0);
-    }
+    WalkSink sink{&list};
+    walk_group(tree, gi, params.theta, params.rcut, image_offsets, sink);
+    stats.nodes_visited += sink.nodes_visited;
     ++stats.ngroups;
     stats.sum_ni += g.count;
     stats.sum_nj += list.size();
@@ -352,8 +272,9 @@ TraversalStats tree_potentials(const Octree& tree, const TraversalParams& params
 void build_interaction_list(const Octree& tree, std::uint32_t group_node,
                             const TraversalParams& params, const Vec3& offset,
                             pp::InteractionList& list, TraversalStats& stats) {
-  Walker walker{tree, params, &tree.nodes()[group_node], offset, &list, &stats};
-  walker.walk(0);
+  WalkSink sink{&list};
+  walk_group(tree, group_node, params.theta, params.rcut, {&offset, 1}, sink);
+  stats.nodes_visited += sink.nodes_visited;
 }
 
 }  // namespace greem::tree

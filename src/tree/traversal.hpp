@@ -22,7 +22,8 @@ enum class KernelKind {
   kPhantom,     ///< batched approximate-rsqrt kernel, gP3M cutoff
   kNewton,      ///< no cutoff (pure-tree / direct baselines)
   kNewtonQuad,  ///< no cutoff, monopole+quadrupole node moments
-                ///< (requires OctreeParams::with_quadrupole)
+                ///< (requires OctreeParams::with_quadrupole; throws
+                ///< std::invalid_argument otherwise)
 };
 
 struct TraversalParams {

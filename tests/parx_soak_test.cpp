@@ -204,12 +204,24 @@ TEST(ParxSoak, FastFramedAndLossyPathsAgreeBitwiseWithIdenticalLedgers) {
   const auto clean_totals = clean.ledger().totals();
   ASSERT_GT(clean_totals.messages, 0u);
 
-  const Scenario scenarios[] = {
-      {"framed-all-rate0", {"*:any:*:drop@0"}},
-      {"framed-partial-rate0", {"*:any:1:drop@0"}},
-      {"lossy-partial", {"*:any:1:drop@0.05"}},
+  // The lossy run keeps the 1 ms RTO so its retransmissions come fast.
+  // The clean runs assert zero retransmits, so they need TransportTuning's
+  // precondition -- ack latency (ack_delay_s + tick_s, plus scheduling)
+  // below rto_s -- with room for a loaded or sanitized host to deschedule
+  // the monitor thread: no retransmit timer fires on a clean link then.
+  const TransportTuning fast{.rto_s = 0.001, .backoff = 1.5, .max_attempts = 30,
+                             .tick_s = 0.0005};
+  const TransportTuning clean_link{.rto_s = 0.5, .backoff = 1.5, .max_attempts = 30,
+                                   .tick_s = 0.0005};
+  constexpr double kSchedulingAllowanceS = 0.1;
+  ASSERT_LT(clean_link.ack_delay_s + clean_link.tick_s + kSchedulingAllowanceS,
+            clean_link.rto_s);
+  const std::pair<Scenario, TransportTuning> scenarios[] = {
+      {{"framed-all-rate0", {"*:any:*:drop@0"}}, clean_link},
+      {{"framed-partial-rate0", {"*:any:1:drop@0"}}, clean_link},
+      {{"lossy-partial", {"*:any:1:drop@0.05"}}, fast},
   };
-  for (const auto& sc : scenarios) {
+  for (const auto& [sc, tuning] : scenarios) {
     SCOPED_TRACE(sc.name);
     Runtime rt(kRanks);
     FaultPlan plan;
@@ -219,8 +231,7 @@ TEST(ParxSoak, FastFramedAndLossyPathsAgreeBitwiseWithIdenticalLedgers) {
       plan.at(*spec);
     }
     rt.set_fault_plan(plan);
-    rt.set_transport_tuning({.rto_s = 0.001, .backoff = 1.5, .max_attempts = 30,
-                             .tick_s = 0.0005});
+    rt.set_transport_tuning(tuning);
     const auto got = run_workload(rt);
     EXPECT_EQ(got, expected) << "diverged under " << sc.name;
     const auto t = rt.ledger().totals();

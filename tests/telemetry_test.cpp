@@ -574,7 +574,7 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   constexpr std::size_t kN = 600;
   auto particles = core::random_uniform_particles(kN, 1.0, 99);
 
-  std::atomic<std::uint64_t> rank_interactions{0};
+  std::atomic<std::uint64_t> rank_interactions{0}, rank_nodes{0};
   parx::run_ranks(2, [&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -582,6 +582,7 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
     sim.step(0.001);
     sim.step(0.002);
     rank_interactions += sim.last_step().pp_stats.interactions;
+    rank_nodes += sim.last_step().pp_stats.nodes_visited;
     // last_record() is filled collectively; every rank sees the aggregate.
     EXPECT_EQ(sim.last_record().step, 2u);
     EXPECT_EQ(sim.last_record().n_particles, kN);
@@ -614,6 +615,12 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   EXPECT_NEAR(last.find("flop_rate")->num,
               interactions * pp::kFlopsPerInteraction / pp_max,
               1e-6 * last.find("flop_rate")->num);
+
+  // Walk work: the global node count is the ranks' own sum, and the rate
+  // divides it by the summed traversal seconds.
+  EXPECT_DOUBLE_EQ(last.find("nodes_visited")->num, static_cast<double>(rank_nodes.load()));
+  EXPECT_GT(rank_nodes.load(), 0u);
+  EXPECT_GT(last.find("walk_mnodes_s")->num, 0.0);
 
   // Phase breakdowns carry the Table I row names with a consistent total.
   const JVal* pp = last.find("pp");

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/direct_force.hpp"
 #include "core/particle.hpp"
@@ -12,6 +20,7 @@
 #include "tree/ghost.hpp"
 #include "tree/octree.hpp"
 #include "tree/traversal.hpp"
+#include "tree/walk.hpp"
 #include "pp/cutoff.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -51,13 +60,14 @@ TEST(Octree, NodesOwnConsistentParticleRanges) {
   const auto pos = random_positions(300, 3);
   std::vector<double> mass(pos.size(), 1.0);
   Octree tree(pos, mass);
-  for (const auto& node : tree.nodes()) {
+  for (std::uint32_t ni = 0; ni < tree.num_nodes(); ++ni) {
+    const TreeNode node = tree.node(ni);
     EXPECT_LE(node.first + node.count, tree.num_particles());
     if (!node.is_leaf()) {
       // Children partition the parent's range.
       std::uint32_t sum = 0;
       for (std::uint32_t c = 0; c < node.nchildren; ++c)
-        sum += tree.nodes()[node.first_child + c].count;
+        sum += tree.node(node.first_child + c).count;
       EXPECT_EQ(sum, node.count);
     }
     // Particles lie inside the (slightly padded) cell cube.
@@ -76,7 +86,8 @@ TEST(Octree, LeavesRespectCapacityAboveMaxDepth) {
   OctreeParams params;
   params.leaf_capacity = 16;
   Octree tree(pos, mass, params);
-  for (const auto& node : tree.nodes()) {
+  for (std::uint32_t ni = 0; ni < tree.num_nodes(); ++ni) {
+    const TreeNode node = tree.node(ni);
     if (node.is_leaf() && node.half > 1e-5) {
       EXPECT_LE(node.count, 16u);
     }
@@ -117,7 +128,7 @@ TEST(Octree, GroupsPartitionAllParticles) {
   const auto groups = tree.groups(100);
   std::uint32_t covered = 0, expect_first = 0;
   for (const auto g : groups) {
-    const auto& node = tree.nodes()[g];
+    const TreeNode node = tree.node(g);
     EXPECT_EQ(node.first, expect_first);  // contiguous in tree order
     EXPECT_LE(node.count, 100u);
     covered += node.count;
@@ -327,7 +338,7 @@ TEST(Quadrupole, KnownTensorForSymmetricPair) {
   params.with_quadrupole = true;
   params.leaf_capacity = 8;
   Octree tree(pos, mass, params);
-  const auto& q = tree.root().quad;
+  const Quadrupole& q = tree.quads()[0];
   EXPECT_NEAR(q[0], 4 * m * d * d, 1e-15);
   EXPECT_NEAR(q[3], -2 * m * d * d, 1e-15);
   EXPECT_NEAR(q[5], -2 * m * d * d, 1e-15);
@@ -361,7 +372,7 @@ TEST(Quadrupole, ParallelAxisCombinationMatchesDirect) {
     direct[5] += mass[i] * (3 * d.z * d.z - d2);
   }
   for (int k = 0; k < 6; ++k)
-    EXPECT_NEAR(tree.root().quad[static_cast<std::size_t>(k)],
+    EXPECT_NEAR(tree.quads()[0][static_cast<std::size_t>(k)],
                 direct[static_cast<std::size_t>(k)], 1e-10);
 }
 
@@ -397,7 +408,7 @@ TEST(Quadrupole, KernelImprovesFarFieldOverMonopole) {
   }
   // monopole + quadrupole
   {
-    pp::QuadSource src{tree.root().com, tree.root().mass, tree.root().quad};
+    pp::QuadSource src{tree.root().com, tree.root().mass, tree.quads()[0]};
     pp::pp_kernel_quadrupole(target, quad, std::span<const pp::QuadSource>(&src, 1), 0.0);
   }
   const double mono_err = (mono[0] - direct[0]).norm();
@@ -566,7 +577,7 @@ TEST(GroupCosts, SumToTraversalStats) {
     EXPECT_GE(gc.walk_s, 0.0);
     EXPECT_GE(gc.force_s, 0.0);
     EXPECT_GT(gc.half, 0.0);
-    EXPECT_LT(gc.node, tree.nodes().size());
+    EXPECT_LT(gc.node, tree.num_nodes());
   }
   EXPECT_EQ(ni, stats.sum_ni);
   EXPECT_EQ(nj, stats.sum_nj);
@@ -736,6 +747,320 @@ TEST(Donation, WireFormatShipsTargetsOnly) {
     EXPECT_EQ(acc[i].y, direct[i].y) << i;
     EXPECT_EQ(acc[i].z, direct[i].z) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Block walk against the recursive walk it replaced.
+
+double box_box_dist2(const Vec3& c1, double h1, const Vec3& c2, double h2) {
+  double d2 = 0;
+  for (std::size_t a = 0; a < 3; ++a) {
+    const double gap = std::abs(c1[a] - c2[a]) - (h1 + h2);
+    if (gap > 0) d2 += gap * gap;
+  }
+  return d2;
+}
+
+double point_box_dist2(const Vec3& p, const Vec3& c, double h) {
+  double d2 = 0;
+  for (std::size_t a = 0; a < 3; ++a) {
+    const double gap = std::abs(p[a] - c[a]) - h;
+    if (gap > 0) d2 += gap * gap;
+  }
+  return d2;
+}
+
+/// The recursive group walk, kept as the reference: children in index
+/// order, so its lists are the depth-first pre-order the block walk must
+/// reproduce bitwise.
+struct ReferenceWalker {
+  const Octree& tree;
+  TreeNode group;
+  double theta = 0.5;
+  double rcut = std::numeric_limits<double>::infinity();
+  Vec3 offset;
+  pp::InteractionList* list = nullptr;
+  std::vector<pp::QuadSource>* quad_list = nullptr;
+  std::uint32_t ghost_from = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t nodes_visited = 0;
+  std::uint64_t ghost_sources = 0;
+
+  void walk(std::uint32_t ni) {
+    const TreeNode node = tree.node(ni);
+    ++nodes_visited;
+    if (node.count == 0) return;
+
+    const Vec3 node_center = node.center + offset;
+    if (std::isfinite(rcut)) {
+      const double d2 = box_box_dist2(group.center, group.half, node_center, node.half);
+      if (d2 > rcut * rcut) return;
+    }
+    const Vec3 node_com = node.com + offset;
+    const double dcom2 = point_box_dist2(node_com, group.center, group.half);
+    const double size = 2.0 * node.half;
+    const bool accept = dcom2 > 0 && size * size < theta * theta * dcom2 &&
+                        box_box_dist2(group.center, group.half, node_center, node.half) > 0;
+    if (accept) {
+      if (quad_list)
+        quad_list->push_back({node_com, node.mass, tree.quads()[ni]});
+      else
+        list->add(node_com, node.mass);
+      return;
+    }
+    if (node.is_leaf()) {
+      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
+        list->add(tree.sorted_pos()[i] + offset, tree.sorted_mass()[i]);
+        if (ghost_from < tree.num_particles() && tree.original_index(i) >= ghost_from)
+          ++ghost_sources;
+      }
+      return;
+    }
+    for (std::uint32_t c = 0; c < node.nchildren; ++c) walk(node.first_child + c);
+  }
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const std::vector<pp::QuadSource>& a, const std::vector<pp::QuadSource>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const double wa[10] = {a[k].com.x, a[k].com.y, a[k].com.z, a[k].mass, a[k].quad[0],
+                           a[k].quad[1], a[k].quad[2], a[k].quad[3], a[k].quad[4], a[k].quad[5]};
+    const double wb[10] = {b[k].com.x, b[k].com.y, b[k].com.z, b[k].mass, b[k].quad[0],
+                           b[k].quad[1], b[k].quad[2], b[k].quad[3], b[k].quad[4], b[k].quad[5]};
+    if (std::memcmp(wa, wb, sizeof wa) != 0) return false;
+  }
+  return true;
+}
+
+std::vector<WalkClassifier> runnable_classifiers() {
+  std::vector<WalkClassifier> out{WalkClassifier::kPortable};
+  if (walk_classifier_available(WalkClassifier::kAvx512)) out.push_back(WalkClassifier::kAvx512);
+  return out;
+}
+
+const std::vector<Vec3>& all_images() {
+  static const std::vector<Vec3> images = [] {
+    std::vector<Vec3> v;
+    for (int x = -1; x <= 1; ++x)
+      for (int y = -1; y <= 1; ++y)
+        for (int z = -1; z <= 1; ++z) v.emplace_back(x, y, z);
+    return v;
+  }();
+  return images;
+}
+
+struct WalkTotals {
+  std::uint64_t nodes_visited = 0, ghost_sources = 0, entries = 0;
+};
+
+/// Walk every group of `tree` with the reference and with the block walk
+/// under each runnable classifier; lists (monopole and, when the tree has
+/// quadrupoles, quadrupole) and counters must agree exactly.  Returns the
+/// reference totals over the groups that own a target.
+WalkTotals expect_walks_agree(const Octree& tree, double theta, double rcut,
+                              std::span<const Vec3> offsets, std::uint32_t ghost_from,
+                              std::uint32_t ncrit, const std::string& what) {
+  WalkTotals totals;
+  std::vector<std::uint32_t> groups = tree.groups(ncrit);
+  if (groups.empty()) groups.push_back(0);  // the empty tree's root
+  const bool with_quads = !tree.quads().empty();
+  for (const std::uint32_t g : groups) {
+    for (const bool quad : {false, true}) {
+      if (quad && !with_quads) continue;
+      pp::InteractionList ref_list;
+      std::vector<pp::QuadSource> ref_quads;
+      ReferenceWalker ref{tree, tree.node(g), theta, rcut, {}, &ref_list,
+                          quad ? &ref_quads : nullptr, ghost_from};
+      for (const Vec3& off : offsets) {
+        ref.offset = off;
+        ref.walk(0);
+      }
+      const auto members = tree.order().subspan(tree.node(g).first, tree.node(g).count);
+      if (!quad && std::any_of(members.begin(), members.end(),
+                               [&](std::uint32_t o) { return o < ghost_from; })) {
+        totals.nodes_visited += ref.nodes_visited;
+        totals.ghost_sources += ref.ghost_sources;
+        totals.entries += ref_list.size();
+      }
+      for (const WalkClassifier c : runnable_classifiers()) {
+        pp::InteractionList list;
+        std::vector<pp::QuadSource> quads;
+        WalkSink sink{&list, quad ? &quads : nullptr, ghost_from};
+        walk_group(tree, g, theta, rcut, offsets, sink, c);
+        const std::string where = what + " group " + std::to_string(g) + " classifier " +
+                                  walk_classifier_name(c) + (quad ? " quad" : "");
+        EXPECT_TRUE(same_bits(list.x, ref_list.x)) << where;
+        EXPECT_TRUE(same_bits(list.y, ref_list.y)) << where;
+        EXPECT_TRUE(same_bits(list.z, ref_list.z)) << where;
+        EXPECT_TRUE(same_bits(list.m, ref_list.m)) << where;
+        EXPECT_TRUE(same_bits(quads, ref_quads)) << where;
+        EXPECT_EQ(sink.nodes_visited, ref.nodes_visited) << where;
+        EXPECT_EQ(sink.ghost_sources, ref.ghost_sources) << where;
+      }
+    }
+  }
+  return totals;
+}
+
+TEST(BlockWalk, ListsAreBitwiseTheRecursiveWalks) {
+  std::printf("[ block walk ] classifiers run:");
+  for (const WalkClassifier c : runnable_classifiers()) std::printf(" %s", walk_classifier_name(c));
+  std::printf("%s\n", walk_classifier_available(WalkClassifier::kAvx512)
+                          ? ""
+                          : " (no AVX-512F on this CPU)");
+
+  const std::size_t n = 500;
+  std::vector<Vec3> plummer;
+  for (const auto& p : core::plummer_particles(n, 1.0, {0.5, 0.5, 0.5}, 0.05, 51))
+    plummer.push_back(p.pos);
+  const std::vector<std::pair<const char*, std::vector<Vec3>>> ics{
+      {"uniform", random_positions(n, 50)}, {"plummer", plummer}};
+  Rng rng(52);
+  std::vector<double> mass(n);
+  for (auto& m : mass) m = rng.uniform(0.5, 1.5) / static_cast<double>(n);
+  const Vec3 home{0, 0, 0};
+  // Particles past index ghost_from stand in for imported ghosts.
+  const auto ghost_from = static_cast<std::uint32_t>(2 * n / 3);
+
+  for (const auto& [ic, pos] : ics)
+    for (const std::uint32_t leaf_capacity : {1u, 8u}) {
+      Octree tree(pos, mass, {leaf_capacity, 21, /*with_quadrupole=*/true});
+      for (const double theta : {0.3, 0.5, 0.8})
+        for (const double rcut : {0.15, std::numeric_limits<double>::infinity()})
+          for (const bool periodic : {false, true}) {
+            const std::span<const Vec3> offsets =
+                periodic ? std::span<const Vec3>(all_images()) : std::span<const Vec3>(&home, 1);
+            const std::string what = std::string(ic) + " leaf " + std::to_string(leaf_capacity) +
+                                     " theta " + std::to_string(theta) + " rcut " +
+                                     std::to_string(rcut) + (periodic ? " 27 images" : "");
+            const WalkTotals ref = expect_walks_agree(tree, theta, rcut, offsets, ghost_from,
+                                                      32, what);
+
+            // The traversal entry point runs the same walk: its counters
+            // are the reference totals over the groups with a target.
+            TraversalParams tp;
+            tp.theta = theta;
+            tp.rcut = rcut;
+            tp.ncrit = 32;
+            tp.eps2 = 1e-8;
+            tp.kernel = KernelKind::kNewton;
+            std::vector<Vec3> acc(ghost_from);
+            const auto stats =
+                tree_accelerations_targets(tree, tp, ghost_from, acc, offsets);
+            EXPECT_EQ(stats.nodes_visited, ref.nodes_visited) << what;
+            EXPECT_EQ(stats.ghost_sources, ref.ghost_sources) << what;
+            EXPECT_EQ(stats.sum_nj, ref.entries) << what;
+            EXPECT_GT(ref.ghost_sources, 0u) << what;
+          }
+    }
+}
+
+TEST(BlockWalk, DegenerateTreesMatchTheRecursiveWalk) {
+  const Vec3 home{0, 0, 0};
+  const std::vector<double> mass(5, 0.2);
+  // No particles: the root is the only node, empty.
+  const Octree empty(std::span<const Vec3>{}, std::span<const double>{});
+  // One particle, and five under a leaf capacity of 8: the root is a leaf.
+  const std::vector<Vec3> one{{0.3, 0.6, 0.2}};
+  const Octree single(one, std::span<const double>(mass).first(1),
+                      {8, 21, /*with_quadrupole=*/true});
+  const auto five = random_positions(5, 53);
+  const Octree root_leaf(five, mass, {8, 21, /*with_quadrupole=*/true});
+  ASSERT_EQ(root_leaf.num_nodes(), 1u);
+
+  for (const auto* tree : {&empty, &single, &root_leaf})
+    for (const double theta : {0.3, 0.8})
+      for (const double rcut : {0.15, std::numeric_limits<double>::infinity()})
+        for (const bool periodic : {false, true}) {
+          const std::span<const Vec3> offsets =
+              periodic ? std::span<const Vec3>(all_images()) : std::span<const Vec3>(&home, 1);
+          expect_walks_agree(*tree, theta, rcut, offsets, 3, 4,
+                             "particles " + std::to_string(tree->num_particles()));
+        }
+
+  pp::InteractionList list;
+  TraversalStats stats;
+  TraversalParams tp;
+  build_interaction_list(empty, 0, tp, home, list, stats);
+  EXPECT_EQ(list.size(), 0u);
+  EXPECT_EQ(stats.nodes_visited, 1u);
+}
+
+TEST(BlockWalk, QuadrupolesAreStoredOnlyWhenRequested) {
+  const auto pos = random_positions(200, 54);
+  const std::vector<double> mass(pos.size(), 1.0);
+  const Octree without(pos, mass);
+  EXPECT_TRUE(without.quads().empty());
+  const Octree with(pos, mass, {8, 21, /*with_quadrupole=*/true});
+  EXPECT_EQ(with.quads().size(), with.num_nodes());
+
+  // A quadrupole walk needs the side array: refused, not read past its end.
+  TraversalParams tp;
+  tp.kernel = KernelKind::kNewtonQuad;
+  std::vector<Vec3> acc(pos.size());
+  EXPECT_THROW(tree_accelerations(without, tp, acc), std::invalid_argument);
+  EXPECT_NO_THROW(tree_accelerations(with, tp, acc));
+}
+
+TEST(BlockWalk, ClassifiersAgreeOnRandomChildBlocks) {
+  // Coordinates on a 1/16 grid make the predicates' ties (touching boxes,
+  // a com on the group surface, size^2 == theta^2 dcom2) common.
+  if (!walk_classifier_available(WalkClassifier::kAvx512))
+    GTEST_SKIP() << "only the portable classifier runs on this CPU";
+  Rng rng(55);
+  auto grid = [&](double lo, double hi) {
+    return std::round(rng.uniform(lo, hi) * 16.0) / 16.0;
+  };
+  NodeArrays a;
+  const std::size_t nodes = 4096;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    a.cx.push_back(grid(0, 1));
+    a.cy.push_back(grid(0, 1));
+    a.cz.push_back(grid(0, 1));
+    a.half.push_back(std::ldexp(1.0, -static_cast<int>(rng.uniform(1, 6))));
+    a.comx.push_back(a.cx.back() + grid(-a.half.back(), a.half.back()));
+    a.comy.push_back(a.cy.back() + grid(-a.half.back(), a.half.back()));
+    a.comz.push_back(a.cz.back() + grid(-a.half.back(), a.half.back()));
+    a.mass.push_back(rng.uniform(0, 1));
+    a.nchildren.push_back(rng.uniform() < 0.5 ? 0u : 1u + static_cast<std::uint32_t>(i % 8));
+    a.first_child.push_back(0);
+    a.first.push_back(0);
+    a.count.push_back(1);
+  }
+  std::uint64_t seen_accept = 0, seen_leaf = 0, seen_open = 0, seen_pruned = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + trial % 8);
+    const auto first = static_cast<std::uint32_t>(rng.uniform(0, nodes - 8));
+    WalkBox box;
+    box.center = {grid(0, 1), grid(0, 1), grid(0, 1)};
+    box.half = std::ldexp(1.0, -static_cast<int>(rng.uniform(2, 6)));
+    box.offset = {std::round(rng.uniform(-1.4, 1.4)), std::round(rng.uniform(-1.4, 1.4)),
+                  std::round(rng.uniform(-1.4, 1.4))};
+    box.rcut2 = trial % 3 == 0 ? std::numeric_limits<double>::infinity()
+                               : std::pow(grid(0.0625, 0.5), 2);
+    box.theta2 = std::pow(std::array{0.3, 0.5, 0.8, 1.0}[static_cast<std::size_t>(trial % 4)], 2);
+    const ChildMasks p = classify_children(WalkClassifier::kPortable, a, first, n, box);
+    const ChildMasks v = classify_children(WalkClassifier::kAvx512, a, first, n, box);
+    ASSERT_EQ(p.accept, v.accept) << "trial " << trial;
+    ASSERT_EQ(p.leaf, v.leaf) << "trial " << trial;
+    ASSERT_EQ(p.open, v.open) << "trial " << trial;
+    ASSERT_EQ((p.accept | p.leaf | p.open) >> n, 0u);
+    ASSERT_EQ(p.accept & p.leaf, 0u);
+    ASSERT_EQ((p.accept | p.leaf) & p.open, 0u);
+    seen_accept += static_cast<std::uint64_t>(std::popcount(p.accept));
+    seen_leaf += static_cast<std::uint64_t>(std::popcount(p.leaf));
+    seen_open += static_cast<std::uint64_t>(std::popcount(p.open));
+    seen_pruned += n - static_cast<std::uint64_t>(std::popcount(p.accept | p.leaf | p.open));
+  }
+  // Every class occurs, so no lane logic went untested.
+  EXPECT_GT(seen_accept, 0u);
+  EXPECT_GT(seen_leaf, 0u);
+  EXPECT_GT(seen_open, 0u);
+  EXPECT_GT(seen_pruned, 0u);
 }
 
 }  // namespace
