@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "fft/fft3d.hpp"
-#include "fft/pencil_fft.hpp"
 #include "fft/slab_fft.hpp"
 #include "parx/runtime.hpp"
 #include "util/rng.hpp"
@@ -72,36 +71,6 @@ void BM_SlabFft(benchmark::State& state) {
       benchmark::Counter(bytes / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_SlabFft)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
-/// Pencil (2-D) decomposition -- the paper's stated future work: supports
-/// rank counts past the slab ceiling (args encode pr*100 + pc).
-void BM_PencilFft(benchmark::State& state) {
-  const int pr = static_cast<int>(state.range(0)) / 100;
-  const int pc = static_cast<int>(state.range(0)) % 100;
-  const std::size_t n = 32;
-  parx::Runtime rt(pr * pc);
-  double bytes = 0;
-  for (auto _ : state) {
-    rt.ledger().reset();
-    rt.run([&](parx::Comm& world) {
-      fft::PencilFft pencil(world, n, pr, pc);
-      Rng rng(static_cast<std::uint64_t>(world.rank()) + 7);
-      std::vector<fft::Complex> data(pencil.in_cells());
-      for (auto& v : data) v = {rng.normal(), 0.0};
-      auto spec = pencil.forward(data);
-      benchmark::DoNotOptimize(spec.data());
-    });
-    bytes += static_cast<double>(rt.ledger().totals().bytes);
-  }
-  state.counters["transpose_bytes"] =
-      benchmark::Counter(bytes / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_PencilFft)
-    ->Arg(101)   // 1x1
-    ->Arg(202)   // 2x2
-    ->Arg(404)   // 4x4
-    ->Arg(808)   // 8x8: 64 ranks, past the 32-plane slab ceiling
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

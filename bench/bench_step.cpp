@@ -44,14 +44,11 @@
 //   --restore-from PATH   resume from a checkpoint dir (or its parent)
 //   --final-state FILE    rank 0 writes the final particles (sorted by id)
 //                         as a snapshot for byte-wise comparison
-//   --overlap {0,1}       overlap the PM cycle with the PP cycle (default
-//                         0; ON and OFF runs are bitwise identical, see
-//                         docs/overlap.md)
 //   --large-n LIST        comma-separated particle counts (e.g.
 //                         "1000000,10000000"); for each N, run a short
-//                         no-plan / rate-0-plan / overlap-ON/OFF sweep and
-//                         emit a "large_n_sweep" entry (the CI perf gate
-//                         reads these)
+//                         no-plan / rate-0-plan / load-balance v2-vs-v1
+//                         sweep and emit a "large_n_sweep" entry (the CI
+//                         perf gate reads these)
 //
 // BENCH_step.json gains a "transport" section with the reliable-transport
 // and sentinel counters plus a perfect-link overhead microbench (raw
@@ -100,7 +97,6 @@ struct Options {
   int live_port = -1;  ///< -1 = endpoint off, 0 = ephemeral
   std::string restore_from;
   std::string final_state;
-  bool overlap = false;
   std::vector<std::size_t> large_n;
 };
 
@@ -144,8 +140,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.restore_from = v;
     } else if (!std::strcmp(a, "--final-state") && (v = need(i))) {
       opt.final_state = v;
-    } else if (!std::strcmp(a, "--overlap") && (v = need(i))) {
-      opt.overlap = std::atoi(v) != 0;
     } else if (!std::strcmp(a, "--large-n") && (v = need(i))) {
       for (const char* p = v; *p;) {
         char* end = nullptr;
@@ -225,16 +219,12 @@ double sim_steps_seconds(const core::ParallelSimConfig& cfg,
   return seconds;
 }
 
-/// One overlap probe run: `nsteps` steps with the overlap switch as given;
-/// returns the wall seconds plus the job-wide overlap fraction of the last
-/// step (inflight / (inflight + blocked), reduced over ranks), the PP load
-/// imbalance (max/mean over ranks of the last step's traversal+force
-/// seconds) and the task-pool busy imbalance (max/mean per-slot busy time
-/// over the probe's steps).  Works without telemetry -- OverlapStats and
-/// the timing breakdowns are plain StepReport data.
-struct OverlapProbe {
-  double seconds = 0;
-  double fraction = 0;
+/// One probe run of `nsteps` steps: the PP load imbalance (max/mean over
+/// ranks of the last step's traversal+force seconds) and the task-pool
+/// busy imbalance (max/mean per-slot busy time over the probe's steps).
+/// Works without telemetry -- the timing breakdowns are plain StepReport
+/// data.
+struct StepProbe {
   double pp_imbalance = 0;
   double pool_imbalance = 0;
   // Load-balance v2 activity of the last step (global sums / published
@@ -256,16 +246,15 @@ double median5_seconds(F&& run) {
   return s[2];
 }
 
-OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
-                                 const std::vector<core::Particle>& particles, int nranks,
-                                 int nsteps, double dt, bool overlap) {
+StepProbe steps_probe(const core::ParallelSimConfig& cfg,
+                      const std::vector<core::Particle>& particles, int nranks, int nsteps,
+                      double dt) {
   parx::Runtime rt(nranks);
   auto probe_cfg = cfg;
   probe_cfg.step_report_path.clear();
   probe_cfg.restore_from.clear();
-  probe_cfg.overlap = overlap;
   std::mutex mu;
-  OverlapProbe out;
+  StepProbe out;
   rt.run([&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -275,12 +264,7 @@ OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
     // figure covers only the measured steps (the pool is process-wide).
     if (world.rank() == 0) TaskPool::global().reset_stats();
     world.barrier();
-    Stopwatch sw;
     for (int s = 1; s <= nsteps; ++s) sim.step(s * dt);
-    world.barrier();
-    const double seconds = sw.seconds();
-    double ov[2] = {sim.last_step().overlap.blocked_s, sim.last_step().overlap.inflight_s};
-    world.allreduce_sum(std::span<double>(ov, 2));
     const double pp_local = sim.last_step().pp.get("tree traversal") +
                             sim.last_step().pp.get("force calculation");
     const double pp_max = world.allreduce_max(pp_local);
@@ -291,8 +275,6 @@ OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
     world.allreduce_sum(std::span<std::uint64_t>(dn, 2));
     if (world.rank() == 0) {
       std::lock_guard lock(mu);
-      out.seconds = seconds;
-      out.fraction = ov[0] + ov[1] > 0 ? ov[1] / (ov[0] + ov[1]) : 0.0;
       out.pp_imbalance = pp_mean > 0 ? pp_max / pp_mean : 0.0;
       out.pool_imbalance = TaskPool::global().stats().imbalance();
       out.predicted_imbalance = sim.last_step().predicted_imbalance;
@@ -349,7 +331,6 @@ int main(int argc, char** argv) {
   // original bitwise, which is what --final-state comparisons check.
   cfg.cost_metric = core::CostMetric::kInteractions;
   cfg.restore_from = opt.restore_from;
-  cfg.overlap = opt.overlap;
 
   parx::Runtime rt(kRanks);
   if (!opt.faults.empty()) {
@@ -428,15 +409,15 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(telemetry::flight_event_count()));
   }
 
-  // Large-N overlap campaign: for each requested N, a short sweep over
-  // {no plan, rate-0 plan} x {overlap on, off} on a mesh scaled to the
+  // Large-N campaign: for each requested N, a short sweep over {no plan,
+  // rate-0 plan} plus the load-balance legs on a mesh scaled to the
   // particle count.  Single run per configuration -- at these sizes the
   // runs are long enough that scheduler noise is a small relative error,
   // and the CI perf gate reads the ratios, not the absolute times.
   struct SweepPoint {
     std::size_t n = 0, n_mesh = 0;
-    double no_plan_s = 0, rate0_s = 0, on_s = 0, off_s = 0, fraction_on = 0;
-    double pp_imbalance = 0, pool_imbalance = 0;  ///< from the overlap-off leg
+    double no_plan_s = 0, rate0_s = 0;
+    double pp_imbalance = 0, pool_imbalance = 0;  ///< from the default leg
     /// Load-balance A/B: the same point with v1 rank-cost sampling and
     /// donation off (the seed behavior) vs the default v2 leg above.
     double pp_imbalance_v1 = 0;
@@ -465,23 +446,18 @@ int main(int argc, char** argv) {
       (void)sim_steps_seconds(scfg, pts, kRanks, 1, dt, false);
       p.no_plan_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, false);
       p.rate0_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, true);
-      const auto on = overlap_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, true);
-      const auto off = overlap_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, false);
-      p.on_s = on.seconds;
-      p.off_s = off.seconds;
-      p.fraction_on = on.fraction;
-      p.pp_imbalance = off.pp_imbalance;
-      p.pool_imbalance = off.pool_imbalance;
-      p.predicted_imbalance = off.predicted_imbalance;
-      p.donated_groups = off.donated_groups;
-      p.donated_interactions = off.donated_interactions;
+      const auto v2 = steps_probe(scfg, pts, kRanks, kSweepSteps, dt);
+      p.pp_imbalance = v2.pp_imbalance;
+      p.pool_imbalance = v2.pool_imbalance;
+      p.predicted_imbalance = v2.predicted_imbalance;
+      p.donated_groups = v2.donated_groups;
+      p.donated_interactions = v2.donated_interactions;
       // Load-balance v1 baseline leg (the seed's scalar rank cost, no
       // donation) for the imbalance A/B the perf gate reads.
       auto v1cfg = scfg;
       v1cfg.lb_mode = core::LoadBalanceMode::kRankCost;
       v1cfg.donation.enabled = false;
-      p.pp_imbalance_v1 =
-          overlap_steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt, false).pp_imbalance;
+      p.pp_imbalance_v1 = steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt).pp_imbalance;
       sweep.push_back(p);
     }
   }
@@ -627,35 +603,6 @@ int main(int argc, char** argv) {
       jw.field("overhead_fraction", disarmed > 0 ? armed / disarmed - 1.0 : 0.0);
       jw.end_object();
     }
-    {
-      // PM/PP overlap: what the main run measured, plus (for clean runs) a
-      // dedicated ON-vs-OFF probe on the same workload, median of 5 each.
-      jw.key("overlap").begin_object();
-      jw.field("enabled", opt.overlap);
-      jw.field("fraction", last.overlap_fraction);
-      jw.field("force_wall_seconds", last.force_wall_seconds);
-      jw.field("blocked_seconds", last.overlap_blocked_seconds);
-      jw.field("inflight_seconds", last.overlap_inflight_seconds);
-      if (opt.faults.empty() && opt.watchdog_s <= 0) {
-        constexpr int kProbeSteps = 2;
-        double fraction_on = 0;
-        const double on = median5_seconds([&] {
-          const auto p = overlap_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, true);
-          fraction_on = std::max(fraction_on, p.fraction);
-          return p.seconds;
-        });
-        const double off = median5_seconds([&] {
-          return overlap_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, false).seconds;
-        });
-        jw.field("probe_steps", kProbeSteps);
-        jw.field("repeats", 5);
-        jw.field("step_seconds_on", on);
-        jw.field("step_seconds_off", off);
-        jw.field("probe_fraction_on", fraction_on);
-        jw.field("speedup", on > 0 ? off / on : 0.0);
-      }
-      jw.end_object();
-    }
     if (!sweep.empty()) {
       jw.key("large_n_sweep").begin_array();
       for (const auto& p : sweep) {
@@ -667,10 +614,6 @@ int main(int argc, char** argv) {
         jw.field("rate0_seconds", p.rate0_s);
         jw.field("rate0_overhead_fraction",
                  p.no_plan_s > 0 ? p.rate0_s / p.no_plan_s - 1.0 : 0.0);
-        jw.field("overlap_on_seconds", p.on_s);
-        jw.field("overlap_off_seconds", p.off_s);
-        jw.field("overlap_fraction_on", p.fraction_on);
-        jw.field("overlap_speedup", p.on_s > 0 ? p.off_s / p.on_s : 0.0);
         jw.field("pp_imbalance", p.pp_imbalance);
         jw.field("pp_imbalance_v1", p.pp_imbalance_v1);
         jw.field("pool_imbalance", p.pool_imbalance);

@@ -173,48 +173,35 @@ void ParallelSimulation::domain_cycle(std::uint64_t substep_id) {
   if (ep) report_.traffic_dd += ep->delta();
 }
 
-ParallelSimulation::GhostWork ParallelSimulation::pp_start() {
-  telemetry::Span span("sim/pp_start");
+void ParallelSimulation::pp_force_cycle() {
+  telemetry::Span span("sim/pp_cycle");
+  std::optional<parx::TrafficLedger::Epoch> ep;
+  if (reporting() && world_.rank() == 0) ep.emplace(world_.ledger().begin_phase("pp"));
   const double rcut = config_.rcut();
   Stopwatch sw;
 
   // "local tree": select the boundary particles every neighbor needs.
-  GhostWork g;
-  g.pos = positions_of(particles_);
-  g.mass = masses_of(particles_);
+  auto pos = positions_of(particles_);
+  auto mass = masses_of(particles_);
   const auto domains = decomp_.boxes();
-  auto exports = tree::select_ghosts(g.pos, g.mass, domains, world_.rank(), rcut);
+  auto exports = tree::select_ghosts(pos, mass, domains, world_.rank(), rcut);
   report_.pp.add("local tree", sw.seconds());
 
-  // "communication" (posting half): ghost sends go out, receives are
-  // posted; the payloads fly while the caller does other work.
-  sw.restart();
-  g.hpos = world_.ialltoallv(std::move(exports.pos));
-  g.hmass = world_.ialltoallv(std::move(exports.mass));
-  report_.pp.add("communication", sw.seconds());
-  return g;
-}
-
-void ParallelSimulation::pp_finish(GhostWork& g) {
-  telemetry::Span span("sim/pp_finish");
-  Stopwatch sw;
-
-  // "communication" (draining half): whichever ghost payload lands first
-  // is stored first; `out` is indexed by source rank, so arrival order
+  // "communication": the ghost exchange.  Each rank's payloads drain in
+  // arrival order but land in their source rank's slot, so arrival order
   // never changes the result.
-  auto gpos = world_.wait_alltoallv(g.hpos);
-  auto gmass = world_.wait_alltoallv(g.hmass);
+  sw.restart();
+  auto gpos = world_.alltoallv(std::move(exports.pos));
+  auto gmass = world_.alltoallv(std::move(exports.mass));
   std::size_t n_ghost = 0;
   for (const auto& v : gpos) n_ghost += v.size();
   report_.n_ghost_imported += n_ghost;
   report_.pp.add("communication", sw.seconds());
 
-  // "tree construction": octree over locals followed by ghosts in rank
-  // order (the canonical concatenation, independent of arrival order).
+  // "tree construction": octree over locals followed by ghosts in source
+  // rank order.
   sw.restart();
   const std::size_t n_local = particles_.size();
-  auto& pos = g.pos;
-  auto& mass = g.mass;
   pos.reserve(n_local + n_ghost);
   mass.reserve(n_local + n_ghost);
   for (std::size_t r = 0; r < gpos.size(); ++r) {
@@ -289,6 +276,7 @@ void ParallelSimulation::pp_finish(GhostWork& g) {
   if (config_.donation.enabled) publish_rank_costs();
 
   for (std::size_t i = 0; i < n_local; ++i) particles_[i].acc_s = acc[i];
+  if (ep) report_.traffic_pp += ep->delta();
 }
 
 void ParallelSimulation::donation_cycle(const tree::Octree& octree,
@@ -443,33 +431,8 @@ void ParallelSimulation::publish_rank_costs() {
         .record(report_.predicted_imbalance);
 }
 
-void ParallelSimulation::pp_force_cycle() {
-  telemetry::Span span("sim/pp_cycle");
-  std::optional<parx::TrafficLedger::Epoch> ep;
-  if (reporting() && world_.rank() == 0) ep.emplace(world_.ledger().begin_phase("pp"));
-  GhostWork g = pp_start();
-  pp_finish(g);
-  if (ep) report_.traffic_pp += ep->delta();
-}
-
 void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
   telemetry::Span span("sim/force_cycle");
-  OverlapStats& ov = report_.overlap;
-  ov.enabled = config_.overlap;
-  Stopwatch wall;
-  const double blocked0 = parx::thread_blocked_seconds();
-
-  // Traffic epochs per section: sends are recorded at post time, so each
-  // section's delta lands in the right bucket; only transport-thread
-  // retransmissions can blur across a boundary (totals stay exact).
-  const bool track = reporting() && world_.rank() == 0;
-  auto with_epoch = [&](const char* phase, parx::TrafficCounts& into, auto&& fn) {
-    std::optional<parx::TrafficLedger::Epoch> ep;
-    if (track) ep.emplace(world_.ledger().begin_phase(phase));
-    fn();
-    if (ep) into += ep->delta();
-  };
-
   auto pos = positions_of(particles_);
   auto mass = masses_of(particles_);
 
@@ -490,57 +453,17 @@ void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
     pm_.update_domain(pm_box);
   }
 
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
+  pp_force_cycle();
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
+  telemetry::Span pm_span("sim/pm_cycle");
+  std::optional<parx::TrafficLedger::Epoch> ep;
+  if (reporting() && world_.rank() == 0) ep.emplace(world_.ledger().begin_phase("pm"));
   std::vector<Vec3> accl(particles_.size(), Vec3{});
-  auto store_accl = [&] {
-    for (std::size_t i = 0; i < particles_.size(); ++i) particles_[i].acc_l = accl[i];
-  };
-
-  if (!config_.overlap) {
-    // Sequential schedule: the full PP cycle, then the full PM cycle --
-    // the same staged pieces the overlapped path runs, drained in place.
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    pp_force_cycle();
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    telemetry::Span pm_span("sim/pm_cycle");
-    with_epoch("pm", report_.traffic_pm, [&] {
-      pm_.accelerations(pos, mass, accl, &report_.pm);
-      store_accl();
-    });
-  } else {
-    // Interleaved schedule.  Every stage is the identical pure function of
-    // the same inputs as in the sequential path and all drains unpack in
-    // canonical rank order, so only the stalls move -- never a result bit.
-    pm::ParallelPm::Cycle c;
-    GhostWork g;
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    with_epoch("pm", report_.traffic_pm,
-               [&] { c = pm_.start_cycle(pos, mass, &report_.pm); });
-    const double t_gather_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    with_epoch("pp", report_.traffic_pp, [&] { g = pp_start(); });
-    const double t_ghost_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    ov.inflight_s += wall.seconds() - t_gather_posted;
-    with_epoch("pm", report_.traffic_pm, [&] { pm_.advance_fft(c, &report_.pm); });
-    const double t_scatter_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    ov.inflight_s += wall.seconds() - t_ghost_posted;
-    with_epoch("pp", report_.traffic_pp, [&] { pp_finish(g); });
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    ov.inflight_s += wall.seconds() - t_scatter_posted;
-    with_epoch("pm", report_.traffic_pm, [&] {
-      pm_.finish_cycle(c, pos, accl, &report_.pm);
-      store_accl();
-    });
-  }
-
-  ov.window_s = wall.seconds();
-  ov.blocked_s = parx::thread_blocked_seconds() - blocked0;
+  pm_.accelerations(pos, mass, accl, &report_.pm);
+  for (std::size_t i = 0; i < particles_.size(); ++i) particles_[i].acc_l = accl[i];
+  if (ep) report_.traffic_pm += ep->delta();
 }
 
 void ParallelSimulation::step(double t_next) {
@@ -584,7 +507,7 @@ void ParallelSimulation::step(double t_next) {
 
     if (s + 1 == nsub) {
       // Final substep: the PP cycle plus the pipelined PM cycle for the
-      // next step's long kick, overlapped when config_.overlap is on.
+      // next step's long kick.
       combined_force_cycle(fault_step);
     } else {
       parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
@@ -715,18 +638,6 @@ void ParallelSimulation::write_step_record() {
   tp_prev_drops_ = drops;
   tp_prev_corrupt_ = corrupt;
 
-  // Overlap telemetry: the combined-cycle wall (max over ranks -- the
-  // slowest rank sets the step time) and the job-wide stall/flight sums.
-  // The fraction is computed from the reduced sums so every rank reports
-  // the identical value.
-  rec.overlap_enabled = report_.overlap.enabled;
-  rec.force_wall_seconds = world_.allreduce_max(report_.overlap.window_s);
-  double ov[2] = {report_.overlap.blocked_s, report_.overlap.inflight_s};
-  world_.allreduce_sum(std::span<double>(ov, 2));
-  rec.overlap_blocked_seconds = ov[0];
-  rec.overlap_inflight_seconds = ov[1];
-  rec.overlap_fraction = ov[0] + ov[1] > 0 ? ov[1] / (ov[0] + ov[1]) : 0;
-
   // Load-balance v2 activity: donation volumes are global sums (each donor
   // counted its own exports); the predicted imbalance is already identical
   // on every rank (computed from the allgathered cost vector).
@@ -814,7 +725,7 @@ std::uint64_t config_fingerprint(const ParallelSimConfig& config) {
   h.mix(static_cast<int>(config.cost_metric));
   // lb_mode changes the sampling weights and therefore the cuts and the
   // dynamics; donation does not (it only relocates identical arithmetic)
-  // and stays out, like overlap.
+  // and stays out.
   h.mix(static_cast<int>(config.lb_mode));
   h.mix(config.sampling.target_samples).mix(config.sampling.seed);
   h.mix(config.metric.comoving);

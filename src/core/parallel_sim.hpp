@@ -10,14 +10,11 @@
 // conversion.  Phase timings accumulate under the row names of Table I.
 //
 // The PM cycle is *pipelined*: it is evaluated at the end of each step (at
-// the same positions the next step's long-range kick needs) alongside the
-// final substep's PP cycle, and the resulting acceleration is cached on
-// the particle (Particle::acc_l) until the kick consumes it.  With
-// ParallelSimConfig::overlap on, the two cycles' communication and compute
-// stages interleave (paper §II-B: the PM part "is executed concurrently
-// with the PP part"); the interleaving never changes any arithmetic, so
-// overlap ON and OFF produce bitwise-identical snapshots.  docs/overlap.md
-// walks through the schedule.
+// the same positions the next step's long-range kick needs) right after
+// the final substep's PP cycle, and the resulting acceleration is cached
+// on the particle (Particle::acc_l) until the kick consumes it.  The paper
+// runs the PM part concurrently with the PP part (§II-B); this
+// reproduction runs them in sequence (docs/parallel_step.md says why).
 
 #include <limits>
 #include <span>
@@ -99,19 +96,10 @@ struct ParallelSimConfig {
   /// Inter-rank work donation for tail groups (docs/load-balance.md).
   /// Excluded from config_fingerprint: donation relocates kernel
   /// evaluations without changing any arithmetic, so ON and OFF produce
-  /// bitwise-identical snapshots (like `overlap`) and checkpoints move
-  /// freely between settings.  Must be set identically on every rank (the
-  /// donation exchange is collective).  Inactive under kNewtonQuad.
+  /// bitwise-identical snapshots and checkpoints move freely between
+  /// settings.  Must be set identically on every rank (the donation
+  /// exchange is collective).  Inactive under kNewtonQuad.
   domain::DonationConfig donation;
-
-  /// Overlap the PM cycle's conversions and FFT with the final substep's
-  /// PP ghost exchange and tree build (paper §II-B runs the two parts
-  /// concurrently).  Purely a scheduling switch: ON and OFF execute
-  /// identical arithmetic in identical order and produce bitwise-identical
-  /// snapshots (docs/overlap.md), so it is excluded from
-  /// config_fingerprint and checkpoints move freely between settings.
-  /// Must be set identically on every rank (the stage order is collective).
-  bool overlap = false;
 
   /// Invariant sentinel; excluded from config_fingerprint (it observes the
   /// dynamics, it does not change them).  Must be set identically on every
@@ -201,18 +189,6 @@ class ParallelSimulation {
   std::vector<Particle> take_local() && { return std::move(particles_); }
   const domain::Decomposition& decomposition() const { return decomp_; }
 
-  /// Comm/compute overlap telemetry of the combined force cycle.  Phase
-  /// rows in the TimingBreakdowns are *busy* time (per-phase stopwatch
-  /// segments of this rank's thread); under overlap a drain row measures
-  /// only the residual stall, not the full message flight, so wall time
-  /// must come from window_s, never from summing rows across cycles.
-  struct OverlapStats {
-    bool enabled = false;   ///< config overlap switch at measurement time
-    double window_s = 0;    ///< wall seconds of the combined force cycle
-    double blocked_s = 0;   ///< parx completion-wait stall inside the window
-    double inflight_s = 0;  ///< sum of post-to-drain flight windows (0 when off)
-  };
-
   struct StepReport {
     TimingBreakdown pm, pp, dd;      ///< this rank's phase seconds (busy time)
     tree::TraversalStats pp_stats;   ///< this rank's traversal statistics
@@ -230,7 +206,6 @@ class ParallelSimulation {
     /// max/mean of the published per-rank predicted costs that fed the
     /// last donation plan (0 until costs have been published).
     double predicted_imbalance = 0;
-    OverlapStats overlap;            ///< final-substep combined force cycle
     /// Global traffic per phase bucket, accumulated from ledger epochs.
     /// Observed on rank 0 only (the ledger is global); empty elsewhere
     /// and when step reporting is off.
@@ -246,22 +221,11 @@ class ParallelSimulation {
  private:
   void domain_cycle(std::uint64_t substep_id);
 
-  /// In-flight ghost exchange posted by pp_start.
-  struct GhostWork {
-    parx::AlltoallvHandle<Vec3> hpos;
-    parx::AlltoallvHandle<double> hmass;
-    std::vector<Vec3> pos;      ///< local positions; ghosts appended by pp_finish
-    std::vector<double> mass;
-  };
-
-  /// PP cycle, split at its communication boundary so the PM stages can
-  /// run while the ghosts are in flight.  pp_start selects the boundary
-  /// particles and posts the ghost all-to-alls; pp_finish drains them in
-  /// arrival order (concatenating in rank order, so results are identical
-  /// to the blocking exchange), builds the tree and computes acc_s.
-  GhostWork pp_start();
-  void pp_finish(GhostWork& g);
-  /// Collective donation exchange inside pp_finish: ship the deferred
+  /// PP cycle under one traffic epoch: select the boundary particles,
+  /// exchange the ghosts, build the tree over locals then ghosts in source
+  /// rank order, walk the groups and compute acc_s.
+  void pp_force_cycle();
+  /// Collective donation exchange inside pp_force_cycle: ship the deferred
   /// groups assigned by `plan`, evaluate inbound requests, gather
   /// accelerations back, and evaluate unassigned leftovers locally.
   void donation_cycle(const tree::Octree& octree, const tree::TraversalParams& tp,
@@ -271,12 +235,9 @@ class ParallelSimulation {
   /// interactions) for the next cycle's donation plan; updates
   /// report_.predicted_imbalance.
   void publish_rank_costs();
-  /// Exactly pp_start + pp_finish under one traffic epoch.
-  void pp_force_cycle();
 
-  /// The final substep's PP cycle plus the pipelined PM cycle (acc_l at
-  /// the current positions), sequential or interleaved per
-  /// config_.overlap; fills report_.overlap either way.
+  /// The final substep's PP cycle followed by the pipelined PM cycle
+  /// (acc_l at the current positions).
   void combined_force_cycle(std::uint64_t fault_step);
 
   void write_step_record();

@@ -28,15 +28,6 @@ double deadline_of(double timeout_s) {
   return timeout_s == kNoDeadline ? kNoDeadline : steady_seconds() + timeout_s;
 }
 
-thread_local double t_blocked_seconds = 0.0;
-
-/// Accumulates wall time spent inside a completion wait into the
-/// thread-local blocked counter (exception-safe).
-struct BlockedTimer {
-  double t0 = steady_seconds();
-  ~BlockedTimer() { t_blocked_seconds += steady_seconds() - t0; }
-};
-
 /// Deliver queued messages to posted receives.  Caller holds box.mu.
 /// Messages are scanned in arrival order and each goes to the
 /// earliest-posted live matching request; since both queues are FIFO per
@@ -80,8 +71,6 @@ void match_pending(detail::Mailbox& box) {
 }
 
 }  // namespace
-
-double thread_blocked_seconds() { return t_blocked_seconds; }
 
 bool Request::done() const { return st_ && st_->done.load(std::memory_order_acquire); }
 
@@ -300,7 +289,6 @@ template <class Ready>
 void Comm::wait_until(Ready&& ready, double timeout_s, const char* opname, int peer_world) {
   check_abort();
   BlockedScope blocked(*group_->job, world_rank(), opname, peer_world);
-  BlockedTimer timer;
   const double deadline = deadline_of(timeout_s);
   auto& box = *group_->boxes[static_cast<std::size_t>(rank_)];
   std::unique_lock lock(box.mu);

@@ -18,7 +18,7 @@
 //    Every collective entry draws a per-rank sequence number that selects
 //    its message tag, so collectives in flight concurrently on the same
 //    communicator (e.g. a posted ialltoallv under a later reduce) cannot
-//    cross payloads.  See docs/overlap.md.
+//    cross payloads.  See docs/transport-fastpath.md.
 //  * Zero-byte payloads are not transferred and not recorded; payload sizes
 //    are agreed out of band (exchange_sizes uses shared memory, modeling
 //    MPI's envelope metadata).
@@ -60,12 +60,6 @@ struct RequestState;
 /// Default deadline of the blocking operations: wait forever.
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-/// Seconds the calling thread has spent blocked inside parx completion
-/// waits (recv/wait/wait_any/wait_all) since thread start.  Monotonic,
-/// thread-local; take a delta around a code region to measure how long it
-/// stalled on communication (the overlap telemetry does exactly that).
-double thread_blocked_seconds();
-
 /// Handle to one nonblocking operation (isend/irecv).  Cheap to copy;
 /// copies share the operation.  Completion is observed through
 /// Comm::test/wait/wait_any/wait_all; a completed receive surrenders its
@@ -105,7 +99,6 @@ struct AlltoallvHandle {
   std::vector<std::vector<T>> out;
   std::vector<Request> reqs;   ///< pending receives, posting order
   std::vector<int> src_of;     ///< reqs[i] receives from rank src_of[i]
-  bool active = false;
 };
 
 class Comm {
@@ -251,7 +244,6 @@ class Comm {
 
     const auto me = static_cast<std::size_t>(rank_);
     AlltoallvHandle<T> h;
-    h.active = true;
     h.out.resize(p);
     h.out[me] = send_to[me];  // self-transfer stays local, no message
     // Skewed destination order keeps the instantaneous pattern balanced.
@@ -286,7 +278,6 @@ class Comm {
 
     const auto me = static_cast<std::size_t>(rank_);
     AlltoallvHandle<T> h;
-    h.active = true;
     h.out.resize(p);
     h.out[me] = std::move(send_to[me]);  // self-transfer stays local, no message
     for (std::size_t k = 1; k < p; ++k) {
@@ -316,7 +307,6 @@ class Comm {
       h.out[static_cast<std::size_t>(h.src_of[static_cast<std::size_t>(i)])] =
           h.reqs[static_cast<std::size_t>(i)].template take<T>();
     }
-    h.active = false;
     return std::move(h.out);
   }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -112,15 +113,19 @@ std::optional<FaultSpec> parse_fault_at(std::string_view s) {
     s = colon == std::string_view::npos ? std::string_view{} : s.substr(colon + 1);
     return f;
   };
-  auto parse_u64 = [](std::string_view f, std::uint64_t& out) {
+  // Digit strings only, rejected (not wrapped) past `max`.
+  auto parse_u64 = [](std::string_view f, std::uint64_t max, std::uint64_t& out) {
     if (f.empty()) return false;
     out = 0;
     for (char c : f) {
       if (c < '0' || c > '9') return false;
-      out = out * 10 + static_cast<std::uint64_t>(c - '0');
+      const auto d = static_cast<std::uint64_t>(c - '0');
+      if (out > (max - d) / 10) return false;
+      out = out * 10 + d;
     }
     return true;
   };
+  constexpr auto kIntMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 
   FaultSpec spec;
   const std::string_view step = next_field();
@@ -128,7 +133,8 @@ std::optional<FaultSpec> parse_fault_at(std::string_view s) {
     spec.step = kEveryStep;
   } else {
     std::uint64_t v = 0;
-    if (!parse_u64(step, v)) return std::nullopt;
+    // The two top values are the kEveryStep / kNoFaultStep sentinels.
+    if (!parse_u64(step, kEveryStep - 1, v)) return std::nullopt;
     spec.step = v;
   }
 
@@ -146,7 +152,7 @@ std::optional<FaultSpec> parse_fault_at(std::string_view s) {
       spec.rank = kEveryRank;
     } else {
       std::uint64_t v = 0;
-      if (!parse_u64(rank, v)) return std::nullopt;
+      if (!parse_u64(rank, kIntMax, v)) return std::nullopt;
       spec.rank = static_cast<int>(v);
     }
   }
@@ -158,7 +164,7 @@ std::optional<FaultSpec> parse_fault_at(std::string_view s) {
                                                x > 0 && kind.find('@') != std::string_view::npos &&
                                                x > kind.find('@')) {
       std::uint64_t n = 0;
-      if (!parse_u64(kind.substr(x + 1), n) || n == 0) return std::nullopt;
+      if (!parse_u64(kind.substr(x + 1), kIntMax, n) || n == 0) return std::nullopt;
       times = static_cast<int>(n);
       kind = kind.substr(0, x);
     }
@@ -169,7 +175,8 @@ std::optional<FaultSpec> parse_fault_at(std::string_view s) {
       std::string buf(r);
       char* end = nullptr;
       const double v = std::strtod(buf.c_str(), &end);
-      if (end != buf.c_str() + buf.size() || v < 0.0 || v > 1.0) return std::nullopt;
+      // Written so that NaN fails the range test too.
+      if (end != buf.c_str() + buf.size() || !(v >= 0.0 && v <= 1.0)) return std::nullopt;
       rate = v;
       kind = kind.substr(0, at);
     }

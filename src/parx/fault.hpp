@@ -182,6 +182,9 @@ const char* to_string(FaultKind k);
 /// "*:any:*:drop@0.01", "2:pp:*:lose", "5:pm:1:corrupt@0.001x10".
 /// Link kinds default to rate 1 and an unlimited budget, except `lose`
 /// whose budget defaults to 1 (each firing dooms exactly one message).
+/// Numbers that do not fit their field (STEP in u64 below the wildcard
+/// sentinels, RANK and N in int) and rates outside [0, 1], NaN included,
+/// are rejected rather than wrapped.
 std::optional<FaultSpec> parse_fault_at(std::string_view s);
 
 /// Which class of Comm operation an injection point sits in.

@@ -32,10 +32,11 @@
 // without one, only the boundary attribution blurs -- totals stay exact.
 //
 // Nonblocking draining does not change any count: alltoallv now posts all
-// transfers up front and drains them in arrival order (docs/overlap.md),
-// but each message is still recorded exactly once, at post time, with the
-// same (src, dst, bytes) it always had -- the ledger cannot tell the
-// arrival-order drain from the old fixed-order receive loop.
+// transfers up front and drains them in arrival order
+// (docs/transport-fastpath.md), but each message is still recorded exactly
+// once, at post time, with the same (src, dst, bytes) it always had -- the
+// ledger cannot tell the arrival-order drain from the old fixed-order
+// receive loop.
 
 #include <cstddef>
 #include <cstdint>

@@ -27,8 +27,8 @@ void ParallelPm::update_domain(const Box& domain) {
   converter_->set_regions(density_region_, potential_region_);
 }
 
-ParallelPm::Cycle ParallelPm::start_cycle(std::span<const Vec3> pos,
-                                          std::span<const double> mass, TimingBreakdown* t) {
+void ParallelPm::accelerations(std::span<const Vec3> pos, std::span<const double> mass,
+                               std::span<Vec3> acc, TimingBreakdown* t) {
   const std::size_t n = params_.n_mesh;
   Stopwatch sw;
 
@@ -40,43 +40,28 @@ ParallelPm::Cycle ParallelPm::start_cycle(std::span<const Vec3> pos,
   }
   if (t) t->add("density assignment", sw.seconds());
 
-  // (2a) post the forward conversion (direct alltoallv or relay mesh)
-  Cycle c;
-  c.active = true;
-  c.gather = converter_->start_gather(rho, t);
-  return c;
-}
-
-void ParallelPm::advance_fft(Cycle& c, TimingBreakdown* t) {
-  // (2b) drain the forward conversion into density slabs
-  c.slab = converter_->finish_gather(c.gather, t);
+  // (2) forward conversion (direct alltoallv or relay mesh) into density
+  // slabs
+  std::vector<double> slab = converter_->gather_density(rho, t);
 
   // (3) slab FFT, Green's function convolution, inverse FFT
-  Stopwatch sw;
+  sw.restart();
   if (converter_->is_fft_rank()) {
     telemetry::Span span("pm/fft");
-    std::vector<fft::Complex> cslab(c.slab.size());
-    for (std::size_t i = 0; i < c.slab.size(); ++i) cslab[i] = {c.slab[i], 0.0};
+    std::vector<fft::Complex> cslab(slab.size());
+    for (std::size_t i = 0; i < slab.size(); ++i) cslab[i] = {slab[i], 0.0};
     slab_fft_->forward(cslab);
     for (std::size_t i = 0; i < cslab.size(); ++i) cslab[i] *= green_slab_[i];
     slab_fft_->inverse(cslab);
-    for (std::size_t i = 0; i < c.slab.size(); ++i) c.slab[i] = cslab[i].real();
+    for (std::size_t i = 0; i < slab.size(); ++i) slab[i] = cslab[i].real();
   }
   if (t) t->add("FFT", sw.seconds());
 
-  // (4a) post the backward conversion
-  c.scatter = converter_->start_scatter(c.slab, t);
-}
-
-void ParallelPm::finish_cycle(Cycle& c, std::span<const Vec3> pos, std::span<Vec3> acc,
-                              TimingBreakdown* t) {
-  const std::size_t n = params_.n_mesh;
-
-  // (4b) drain the backward conversion into the local potential mesh
-  LocalMesh phi = converter_->finish_scatter(c.scatter, t);
+  // (4) backward conversion into the local potential mesh
+  LocalMesh phi = converter_->scatter_potential(slab, t);
 
   // (5a) acceleration on the mesh (4-point finite difference)
-  Stopwatch sw;
+  sw.restart();
   LocalMesh fx, fy, fz;
   {
     telemetry::Span span("pm/gradient");
@@ -95,14 +80,6 @@ void ParallelPm::finish_cycle(Cycle& c, std::span<const Vec3> pos, std::span<Vec
     });
   }
   if (t) t->add("force interpolation", sw.seconds());
-  c.active = false;
-}
-
-void ParallelPm::accelerations(std::span<const Vec3> pos, std::span<const double> mass,
-                               std::span<Vec3> acc, TimingBreakdown* t) {
-  Cycle c = start_cycle(pos, mass, t);
-  advance_fft(c, t);
-  finish_cycle(c, pos, acc, t);
 }
 
 }  // namespace greem::pm

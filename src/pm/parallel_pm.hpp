@@ -48,36 +48,9 @@ class ParallelPm {
 
   /// Collective: add the long-range accelerations of this rank's particles
   /// (all inside the current domain) into `acc`.  Phase timings accumulate
-  /// into `t` under the paper's Table I row names.  Exactly start_cycle +
-  /// advance_fft + finish_cycle.
+  /// into `t` under the paper's Table I row names.
   void accelerations(std::span<const Vec3> pos, std::span<const double> mass,
                      std::span<Vec3> acc, TimingBreakdown* t = nullptr);
-
-  // ---- staged cycle (PM/PP overlap) -----------------------------------
-  // The five-step cycle split at its two communication boundaries, so the
-  // driver can interleave short-range work with the conversions' flight
-  // time (paper §II-B: "the PM part ... is executed concurrently with the
-  // PP part").  Every stage is collective and must be called in order on
-  // every rank; work between the stages is the caller's to overlap.
-
-  /// One in-flight PM cycle.
-  struct Cycle {
-    MeshConverter::PendingGather gather;
-    MeshConverter::PendingScatter scatter;
-    std::vector<double> slab;
-    bool active = false;
-  };
-
-  /// Steps 1-2a: density assignment and posting of the forward conversion.
-  Cycle start_cycle(std::span<const Vec3> pos, std::span<const double> mass,
-                    TimingBreakdown* t = nullptr);
-  /// Steps 2b-4a: drain the forward conversion, slab FFT + Green
-  /// convolution (FFT ranks), post the backward conversion.
-  void advance_fft(Cycle& c, TimingBreakdown* t = nullptr);
-  /// Steps 4b-5: drain the backward conversion, mesh differentiation,
-  /// force interpolation into `acc`.
-  void finish_cycle(Cycle& c, std::span<const Vec3> pos, std::span<Vec3> acc,
-                    TimingBreakdown* t = nullptr);
 
   MeshConverter& converter() { return *converter_; }
 

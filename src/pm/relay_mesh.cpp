@@ -223,112 +223,70 @@ std::vector<CellRegion> MeshConverter::conv_slice(
   return {world_regions.begin() + gs, world_regions.begin() + gs + comm_smalla2a_.size()};
 }
 
-MeshConverter::PendingGather MeshConverter::start_gather(const LocalMesh& local_density,
-                                                         TimingBreakdown* t) {
+std::vector<double> MeshConverter::gather_density(const LocalMesh& local_density,
+                                                  TimingBreakdown* t) {
   Stopwatch sw;
-  PendingGather pg;
-  pg.active = true;
-  // Traffic is recorded at send time, so the a2a phase probe can close at
-  // the end of posting; the epoch boundary blur is the same as before
-  // (see the PhaseProbe note).
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/forward_a2a");
-    PhaseProbe probe(world_, "direct_forward_a2a");
-    pg.a2a = world_.ialltoallv(forward_pack(world_, world_density_regions_, local_density));
-  } else {
-    // Step 1 (paper): alltoallv inside the group -> partial slabs on the
-    // group's first n_fft members.
-    telemetry::Span span("pm/relay/forward_a2a");
-    PhaseProbe probe(world_, "relay_forward_a2a");
-    pg.a2a = comm_smalla2a_.ialltoallv(
-        forward_pack(comm_smalla2a_, conv_slice(world_density_regions_), local_density));
+  const bool direct = params_.method == MeshConversion::kDirect;
+  parx::Comm& comm = conv_comm();
+  const auto regions = conv_slice(world_density_regions_);
+  // Direct: one alltoallv over the world.  Relay, step 1 (paper): an
+  // alltoallv inside the group -> partial slabs on the group's first n_fft
+  // members.  Traffic is recorded at send time, so the a2a phase probe
+  // closes once the sends are posted (see the PhaseProbe note).
+  parx::AlltoallvHandle<double> a2a;
+  {
+    telemetry::Span span(direct ? "pm/direct/forward_a2a" : "pm/relay/forward_a2a");
+    PhaseProbe probe(world_, direct ? "direct_forward_a2a" : "relay_forward_a2a");
+    a2a = comm.ialltoallv(forward_pack(comm, regions, local_density));
   }
-  if (t) t->add("communication", sw.seconds());
-  return pg;
-}
-
-std::vector<double> MeshConverter::finish_gather(PendingGather& pg, TimingBreakdown* t) {
-  Stopwatch sw;
   std::vector<double> slab;
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/forward_wait");
-    auto recv = world_.wait_alltoallv(pg.a2a);
-    slab = forward_unpack(world_, world_density_regions_, recv);
-  } else {
-    std::vector<double> partial;
-    {
-      telemetry::Span span("pm/relay/forward_wait");
-      auto recv = comm_smalla2a_.wait_alltoallv(pg.a2a);
-      partial = forward_unpack(comm_smalla2a_, conv_slice(world_density_regions_), recv);
-    }
+  {
+    telemetry::Span span(direct ? "pm/direct/forward_wait" : "pm/relay/forward_wait");
+    slab = forward_unpack(comm, regions, comm.wait_alltoallv(a2a));
+  }
+  if (!direct) {
     // Step 2: reduce the partial slabs across groups onto the root group.
-    {
-      telemetry::Span span("pm/relay/reduce");
-      PhaseProbe probe(world_, "relay_reduce");
-      if (comm_smalla2a_.rank() < params_.n_fft) {
-        if (comm_reduce_.size() > 1)
-          comm_reduce_.reduce_sum(std::span<double>(partial), 0);
-        if (comm_reduce_.rank() == 0) slab = std::move(partial);
-      }
+    telemetry::Span span("pm/relay/reduce");
+    PhaseProbe probe(world_, "relay_reduce");
+    if (comm_smalla2a_.rank() < params_.n_fft) {
+      if (comm_reduce_.size() > 1) comm_reduce_.reduce_sum(std::span<double>(slab), 0);
+      if (comm_reduce_.rank() != 0) slab = {};
     }
   }
-  pg.active = false;
   if (t) t->add("communication", sw.seconds());
   return slab;
 }
 
-MeshConverter::PendingScatter MeshConverter::start_scatter(const std::vector<double>& slab_phi,
-                                                           TimingBreakdown* t) {
-  Stopwatch sw;
-  PendingScatter ps;
-  ps.active = true;
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/backward_a2a");
-    PhaseProbe probe(world_, "direct_backward_a2a");
-    ps.a2a = world_.ialltoallv(backward_pack(world_, world_potential_regions_, slab_phi));
-  } else {
-    // Step 4 (paper): bcast the slab potential across groups...
-    std::vector<double> buf = slab_phi;
-    {
-      telemetry::Span span("pm/relay/bcast");
-      PhaseProbe probe(world_, "relay_bcast");
-      if (comm_smalla2a_.rank() < params_.n_fft && comm_reduce_.size() > 1)
-        comm_reduce_.bcast(buf, 0);
-    }
-    // ...step 5: alltoallv inside the group to each member's local mesh.
-    telemetry::Span span("pm/relay/backward_a2a");
-    PhaseProbe probe(world_, "relay_backward_a2a");
-    ps.a2a = comm_smalla2a_.ialltoallv(
-        backward_pack(comm_smalla2a_, conv_slice(world_potential_regions_), buf));
-  }
-  if (t) t->add("communication", sw.seconds());
-  return ps;
-}
-
-LocalMesh MeshConverter::finish_scatter(PendingScatter& ps, TimingBreakdown* t) {
-  Stopwatch sw;
-  LocalMesh out;
-  {
-    telemetry::Span span(params_.method == MeshConversion::kDirect ? "pm/direct/backward_wait"
-                                                                   : "pm/relay/backward_wait");
-    auto recv = conv_comm().wait_alltoallv(ps.a2a);
-    out = backward_unpack(conv_comm(), conv_slice(world_potential_regions_), recv);
-  }
-  ps.active = false;
-  if (t) t->add("communication", sw.seconds());
-  return out;
-}
-
-std::vector<double> MeshConverter::gather_density(const LocalMesh& local_density,
-                                                  TimingBreakdown* t) {
-  auto pg = start_gather(local_density, t);
-  return finish_gather(pg, t);
-}
-
 LocalMesh MeshConverter::scatter_potential(const std::vector<double>& slab_phi,
                                            TimingBreakdown* t) {
-  auto ps = start_scatter(slab_phi, t);
-  return finish_scatter(ps, t);
+  Stopwatch sw;
+  const bool direct = params_.method == MeshConversion::kDirect;
+  parx::Comm& comm = conv_comm();
+  const auto regions = conv_slice(world_potential_regions_);
+  // Relay, step 4 (paper): bcast the slab potential across groups...
+  std::vector<double> relayed;
+  if (!direct) {
+    relayed = slab_phi;
+    telemetry::Span span("pm/relay/bcast");
+    PhaseProbe probe(world_, "relay_bcast");
+    if (comm_smalla2a_.rank() < params_.n_fft && comm_reduce_.size() > 1)
+      comm_reduce_.bcast(relayed, 0);
+  }
+  // ...step 5: alltoallv inside the group (direct: over the world) to each
+  // member's local mesh.
+  parx::AlltoallvHandle<double> a2a;
+  {
+    telemetry::Span span(direct ? "pm/direct/backward_a2a" : "pm/relay/backward_a2a");
+    PhaseProbe probe(world_, direct ? "direct_backward_a2a" : "relay_backward_a2a");
+    a2a = comm.ialltoallv(backward_pack(comm, regions, direct ? slab_phi : relayed));
+  }
+  LocalMesh out;
+  {
+    telemetry::Span span(direct ? "pm/direct/backward_wait" : "pm/relay/backward_wait");
+    out = backward_unpack(comm, regions, comm.wait_alltoallv(a2a));
+  }
+  if (t) t->add("communication", sw.seconds());
+  return out;
 }
 
 }  // namespace greem::pm

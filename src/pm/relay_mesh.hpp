@@ -60,42 +60,15 @@ class MeshConverter {
   void set_regions(const CellRegion& density_region, const CellRegion& potential_region);
 
   /// Forward conversion: local density meshes -> complete density slabs on
-  /// the FFT ranks (summing overlapping contributions).  Returns the slab
-  /// (z-major, ny = nx = n_mesh); empty on non-FFT ranks.
+  /// the FFT ranks (summing overlapping contributions in sender rank order,
+  /// whatever the arrival order).  Returns the slab (z-major, ny = nx =
+  /// n_mesh); empty on non-FFT ranks.
   std::vector<double> gather_density(const LocalMesh& local_density, TimingBreakdown* t);
 
   /// Backward conversion: potential slabs on the FFT ranks -> each rank's
-  /// local potential mesh over its potential region.
+  /// local potential mesh over its potential region.  Call on every rank;
+  /// `slab_phi` is ignored on non-slab-holders.
   LocalMesh scatter_potential(const std::vector<double>& slab_phi, TimingBreakdown* t);
-
-  // ---- split (asynchronous) conversion --------------------------------
-  // start_* packs and posts the conversion's all-to-all (sends go out,
-  // receives are posted, nothing is drained), so the caller can overlap
-  // independent work while payloads arrive; finish_* drains in arrival
-  // order and unpacks in canonical rank order, so the result -- including
-  // the floating-point accumulation order of overlapping slab
-  // contributions -- is identical to the blocking conversion.
-  // gather_density/scatter_potential are exactly start + finish.
-
-  /// In-flight forward conversion posted by start_gather.
-  struct PendingGather {
-    parx::AlltoallvHandle<double> a2a;
-    bool active = false;
-  };
-
-  /// In-flight backward conversion posted by start_scatter.
-  struct PendingScatter {
-    parx::AlltoallvHandle<double> a2a;
-    bool active = false;
-  };
-
-  PendingGather start_gather(const LocalMesh& local_density, TimingBreakdown* t);
-  std::vector<double> finish_gather(PendingGather& pg, TimingBreakdown* t);
-  /// Relay: runs the (small) cross-group bcast synchronously, then posts
-  /// the in-group all-to-all.  Call on every rank; `slab_phi` is ignored
-  /// on non-slab-holders.
-  PendingScatter start_scatter(const std::vector<double>& slab_phi, TimingBreakdown* t);
-  LocalMesh finish_scatter(PendingScatter& ps, TimingBreakdown* t);
 
  private:
   int group_of(int world_rank) const;

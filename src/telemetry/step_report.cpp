@@ -63,13 +63,6 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
     w.field("corrupt_detected", r.corrupt_detected);
     w.end_object();
   }
-  w.key("overlap").begin_object();
-  w.field("enabled", r.overlap_enabled);
-  w.field("force_wall_seconds", r.force_wall_seconds);
-  w.field("blocked_seconds", r.overlap_blocked_seconds);
-  w.field("inflight_seconds", r.overlap_inflight_seconds);
-  w.field("fraction", r.overlap_fraction);
-  w.end_object();
   if (r.lb_predicted_imbalance > 0 || r.lb_donated_groups > 0) {
     w.key("lb").begin_object();
     w.field("predicted_imbalance", r.lb_predicted_imbalance);

@@ -28,12 +28,8 @@ struct StepRecord {
   int nsub = 1;             ///< PP cycles inside this step
   std::uint64_t n_particles = 0;  ///< global
 
-  /// Phase seconds, max over ranks, under the Table I row names.  These
-  /// are *busy*-time rows (per-phase stopwatch segments of the rank
-  /// thread); under comm/compute overlap a drain row records only the
-  /// residual stall, not the full message flight, so wall-clock claims
-  /// must use force_wall_seconds -- summing rows across the pm and pp
-  /// breakdowns would double-count the overlapped window.
+  /// Phase seconds, max over ranks, under the Table I row names (per-phase
+  /// stopwatch segments of the rank thread).
   TimingBreakdown pm, pp, dd;
 
   // Load imbalance of the PP part (traversal + force), over ranks.
@@ -78,18 +74,6 @@ struct StepRecord {
   std::uint64_t retransmits = 0;        ///< frames retransmitted
   std::uint64_t transport_drops = 0;    ///< transmissions dropped by the link model
   std::uint64_t corrupt_detected = 0;   ///< frames rejected by CRC at the receiver
-
-  // Comm/compute overlap of the combined (PP + pipelined PM) force cycle,
-  // docs/overlap.md.  Wall vs busy: force_wall_seconds is the slowest
-  // rank's wall clock over the combined cycle; the blocked/inflight sums
-  // are job-wide (summed over ranks); the fraction is
-  // inflight / (inflight + blocked) -- 1 means every message flight was
-  // fully hidden behind compute, 0 means none was (or overlap was off).
-  bool overlap_enabled = false;
-  double force_wall_seconds = 0;       ///< max over ranks, combined cycle wall
-  double overlap_blocked_seconds = 0;  ///< sum over ranks of wait-stall time
-  double overlap_inflight_seconds = 0; ///< sum over ranks of post-to-drain windows
-  double overlap_fraction = 0;         ///< inflight / (inflight + blocked)
 
   /// Per-rank PP group-walk cost summary (final PP cycle of the step) --
   /// the coarse view of tree::GroupCost attribution: where the short-range

@@ -8,7 +8,6 @@
 
 #include "fft/fft1d.hpp"
 #include "fft/fft3d.hpp"
-#include "fft/pencil_fft.hpp"
 #include "fft/slab_fft.hpp"
 #include "parx/runtime.hpp"
 #include "util/rng.hpp"
@@ -259,90 +258,6 @@ TEST(Fft3dR2C, MatchesComplexTransformAndRoundtrips) {
 
   const auto back = r2c.inverse(half);
   for (std::size_t i = 0; i < f.size(); ++i) EXPECT_NEAR(back[i], f[i], 1e-11);
-}
-
-// ---- pencil (2-D decomposed) FFT: the paper's stated future work ----
-
-struct PencilGrid {
-  int p, pr, pc;
-};
-
-class PencilFftGrids : public ::testing::TestWithParam<PencilGrid> {};
-
-TEST_P(PencilFftGrids, MatchesSerialTransform) {
-  const auto grid = GetParam();
-  const std::size_t n = 16;
-
-  Fft3d serial(n);
-  Rng rng(99);
-  std::vector<Complex> field(n * n * n);
-  for (auto& v : field) v = {rng.normal(), rng.normal()};
-  auto ref = field;
-  serial.forward(ref);
-
-  parx::run_ranks(grid.p, [&](parx::Comm& c) {
-    PencilFft pencil(c, n, grid.pr, grid.pc);
-    std::vector<Complex> mine(pencil.in_cells());
-    for (std::size_t z = pencil.in_z().begin; z < pencil.in_z().end(); ++z)
-      for (std::size_t y = pencil.in_y().begin; y < pencil.in_y().end(); ++y)
-        for (std::size_t x = 0; x < n; ++x)
-          mine[pencil.in_index(x, y, z)] = field[serial.index(x, y, z)];
-
-    auto spec = pencil.forward(mine);
-    for (std::size_t y = pencil.out_y().begin; y < pencil.out_y().end(); ++y)
-      for (std::size_t x = pencil.out_x().begin; x < pencil.out_x().end(); ++x)
-        for (std::size_t z = 0; z < n; ++z) {
-          EXPECT_NEAR(spec[pencil.out_index(x, y, z)].real(),
-                      ref[serial.index(x, y, z)].real(), 1e-8);
-          EXPECT_NEAR(spec[pencil.out_index(x, y, z)].imag(),
-                      ref[serial.index(x, y, z)].imag(), 1e-8);
-        }
-
-    auto back = pencil.inverse(spec);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_NEAR(back[i].real(), mine[i].real(), 1e-10);
-      EXPECT_NEAR(back[i].imag(), mine[i].imag(), 1e-10);
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Grids, PencilFftGrids,
-                         ::testing::Values(PencilGrid{1, 1, 1}, PencilGrid{4, 2, 2},
-                                           PencilGrid{6, 2, 3}, PencilGrid{6, 3, 2},
-                                           PencilGrid{12, 4, 3}, PencilGrid{16, 4, 4}));
-
-TEST(PencilFft, SupportsMoreRanksThanSlabCeiling) {
-  // n = 8 planes caps the slab FFT at 8 ranks; the pencil grid runs 32.
-  const std::size_t n = 8;
-  Fft3d serial(n);
-  Rng rng(101);
-  std::vector<Complex> field(n * n * n);
-  for (auto& v : field) v = {rng.normal(), rng.normal()};
-  auto ref = field;
-  serial.forward(ref);
-
-  parx::run_ranks(32, [&](parx::Comm& c) {
-    EXPECT_THROW(SlabFft(c, n), std::invalid_argument);
-    PencilFft pencil(c, n, 4, 8);
-    std::vector<Complex> mine(pencil.in_cells());
-    for (std::size_t z = pencil.in_z().begin; z < pencil.in_z().end(); ++z)
-      for (std::size_t y = pencil.in_y().begin; y < pencil.in_y().end(); ++y)
-        for (std::size_t x = 0; x < n; ++x)
-          mine[pencil.in_index(x, y, z)] = field[serial.index(x, y, z)];
-    auto spec = pencil.forward(mine);
-    for (std::size_t y = pencil.out_y().begin; y < pencil.out_y().end(); ++y)
-      for (std::size_t x = pencil.out_x().begin; x < pencil.out_x().end(); ++x)
-        for (std::size_t z = 0; z < n; ++z)
-          EXPECT_NEAR(spec[pencil.out_index(x, y, z)].real(),
-                      ref[serial.index(x, y, z)].real(), 1e-9);
-  });
-}
-
-TEST(PencilFft, RejectsBadGrids) {
-  parx::run_ranks(4, [](parx::Comm& c) {
-    EXPECT_THROW(PencilFft(c, 16, 3, 2), std::invalid_argument);   // 3*2 != 4
-    EXPECT_THROW(PencilFft(c, 2, 4, 1), std::invalid_argument);    // pr > n
-  });
 }
 
 }  // namespace

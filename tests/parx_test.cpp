@@ -348,6 +348,17 @@ TEST(Fault, ParseFaultAtForms) {
   EXPECT_FALSE(parse_fault_at("3:nope").has_value());
   EXPECT_FALSE(parse_fault_at("3:pp:notanumber").has_value());
   EXPECT_FALSE(parse_fault_at("3:pp:0:nokind").has_value());
+
+  // Out-of-range numbers are rejected, never wrapped into a small value.
+  EXPECT_FALSE(parse_fault_at("3:pp:4294967297").has_value()) << "rank past int";
+  EXPECT_FALSE(parse_fault_at("3:pp:2147483648").has_value()) << "rank past int";
+  EXPECT_FALSE(parse_fault_at("18446744073709551617:pp").has_value()) << "step past u64";
+  EXPECT_FALSE(parse_fault_at("18446744073709551614:pp").has_value())
+      << "a literal step may not alias the kEveryStep sentinel";
+  s = parse_fault_at("18446744073709551613:pp:2147483647");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->step, kEveryStep - 1);
+  EXPECT_EQ(s->rank, 2147483647);
 }
 
 TEST(Fault, RandomPlanIsDeterministicInSeed) {
@@ -489,6 +500,13 @@ TEST(Fault, ParseWildcardsAndLinkKinds) {
       << "rates are a link-fault concept";
   EXPECT_FALSE(parse_fault_at("1:pp:0:send@0.1x2").has_value());
   EXPECT_FALSE(parse_fault_at("1:pp:0:drop@0.1x0").has_value());
+  EXPECT_FALSE(parse_fault_at("3:pp:1:drop@0.5x4294967297").has_value()) << "budget past int";
+  EXPECT_FALSE(parse_fault_at("*:any:*:drop@nan").has_value()) << "rate must be finite";
+  EXPECT_FALSE(parse_fault_at("*:any:*:drop@-nan").has_value());
+  EXPECT_FALSE(parse_fault_at("*:any:*:drop@inf").has_value());
+  s = parse_fault_at("3:pp:1:drop@0.5x2147483647");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->times, 2147483647);
 }
 
 TEST(Fault, PlanSplitsIntoFailstopAndLinkSubsets) {

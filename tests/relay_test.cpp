@@ -13,7 +13,6 @@
 #include "parx/runtime.hpp"
 #include "pm/parallel_pm.hpp"
 #include "pm/pm_solver.hpp"
-#include "pm/pencil_pm.hpp"
 #include "pm/relay_mesh.hpp"
 #include "util/rng.hpp"
 
@@ -247,79 +246,6 @@ TEST(MeshConverter, RespectsExplicitFftCount) {
     if (conv.is_fft_rank()) {
       EXPECT_EQ(conv.fft_comm().size(), 3);
     }
-  });
-}
-
-
-// ---- pencil-FFT PM: the paper's future-work configuration ----
-
-void expect_pencil_matches_serial(std::array<int, 3> dims, int pr, int pc,
-                                  std::size_t n_mesh) {
-  const auto tp = make_particles(300, 42);
-  PmSolver serial({n_mesh, 0, Scheme::kTSC, 2, 1.0});
-  std::vector<Vec3> ref(tp.pos.size());
-  serial.accelerations(tp.pos, tp.mass, ref);
-
-  const int p = dims[0] * dims[1] * dims[2];
-  const auto decomp = domain::Decomposition::uniform(dims);
-  std::mutex mu;
-  std::vector<Vec3> got(tp.pos.size());
-  parx::run_ranks(p, [&](parx::Comm& world) {
-    PencilPmParams params;
-    params.n_mesh = n_mesh;
-    params.pr = pr;
-    params.pc = pc;
-    PencilPm pm(world, params);
-    pm.update_domain(decomp.box_of(world.rank()));
-
-    std::vector<Vec3> lpos;
-    std::vector<double> lmass;
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < tp.pos.size(); ++i) {
-      if (decomp.find_domain(tp.pos[i]) == world.rank()) {
-        lpos.push_back(tp.pos[i]);
-        lmass.push_back(tp.mass[i]);
-        idx.push_back(i);
-      }
-    }
-    std::vector<Vec3> lacc(lpos.size());
-    pm.accelerations(lpos, lmass, lacc);
-    std::lock_guard lock(mu);
-    for (std::size_t k = 0; k < idx.size(); ++k) got[idx[k]] = lacc[k];
-  });
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const double scale = std::max(ref[i].norm(), 1.0);
-    EXPECT_NEAR(got[i].x, ref[i].x, 1e-9 * scale);
-    EXPECT_NEAR(got[i].y, ref[i].y, 1e-9 * scale);
-    EXPECT_NEAR(got[i].z, ref[i].z, 1e-9 * scale);
-  }
-}
-
-TEST(PencilPm, MatchesSerialSquareGrid) {
-  expect_pencil_matches_serial({2, 2, 1}, 2, 2, 16);
-}
-
-TEST(PencilPm, MatchesSerialRectangularGrid) {
-  expect_pencil_matches_serial({3, 2, 1}, 2, 3, 16);
-}
-
-TEST(PencilPm, MatchesSerialWithIdleRanks) {
-  // 8 ranks but only a 2x3 pencil grid: the rest only feed/receive mesh.
-  expect_pencil_matches_serial({2, 2, 2}, 2, 3, 16);
-}
-
-TEST(PencilPm, SupportsMoreFftRanksThanSlabCeiling) {
-  // Mesh 8 caps the slab FFT at 8 ranks; the pencil grid uses 16 of 18.
-  expect_pencil_matches_serial({3, 3, 2}, 4, 4, 8);
-}
-
-TEST(PencilPm, AutoGridSelection) {
-  parx::run_ranks(12, [](parx::Comm& world) {
-    PencilPmParams params;
-    params.n_mesh = 16;
-    PencilPm pm(world, params);
-    EXPECT_GE(pm.pr() * pm.pc(), 9);  // near-square over 12 ranks
-    EXPECT_LE(pm.pr() * pm.pc(), 12);
   });
 }
 
