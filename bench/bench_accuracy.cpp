@@ -17,10 +17,12 @@
 #include <iostream>
 
 #include "core/direct_force.hpp"
+#include "core/parallel_sim.hpp"
 #include "core/particle.hpp"
 #include "core/tree_force.hpp"
-#include "core/treepm_force.hpp"
 #include "ewald/ewald.hpp"
+#include "parx/runtime.hpp"
+#include "pm/pm_solver.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -34,6 +36,26 @@ double rms_error(const std::vector<Vec3>& got, const std::vector<Vec3>& ref) {
   for (std::size_t i = 0; i < got.size(); ++i)
     rel.push_back((got[i] - ref[i]).norm() / std::max(ref[i].norm(), 1e-12));
   return rms(rel);
+}
+
+/// TreePM force of the driver: a one-rank simulation's initial total
+/// acceleration (acc_s + acc_l) in `acc`, indexed like `ps`, and its PP
+/// traversal statistics.
+tree::TraversalStats treepm_force(const std::vector<core::Particle>& ps, double theta,
+                                  double eps, std::vector<Vec3>& acc) {
+  core::ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 32;
+  cfg.theta = theta;
+  cfg.ncrit = 100;
+  cfg.eps = eps;
+  tree::TraversalStats stats;
+  acc.assign(ps.size(), Vec3{});
+  parx::run_ranks(1, [&](parx::Comm& world) {
+    const core::ParallelSimulation sim(world, cfg, ps, 0.0);
+    for (const auto& p : sim.local()) acc[p.id] = p.acc_s + p.acc_l;
+    stats = sim.last_step().pp_stats;
+  });
+  return stats;
 }
 
 }  // namespace
@@ -63,14 +85,8 @@ int main() {
   t.header({"method", "theta", "rms err", "interactions", "<Nj>"});
 
   for (double theta : {0.7, 0.5, 0.35, 0.2}) {
-    core::TreePmParams params;
-    params.pm.n_mesh = 32;
-    params.theta = theta;
-    params.ncrit = 100;
-    params.eps = eps;
-    core::TreePmForce force(params);
-    std::vector<Vec3> acc(n);
-    const auto stats = force.total(pos, mass, acc);
+    std::vector<Vec3> acc;
+    const auto stats = treepm_force(particles, theta, eps, acc);
     t.row({"TreePM", TextTable::num(theta, 2),
            TextTable::num(rms_error(acc, exact_periodic), 3),
            TextTable::num(static_cast<double>(stats.interactions), 4),
@@ -121,13 +137,7 @@ int main() {
     const auto m2 = core::masses_of(ps);
     std::vector<Vec3> acc(nn);
 
-    core::TreePmParams tp;
-    tp.pm.n_mesh = 32;
-    tp.theta = 0.5;
-    tp.ncrit = 100;
-    tp.eps = eps;
-    core::TreePmForce force(tp);
-    const auto s1 = force.short_range(p2, m2, acc);
+    const auto s1 = treepm_force(ps, 0.5, eps, acc);
 
     core::TreeForceParams pt;
     pt.theta = 0.5;

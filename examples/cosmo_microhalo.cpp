@@ -19,9 +19,10 @@
 #include "fft/fft1d.hpp"
 #include "analysis/profile.hpp"
 #include "analysis/projection.hpp"
-#include "core/simulation.hpp"
+#include "core/parallel_sim.hpp"
 #include "ic/zeldovich.hpp"
 #include "io/snapshot.hpp"
+#include "parx/runtime.hpp"
 
 using namespace greem;
 
@@ -71,36 +72,44 @@ int main(int argc, char** argv) {
 
   std::vector<core::Particle> particles(ics.pos.size());
   for (std::size_t i = 0; i < particles.size(); ++i)
-    particles[i] = {ics.pos[i], ics.mom[i], {}, {}, ics.particle_mass, i};
+    particles[i] = {ics.pos[i], ics.mom[i], {}, {}, ics.particle_mass, 0, i};
 
-  core::SimulationConfig cfg;
-  cfg.force.pm.n_mesh = fft::next_pow2(2 * n_per_dim);
-  cfg.force.theta = 0.5;
-  cfg.force.ncrit = 64;
-  cfg.force.eps = 0.03 / static_cast<double>(n_per_dim);
+  core::ParallelSimConfig cfg;
+  cfg.pm.n_mesh = fft::next_pow2(2 * n_per_dim);
+  cfg.theta = 0.5;
+  cfg.ncrit = 64;
+  cfg.eps = 0.03 / static_cast<double>(n_per_dim);
   cfg.metric.comoving = true;
   cfg.metric.cosmology = cosmos;
-  core::Simulation sim(cfg, std::move(particles), zp.a_start);
 
-  write_images(sim.particles(), sim.clock(), "z400");
+  // One rank: the serial case of the distributed driver.
+  std::vector<core::Particle> final_state;
+  double a_final = 0;
+  parx::run_ranks(1, [&](parx::Comm& world) {
+    core::ParallelSimulation sim(world, cfg, std::move(particles), zp.a_start);
 
-  // Integrate z = 400 -> 31 in log(a), imaging at the paper's snapshots.
-  const double a_end = 1.0 / 32.0;
-  const auto schedule = core::log_schedule(zp.a_start, a_end, nsteps);
-  int imaged70 = 0, imaged40 = 0;
-  for (int s = 1; s <= nsteps; ++s) {
-    sim.step(schedule[static_cast<std::size_t>(s)]);
-    const double z = cosmo::Cosmology::z_of_a(sim.clock());
-    std::printf("step %2d  z=%6.1f  interactions=%llu\n", s, z,
-                static_cast<unsigned long long>(sim.last_step().pp.interactions));
-    if (z <= 70 && !imaged70++) write_images(sim.particles(), sim.clock(), "z70");
-    if (z <= 40 && !imaged40++) write_images(sim.particles(), sim.clock(), "z40");
-  }
-  sim.synchronize();
-  write_images(sim.particles(), sim.clock(), "z31");
+    write_images(sim.local(), sim.clock(), "z400");
+
+    // Integrate z = 400 -> 31 in log(a), imaging at the paper's snapshots.
+    const double a_end = 1.0 / 32.0;
+    const auto schedule = core::log_schedule(zp.a_start, a_end, nsteps);
+    int imaged70 = 0, imaged40 = 0;
+    for (int s = 1; s <= nsteps; ++s) {
+      sim.step(schedule[static_cast<std::size_t>(s)]);
+      const double z = cosmo::Cosmology::z_of_a(sim.clock());
+      std::printf("step %2d  z=%6.1f  interactions=%llu\n", s, z,
+                  static_cast<unsigned long long>(sim.last_step().pp_stats.interactions));
+      if (z <= 70 && !imaged70++) write_images(sim.local(), sim.clock(), "z70");
+      if (z <= 40 && !imaged40++) write_images(sim.local(), sim.clock(), "z40");
+    }
+    sim.synchronize();
+    a_final = sim.clock();
+    final_state = std::move(sim).take_local();
+  });
+  write_images(final_state, a_final, "z31");
 
   // Friends-of-friends census of the microhalos.
-  const auto pos = core::positions_of(sim.particles());
+  const auto pos = core::positions_of(final_state);
   const double ll = analysis::fof_linking_length(pos.size());
   const auto groups = analysis::fof_groups(pos, ll, 32);
   std::printf("\nFoF (b=0.2): %zu microhalos with >= 32 particles\n", groups.ngroups());
@@ -142,9 +151,9 @@ int main(int argc, char** argv) {
   for (const auto& b : xi) std::printf("  %8.5f  %9.3f\n", b.r, b.xi);
 
   io::SnapshotHeader h;
-  h.clock = sim.clock();
+  h.clock = a_final;
   h.comoving = 1;
-  io::write_snapshot("microhalo_final.bin", h, sim.particles());
+  io::write_snapshot("microhalo_final.bin", h, final_state);
   std::printf("\nwrote microhalo_final.bin\n");
   return 0;
 }

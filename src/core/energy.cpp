@@ -1,11 +1,5 @@
 #include "core/energy.hpp"
 
-#include <cmath>
-
-#include "pp/cutoff.hpp"
-#include "tree/octree.hpp"
-#include "tree/traversal.hpp"
-
 namespace greem::core {
 
 double kinetic_energy(std::span<const Particle> ps) {
@@ -17,53 +11,6 @@ double kinetic_energy(std::span<const Particle> ps) {
 double ewald_potential_energy(const ewald::Ewald& ew, std::span<const Particle> ps,
                               double eps2) {
   return ew.potential_energy(positions_of(ps), masses_of(ps), eps2);
-}
-
-double treepm_potential_energy(TreePmForce& force, std::span<const Particle> ps) {
-  const auto pos = positions_of(ps);
-  const auto mass = masses_of(ps);
-  const double rcut = force.params().rcut();
-  const double rcut2 = rcut * rcut;
-
-  // Short-range pair potential -G m m' h(2r/rcut)/r inside the cutoff,
-  // via the tree's group walk (O(N <Nj>), exact self-pair exclusion with
-  // eps = 0).
-  (void)rcut2;
-  const std::size_t n = pos.size();
-  std::vector<double> pp_pot(n, 0.0);
-  {
-    tree::Octree octree(pos, mass, {force.params().leaf_capacity, 21});
-    tree::TraversalParams tp;
-    tp.theta = force.params().theta;
-    tp.rcut = rcut;
-    tp.ncrit = force.params().ncrit;
-    tp.eps2 = 0.0;
-    tp.kernel = tree::KernelKind::kScalar;
-    std::vector<Vec3> images;
-    images.reserve(27);
-    for (int x = -1; x <= 1; ++x)
-      for (int y = -1; y <= 1; ++y)
-        for (int z = -1; z <= 1; ++z) images.emplace_back(x, y, z);
-    tree::tree_potentials(octree, tp, pp_pot, images);
-  }
-  double u_pp = 0;
-  for (std::size_t i = 0; i < n; ++i) u_pp += 0.5 * mass[i] * pp_pot[i];
-
-  // Long-range: mesh potential interpolated to the particles.  The mesh
-  // field includes each particle's own S2 cloud-cloud self-energy; at zero
-  // separation the interaction energy of two coincident unit-mass S2
-  // clouds of radius a is Int rho phi dV = -(52/35)/a = -(104/35)/rcut
-  // (with phi(r) = (-2 + 2 r^2 - r^3)/a for the linear S2 profile), so the
-  // analytic self term is subtracted per particle.  Mesh discretization
-  // leaves a small residual absorbed in the TreePM energy error budget.
-  pm::PmSolver pm(force.params().pm);
-  auto phi = pm.potentials(pos, mass);
-  const double phi_cc0 = -(104.0 / 35.0) / rcut;
-  double u_pm = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    u_pm += 0.5 * mass[i] * (phi[i] - mass[i] * phi_cc0);
-
-  return u_pp + u_pm;
 }
 
 }  // namespace greem::core

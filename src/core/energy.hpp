@@ -1,14 +1,11 @@
 #pragma once
 // Energy diagnostics.  In static mode (TimeMetric::comoving == false) the
 // Hamiltonian K + U is conserved by the symplectic integrator; U is the
-// exact periodic (Ewald) potential, or its TreePM approximation
-// (PP pair potential with the h cutoff + interpolated PM mesh potential)
-// for larger N.
+// exact periodic (Ewald) potential.
 
 #include <span>
 
 #include "core/particle.hpp"
-#include "core/treepm_force.hpp"
 #include "ewald/ewald.hpp"
 
 namespace greem::core {
@@ -19,11 +16,5 @@ double kinetic_energy(std::span<const Particle> ps);
 /// Exact periodic potential energy via Ewald summation (O(N^2); small N).
 double ewald_potential_energy(const ewald::Ewald& ew, std::span<const Particle> ps,
                               double eps2);
-
-/// TreePM estimate of the periodic potential energy: direct PP pair sum
-/// with the h_p3m cutoff (O(N^2) inside rcut via cell lists is overkill
-/// here; plain min-image loop) plus the PM mesh potential interpolated to
-/// the particles, with the S2 self-energy removed.
-double treepm_potential_energy(TreePmForce& force, std::span<const Particle> ps);
 
 }  // namespace greem::core

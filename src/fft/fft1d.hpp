@@ -6,6 +6,7 @@
 #include <complex>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace greem::fft {
@@ -56,8 +57,11 @@ class Fft1d {
 /// True iff n is a power of two (and nonzero).
 constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-/// Smallest power of two >= n (n >= 1).
+/// Smallest power of two >= n (n >= 1).  Throws std::overflow_error when
+/// no std::size_t power of two is that large (n > 2^63 on 64-bit).
 constexpr std::size_t next_pow2(std::size_t n) {
+  constexpr std::size_t kTop = ~(~std::size_t{0} >> 1);
+  if (n > kTop) throw std::overflow_error("next_pow2: no power of two >= n fits in size_t");
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;

@@ -1,6 +1,7 @@
 #include "io/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,25 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t\r");
   return s.substr(b, e - b + 1);
+}
+
+/// Parse the whole of `text` with a std::sto* function: a value with
+/// trailing characters ("16abc") or outside T's range is an error naming
+/// the key, never a silently truncated number.
+template <class T, class Parse>
+T parse_whole(const std::string& key, const std::string& text, const char* what, Parse parse) {
+  std::size_t used = 0;
+  T v{};
+  try {
+    v = parse(text, &used);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("config key '" + key + "': " + what + " out of range: " + text);
+  } catch (const std::invalid_argument&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size())
+    throw std::invalid_argument("config key '" + key + "': not " + what + ": " + text);
+  return v;
 }
 
 }  // namespace
@@ -65,13 +85,19 @@ std::string Config::get_string(const std::string& key, const std::string& fallba
 double Config::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  const double v = parse_whole<double>(
+      key, it->second, "a number",
+      [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); });
+  if (!std::isfinite(v))
+    throw std::invalid_argument("config key '" + key + "': not a finite number: " + it->second);
+  return v;
 }
 
 long Config::get_int(const std::string& key, long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stol(it->second);
+  return parse_whole<long>(key, it->second, "an integer",
+                           [](const std::string& t, std::size_t* pos) { return std::stol(t, pos); });
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

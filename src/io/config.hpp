@@ -1,8 +1,10 @@
 #pragma once
 // Flat key = value configuration files for the run driver
 // (examples/greem_run): '#' comments, blank lines ignored, later keys
-// override earlier ones.  Typed getters fall back to defaults; see
-// examples/configs/ for annotated samples.
+// override earlier ones.  Typed getters fall back to defaults when the key
+// is absent and throw std::invalid_argument, naming the key, when the value
+// does not parse as a whole: trailing characters, an out-of-range integer
+// or a non-finite double.  See examples/configs/ for annotated samples.
 
 #include <map>
 #include <optional>

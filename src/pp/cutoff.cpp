@@ -1,7 +1,6 @@
 #include "pp/cutoff.hpp"
 
 #include <algorithm>
-#include <vector>
 #include <cmath>
 #include <numbers>
 
@@ -87,22 +86,6 @@ double h_p3m(double xi) {
   // (which tends to -(8/5) t as t -> 0).
   auto f = [](double t) { return t < 1e-12 ? 0.0 : (g_p3m(t) - 1.0) / (t * t); };
   return 1.0 - xi / 2.0 + xi * simpson(f, xi, 2.0, 1024);
-}
-
-double h_p3m_fast(double xi) {
-  if (xi >= 2.0) return 0.0;
-  if (xi <= 0.0) return 1.0;
-  constexpr int kPoints = 4096;
-  // Magic-static initialization is thread-safe; subsequent reads are const.
-  static const std::vector<double> table = [] {
-    std::vector<double> t(kPoints + 1);
-    for (int i = 0; i <= kPoints; ++i) t[static_cast<std::size_t>(i)] = h_p3m(2.0 * i / kPoints);
-    return t;
-  }();
-  const double u = xi * (kPoints / 2.0);
-  const auto i = static_cast<std::size_t>(u);
-  const double f = u - static_cast<double>(i);
-  return table[i] * (1.0 - f) + table[std::min<std::size_t>(i + 1, kPoints)] * f;
 }
 
 }  // namespace greem::pp

@@ -33,11 +33,7 @@ double s2_enclosed_mass_fraction(double s_over_a);
 /// Potential cutoff counterpart: the pair potential is
 /// -(G m / r) * h(xi); h -> 1 for xi -> 0 and h(xi >= 2) = 0.
 /// Obtained by integrating g from xi to 2: h(xi) = xi * Int_xi^2 g(t)/t^2 dt.
-/// Computed by quadrature (used only for energy diagnostics).
+/// Computed by quadrature.
 double h_p3m(double xi);
-
-/// Tabulated h_p3m (4096-point linear interpolation, error < 1e-7): the
-/// per-pair path of the potential kernels.  Thread-safe after first use.
-double h_p3m_fast(double xi);
 
 }  // namespace greem::pp

@@ -103,24 +103,4 @@ void pp_kernel_quadrupole(std::span<const Vec3> xi, std::span<Vec3> acc,
   }
 }
 
-void pp_potential_scalar(std::span<const Vec3> xi, std::span<double> pot,
-                         const InteractionList& list, double rcut, double eps2) {
-  const double two_over_rcut = 2.0 / rcut;
-  const std::size_t nj = list.size();
-  for (std::size_t i = 0; i < xi.size(); ++i) {
-    const Vec3 pi = xi[i];
-    double p = 0;
-    for (std::size_t j = 0; j < nj; ++j) {
-      const double dx = list.x[j] - pi.x;
-      const double dy = list.y[j] - pi.y;
-      const double dz = list.z[j] - pi.z;
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-      if (r2 == 0.0) continue;
-      const double r = std::sqrt(r2);
-      p -= list.m[j] * h_p3m_fast(r * two_over_rcut) / r;
-    }
-    pot[i] += p;
-  }
-}
-
 }  // namespace greem::pp

@@ -134,9 +134,4 @@ struct QuadSource {
 void pp_kernel_quadrupole(std::span<const Vec3> xi, std::span<Vec3> acc,
                           std::span<const QuadSource> nodes, double eps2);
 
-/// Pair potential counterparts (used by energy diagnostics; not hot paths).
-/// Adds -G m h(xi)/r per source into `pot`.
-void pp_potential_scalar(std::span<const Vec3> xi, std::span<double> pot,
-                         const InteractionList& list, double rcut, double eps2);
-
 }  // namespace greem::pp

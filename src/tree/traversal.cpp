@@ -238,37 +238,6 @@ TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalPar
                        defer_min_interactions, deferred);
 }
 
-TraversalStats tree_potentials(const Octree& tree, const TraversalParams& params,
-                               std::span<double> pot,
-                               std::span<const Vec3> image_offsets) {
-  static const Vec3 kHome{0, 0, 0};
-  if (image_offsets.empty()) image_offsets = {&kHome, 1};
-  TraversalStats stats;
-  if (tree.num_particles() == 0) return stats;
-
-  const auto group_nodes = tree.groups(params.ncrit);
-  pp::InteractionList list;
-  std::vector<double> group_pot;
-  for (const std::uint32_t gi : group_nodes) {
-    const TreeNode g = tree.node(gi);
-    list.clear();
-    WalkSink sink{&list};
-    walk_group(tree, gi, params.theta, params.rcut, image_offsets, sink);
-    stats.nodes_visited += sink.nodes_visited;
-    ++stats.ngroups;
-    stats.sum_ni += g.count;
-    stats.sum_nj += list.size();
-    stats.interactions += static_cast<std::uint64_t>(g.count) * list.size();
-
-    group_pot.assign(g.count, 0.0);
-    const std::span<const Vec3> targets = tree.sorted_pos().subspan(g.first, g.count);
-    pp_potential_scalar(targets, group_pot, list, params.rcut, params.eps2);
-    for (std::uint32_t i = 0; i < g.count; ++i)
-      pot[tree.original_index(g.first + i)] += group_pot[i];
-  }
-  return stats;
-}
-
 void build_interaction_list(const Octree& tree, std::uint32_t group_node,
                             const TraversalParams& params, const Vec3& offset,
                             pp::InteractionList& list, TraversalStats& stats) {

@@ -135,15 +135,6 @@ void gather_targets(const Octree& tree, std::span<const std::uint32_t> idx,
 void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
                            const TraversalParams& params, std::span<Vec3> group_acc);
 
-/// Short-range potentials (-G m h(2r/rcut)/r summed over the interaction
-/// list) for all tree particles, accumulated into `pot` indexed by the
-/// caller's original indexing.  Uses the same group walk as the force
-/// path, so the cost is O(N <Nj>) instead of the naive O(N^2) pair sum --
-/// the energy-diagnostic path for large N.
-TraversalStats tree_potentials(const Octree& tree, const TraversalParams& params,
-                               std::span<double> pot,
-                               std::span<const Vec3> image_offsets = {});
-
 /// Build the interaction list for one group node under `params` (exposed
 /// for tests and the group-size benchmark).
 void build_interaction_list(const Octree& tree, std::uint32_t group_node,

@@ -1,27 +1,59 @@
-// Core library tests: force baselines, the serial TreePM force against
-// Ewald, energy conservation of the multiple-stepsize integrator, and the
-// linear growth of structure in a comoving simulation.
+// Core library tests: force baselines, and ground-truth checks of the
+// TreePM driver (core::ParallelSimulation): its force against Ewald on
+// several rank grids, energy conservation of the multiple-stepsize
+// integrator, and the linear growth of structure in a comoving run.  One
+// rank is the serial case; the helpers below run any grid.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numbers>
 
 #include "analysis/power_measure.hpp"
 #include "core/direct_force.hpp"
-#include "pp/cutoff.hpp"
 #include "core/energy.hpp"
-#include "core/simulation.hpp"
+#include "core/parallel_sim.hpp"
 #include "core/tree_force.hpp"
-#include "core/treepm_force.hpp"
 #include "ewald/ewald.hpp"
 #include "ic/zeldovich.hpp"
 #include "io/snapshot.hpp"
+#include "parx/runtime.hpp"
+#include "pp/cutoff.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace greem::core {
 namespace {
+
+/// Run a ParallelSimulation on cfg.dims ranks (rank 0 starts with every
+/// particle): construct it at schedule[0], step to each later clock,
+/// synchronize, and return all particles sorted by id.  A one-element
+/// schedule returns the initial state with its forces (acc_s, acc_l).
+std::vector<Particle> run_sim(const ParallelSimConfig& cfg, const std::vector<Particle>& ps,
+                              const std::vector<double>& schedule) {
+  std::mutex mu;
+  std::vector<Particle> out;
+  parx::run_ranks(cfg.dims[0] * cfg.dims[1] * cfg.dims[2], [&](parx::Comm& world) {
+    ParallelSimulation sim(world, cfg, world.rank() == 0 ? ps : std::vector<Particle>{},
+                           schedule.at(0));
+    for (std::size_t s = 1; s < schedule.size(); ++s) sim.step(schedule[s]);
+    sim.synchronize();
+    std::lock_guard lock(mu);
+    out.insert(out.end(), sim.local().begin(), sim.local().end());
+  });
+  std::sort(out.begin(), out.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
+  return out;
+}
+
+/// Clocks 0, dt, ..., nsteps * dt.
+std::vector<double> steps_of(double dt, int nsteps) {
+  std::vector<double> t(static_cast<std::size_t>(nsteps) + 1);
+  for (int s = 0; s <= nsteps; ++s) t[static_cast<std::size_t>(s)] = s * dt;
+  return t;
+}
 
 TEST(DirectForce, TwoBodyNewton) {
   const std::vector<Vec3> pos{{0.3, 0.5, 0.5}, {0.7, 0.5, 0.5}};
@@ -62,76 +94,91 @@ TEST(TreeForce, MatchesDirectNewtonForClusteredSet) {
   EXPECT_LT(rms(rel), 0.02);
 }
 
-TEST(TreePmForce, TotalMatchesEwaldUniform) {
-  // The full pipeline: phantom-kernel tree short-range + PM long-range
-  // against the exact periodic force.
-  auto ps = random_uniform_particles(400, 1.0, 2);
-  const auto pos = positions_of(ps);
-  const auto mass = masses_of(ps);
+// The distributed force against the exact periodic (Ewald) force, on
+// every rank grid and mesh conversion.  These rms/p99 bounds are the
+// accuracy gate that changes to the interaction lists or the kernel
+// precision (ROADMAP items 4, 5 and 7) are measured against.
+struct EwaldCase {
+  bool clustered;
+  std::array<int, 3> dims;
+  pm::MeshConversion method;
+  int n_groups;
+};
 
-  TreePmParams params;
-  params.pm.n_mesh = 32;
-  params.theta = 0.3;
-  params.ncrit = 32;
-  params.eps = 1e-5;
-  std::vector<Vec3> acc(pos.size());
-  TreePmForce force(params);
-  const auto stats = force.total(pos, mass, acc);
-  EXPECT_GT(stats.interactions, 0u);
+class DistributedForce : public ::testing::TestWithParam<EwaldCase> {};
+
+TEST_P(DistributedForce, MatchesEwald) {
+  const EwaldCase& c = GetParam();
+  // Clustered: regularize close pairs for the comparison.
+  const double eps = c.clustered ? 1e-4 : 1e-5;
+  const auto ps = c.clustered ? clustered_particles(400, 1.0, 3, 0.7, 0.03, 3)
+                              : random_uniform_particles(400, 1.0, 2);
+
+  ParallelSimConfig cfg;
+  cfg.dims = c.dims;
+  cfg.pm.n_mesh = 32;
+  cfg.pm.conversion.method = c.method;
+  cfg.pm.conversion.n_groups = c.n_groups;
+  cfg.theta = 0.3;
+  cfg.ncrit = 32;
+  cfg.eps = eps;
+  const auto got = run_sim(cfg, ps, {0.0});
+  ASSERT_EQ(got.size(), ps.size());
 
   ewald::EwaldParams ep;
   ep.table_n = 40;
   const ewald::Ewald ew(ep);
-  std::vector<Vec3> exact(pos.size());
-  ew.accelerations(pos, mass, exact, params.eps * params.eps);
+  std::vector<Vec3> exact(ps.size());
+  ew.accelerations(positions_of(ps), masses_of(ps), exact, eps * eps);
 
   std::vector<double> rel;
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    rel.push_back((acc[i] - exact[i]).norm() / std::max(exact[i].norm(), 1e-12));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, ps[i].id);
+    const Vec3 acc = got[i].acc_s + got[i].acc_l;
+    rel.push_back((acc - exact[i]).norm() / std::max(exact[i].norm(), 1e-12));
+  }
   EXPECT_LT(rms(rel), 0.06);  // rcut = 3h aliasing bound, see pm_test
+  EXPECT_LT(percentile(rel, 99), c.clustered ? 0.04 : 0.20);
 }
 
-TEST(TreePmForce, TotalMatchesEwaldClustered) {
-  auto ps = clustered_particles(400, 1.0, 3, 0.7, 0.03, 3);
-  const auto pos = positions_of(ps);
-  const auto mass = masses_of(ps);
-
-  TreePmParams params;
-  params.pm.n_mesh = 32;
-  params.theta = 0.3;
-  params.ncrit = 32;
-  params.eps = 1e-4;  // clustered: regularize close pairs for comparison
-  std::vector<Vec3> acc(pos.size());
-  TreePmForce force(params);
-  force.total(pos, mass, acc);
-
-  ewald::EwaldParams ep;
-  ep.table_n = 40;
-  const ewald::Ewald ew(ep);
-  std::vector<Vec3> exact(pos.size());
-  ew.accelerations(pos, mass, exact, params.eps * params.eps);
-
-  std::vector<double> rel;
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    rel.push_back((acc[i] - exact[i]).norm() / std::max(exact[i].norm(), 1e-12));
-  EXPECT_LT(rms(rel), 0.06);
+std::vector<EwaldCase> ewald_cases() {
+  constexpr auto kDirect = pm::MeshConversion::kDirect;
+  constexpr auto kRelay = pm::MeshConversion::kRelay;
+  std::vector<EwaldCase> out;
+  for (bool clustered : {false, true}) {
+    out.push_back({clustered, {1, 1, 1}, kDirect, 1});
+    out.push_back({clustered, {2, 1, 1}, kDirect, 1});
+    out.push_back({clustered, {2, 2, 2}, kDirect, 1});
+    out.push_back({clustered, {2, 2, 2}, kRelay, 2});
+    out.push_back({clustered, {3, 3, 1}, kDirect, 1});
+    out.push_back({clustered, {3, 3, 1}, kRelay, 2});
+  }
+  return out;
 }
 
-TEST(TreePmForce, ShortRangeConsistentWithDirect) {
-  auto ps = random_uniform_particles(300, 1.0, 4);
-  const auto pos = positions_of(ps);
-  const auto mass = masses_of(ps);
-  TreePmParams params;
-  params.pm.n_mesh = 32;
-  params.theta = 0.0;  // exact walk
-  params.kernel = tree::KernelKind::kScalar;
-  params.eps = 1e-6;
-  TreePmForce force(params);
-  std::vector<Vec3> walked(pos.size()), direct(pos.size());
-  force.short_range(pos, mass, walked);
-  direct_short_range(pos, mass, direct, params.rcut(), params.eps * params.eps);
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    EXPECT_NEAR((walked[i] - direct[i]).norm(), 0.0, 1e-8);
+INSTANTIATE_TEST_SUITE_P(
+    Grids, DistributedForce, ::testing::ValuesIn(ewald_cases()),
+    [](const ::testing::TestParamInfo<EwaldCase>& info) {
+      const EwaldCase& c = info.param;
+      return std::string(c.clustered ? "clustered_" : "uniform_") +
+             std::to_string(c.dims[0]) + "x" + std::to_string(c.dims[1]) + "x" +
+             std::to_string(c.dims[2]) +
+             (c.method == pm::MeshConversion::kRelay ? "_relay" : "_direct");
+    });
+
+TEST(DistributedForce, ShortRangeConsistentWithDirect) {
+  const auto ps = random_uniform_particles(300, 1.0, 4);
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 32;
+  cfg.theta = 0.0;  // exact walk
+  cfg.kernel = tree::KernelKind::kScalar;
+  cfg.eps = 1e-6;
+  const auto got = run_sim(cfg, ps, {0.0});
+  ASSERT_EQ(got.size(), ps.size());
+  std::vector<Vec3> direct(ps.size());
+  direct_short_range(positions_of(ps), masses_of(ps), direct, cfg.rcut(), cfg.eps * cfg.eps);
+  for (std::size_t i = 0; i < ps.size(); ++i)
+    EXPECT_NEAR((got[i].acc_s - direct[i]).norm(), 0.0, 1e-8);
 }
 
 TEST(Schedules, LinearAndLog) {
@@ -142,7 +189,9 @@ TEST(Schedules, LinearAndLog) {
   EXPECT_NEAR(lg[1], 0.1, 1e-12);
 }
 
-TEST(Simulation, StaticModeConservesEnergy) {
+class SimulationGrid : public ::testing::TestWithParam<std::array<int, 3>> {};
+
+TEST_P(SimulationGrid, StaticModeConservesEnergy) {
   // A warm periodic system integrated with the multiple-stepsize KDK: the
   // Hamiltonian measured with the Ewald potential must be conserved to
   // the force-error level over tens of steps.
@@ -153,39 +202,42 @@ TEST(Simulation, StaticModeConservesEnergy) {
   Rng rng(6);
   for (auto& p : ps) p.mom = {rng.normal() * 0.3, rng.normal() * 0.3, rng.normal() * 0.3};
 
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 32;
-  cfg.force.pm.rcut = 6.0 / 32.0;  // high-accuracy split for a clean check
-  cfg.force.theta = 0.3;
-  cfg.force.eps = 5e-3;
+  ParallelSimConfig cfg;
+  cfg.dims = GetParam();
+  cfg.pm.n_mesh = 32;
+  cfg.pm.rcut = 6.0 / 32.0;  // high-accuracy split for a clean check
+  cfg.theta = 0.3;
+  cfg.eps = 5e-3;
   cfg.nsub = 2;
-  Simulation sim(cfg, ps, 0.0);
 
   ewald::EwaldParams ep;
   ep.table_n = 32;
   const ewald::Ewald ew(ep);
-  const double eps2 = cfg.force.eps * cfg.force.eps;
+  const double eps2 = cfg.eps * cfg.eps;
 
-  sim.synchronize();
-  const double e0 = kinetic_energy(sim.particles()) +
-                    ewald_potential_energy(ew, sim.particles(), eps2);
-  const double dt = 5e-4;
-  for (int s = 1; s <= 25; ++s) sim.step(s * dt);
-  sim.synchronize();
-  const double e1 = kinetic_energy(sim.particles()) +
-                    ewald_potential_energy(ew, sim.particles(), eps2);
+  const double e0 = kinetic_energy(ps) + ewald_potential_energy(ew, ps, eps2);
+  const auto out = run_sim(cfg, ps, steps_of(5e-4, 25));
+  ASSERT_EQ(out.size(), ps.size());
+  const double e1 = kinetic_energy(out) + ewald_potential_energy(ew, out, eps2);
   EXPECT_NEAR(e1, e0, 0.005 * std::abs(e0));
 }
 
+INSTANTIATE_TEST_SUITE_P(Ranks, SimulationGrid,
+                         ::testing::Values(std::array<int, 3>{1, 1, 1},
+                                           std::array<int, 3>{2, 2, 1}),
+                         [](const ::testing::TestParamInfo<std::array<int, 3>>& info) {
+                           const auto& d = info.param;
+                           return std::to_string(d[0]) + "x" + std::to_string(d[1]) + "x" +
+                                  std::to_string(d[2]);
+                         });
+
 TEST(Simulation, MomentumStaysNearZero) {
-  auto ps = random_uniform_particles(100, 1.0, 7);
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 16;
-  cfg.force.eps = 1e-3;
-  Simulation sim(cfg, ps, 0.0);
-  for (int s = 1; s <= 5; ++s) sim.step(s * 0.005);
+  const auto ps = random_uniform_particles(100, 1.0, 7);
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.eps = 1e-3;
   Vec3 net{};
-  for (const auto& p : sim.particles()) net += p.mom * p.mass;
+  for (const auto& p : run_sim(cfg, ps, steps_of(0.005, 5))) net += p.mom * p.mass;
   EXPECT_LT(net.norm(), 1e-4);
 }
 
@@ -209,19 +261,18 @@ TEST(Simulation, ComovingLinearGrowthMatchesEds) {
     ps[i].id = i;
   }
 
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 16;
-  cfg.force.theta = 0.4;
-  cfg.force.eps = 1e-3;
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.theta = 0.4;
+  cfg.eps = 1e-3;
   cfg.metric.comoving = true;
   cfg.metric.cosmology = cosmos;
-  Simulation sim(cfg, std::move(ps), zp.a_start);
 
-  auto power_at = [&](double kmax_frac) {
+  auto power_at = [&](std::span<const Particle> state, double kmax_frac) {
     analysis::PowerMeasureParams mp;
     mp.n_mesh = 16;
     mp.subtract_shot_noise = false;  // grid ICs carry no Poisson noise
-    const auto bins = analysis::measure_power(positions_of(sim.particles()), mp);
+    const auto bins = analysis::measure_power(positions_of(state), mp);
     double sum = 0;
     int cnt = 0;
     for (const auto& b : bins) {
@@ -234,29 +285,13 @@ TEST(Simulation, ComovingLinearGrowthMatchesEds) {
     return sum / std::max(cnt, 1);
   };
 
-  const double p0 = power_at(5);
+  const double p0 = power_at(ps, 5);
   const double a_end = 2.0 * zp.a_start;
-  const auto schedule = log_schedule(zp.a_start, a_end, 16);
-  for (std::size_t s = 1; s < schedule.size(); ++s) sim.step(schedule[s]);
-  sim.synchronize();
-  const double p1 = power_at(5);
+  const auto out = run_sim(cfg, ps, log_schedule(zp.a_start, a_end, 16));
+  const double p1 = power_at(out, 5);
 
   // D grows by 2x -> power by 4x (tolerate discreteness/shot effects).
   EXPECT_NEAR(p1 / p0, 4.0, 1.0);
-}
-
-TEST(Energy, TreePmPotentialTracksEwald) {
-  auto ps = random_uniform_particles(150, 1.0, 8);
-  TreePmParams params;
-  params.pm.n_mesh = 32;
-  TreePmForce force(params);
-  const double u_treepm = treepm_potential_energy(force, ps);
-  const ewald::Ewald ew;
-  const double u_exact = ewald_potential_energy(ew, ps, 0.0);
-  // For a near-uniform distribution U is a small difference of large
-  // cancelling terms; compare on the absolute scale of the per-particle
-  // binding energy sum (~ 0.5 * |Madelung| * sum m_i^2 ~ 0.01 here).
-  EXPECT_NEAR(u_treepm, u_exact, 0.005);
 }
 
 TEST(Particles, GeneratorsProduceRequestedMassAndCount) {
@@ -280,16 +315,12 @@ TEST(Simulation, IntegratorIsSecondOrder) {
     auto ps = random_uniform_particles(32, 1.0, 21);
     Rng rng(22);
     for (auto& p : ps) p.mom = {rng.normal() * 0.2, rng.normal() * 0.2, rng.normal() * 0.2};
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.theta = 0.0;  // exact walk: isolate the time-integration error
-    cfg.force.kernel = tree::KernelKind::kScalar;
-    cfg.force.eps = 0.02;
-    Simulation sim(cfg, std::move(ps), 0.0);
-    const double t_end = 0.08;
-    for (int s = 1; s <= nsteps; ++s) sim.step(t_end * s / nsteps);
-    sim.synchronize();
-    return std::vector<Particle>(sim.particles().begin(), sim.particles().end());
+    ParallelSimConfig cfg;
+    cfg.pm.n_mesh = 16;
+    cfg.theta = 0.0;  // exact walk: isolate the time-integration error
+    cfg.kernel = tree::KernelKind::kScalar;
+    cfg.eps = 0.02;
+    return run_sim(cfg, ps, linear_schedule(0.0, 0.08, nsteps));
   };
   const auto ref = make(64);
   const auto coarse = make(4);
@@ -334,39 +365,28 @@ TEST(Simulation, RestartFromSnapshotContinuesTrajectory) {
   // Run 6 steps straight vs 3 steps -> snapshot -> restart -> 3 steps:
   // the split run must track the continuous one to integrator accuracy
   // (the restart re-seeds the long-kick staggering, an O(dt^2) effect).
-  auto make_cfg = [] {
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.eps = 5e-3;
-    cfg.force.theta = 0.3;
-    return cfg;
-  };
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.eps = 5e-3;
+  cfg.theta = 0.3;
   auto ps = random_uniform_particles(100, 1.0, 31);
   Rng rng(32);
   for (auto& p : ps) p.mom = {rng.normal() * 0.1, rng.normal() * 0.1, rng.normal() * 0.1};
   const double dt = 1e-3;
 
-  Simulation full(make_cfg(), ps, 0.0);
-  for (int s = 1; s <= 6; ++s) full.step(s * dt);
-  full.synchronize();
-
-  Simulation first(make_cfg(), ps, 0.0);
-  for (int s = 1; s <= 3; ++s) first.step(s * dt);
-  first.synchronize();
+  const auto full = run_sim(cfg, ps, steps_of(dt, 6));
+  const auto first = run_sim(cfg, ps, steps_of(dt, 3));
   const std::string path = testing::TempDir() + "/restart.bin";
-  ASSERT_TRUE(io::write_snapshot(path, {0, first.clock(), 0.01, 0}, first.particles()));
+  ASSERT_TRUE(io::write_snapshot(path, {0, 3 * dt, 0.01, 0}, first));
 
   const auto snap = io::read_snapshot(path);
   ASSERT_TRUE(snap.has_value());
-  Simulation second(make_cfg(), snap->particles, snap->header.clock);
-  for (int s = 4; s <= 6; ++s) second.step(s * dt);
-  second.synchronize();
+  const auto second = run_sim(cfg, snap->particles, {3 * dt, 4 * dt, 5 * dt, 6 * dt});
 
-  const auto a = full.particles();
-  const auto b = second.particles();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(min_image(a[i].pos, b[i].pos).norm(), 1e-6);
-    EXPECT_LT((a[i].mom - b[i].mom).norm(), 1e-4);
+  ASSERT_EQ(full.size(), second.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_LT(min_image(full[i].pos, second[i].pos).norm(), 1e-6);
+    EXPECT_LT((full[i].mom - second[i].mom).norm(), 1e-4);
   }
 }
 
@@ -380,14 +400,11 @@ TEST_P(NsubSweep, SubcyclingCountsAgreeOnSmoothSystem) {
   for (auto& p : ps) p.mom = {rng.normal() * 0.05, rng.normal() * 0.05, rng.normal() * 0.05};
 
   auto run = [&](int nsub) {
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.eps = 5e-3;
+    ParallelSimConfig cfg;
+    cfg.pm.n_mesh = 16;
+    cfg.eps = 5e-3;
     cfg.nsub = nsub;
-    Simulation sim(cfg, ps, 0.0);
-    for (int s = 1; s <= 4; ++s) sim.step(s * 1e-3);
-    sim.synchronize();
-    return std::vector<Particle>(sim.particles().begin(), sim.particles().end());
+    return run_sim(cfg, ps, steps_of(1e-3, 4));
   };
   const auto ref = run(4);
   const auto got = run(GetParam());

@@ -69,6 +69,18 @@ TEST(Fft1d, RejectsNonPowerOfTwo) {
   EXPECT_THROW(Fft1d(0), std::invalid_argument);
 }
 
+TEST(NextPow2, RoundsUpAndThrowsWhenNothingFits) {
+  EXPECT_EQ(next_pow2(0), 1u);
+  EXPECT_EQ(next_pow2(1), 1u);
+  EXPECT_EQ(next_pow2(16), 16u);
+  EXPECT_EQ(next_pow2(17), 32u);
+  constexpr std::size_t top = ~(~std::size_t{0} >> 1);
+  EXPECT_EQ(next_pow2(top), top);
+  EXPECT_THROW(next_pow2(top + 1), std::overflow_error);
+  // A config value of -1 cast to size_t once made this loop forever.
+  EXPECT_THROW(next_pow2(static_cast<std::size_t>(-1L)), std::overflow_error);
+}
+
 TEST(Fft1d, StridedMatchesContiguous) {
   const std::size_t n = 32, stride = 5;
   Rng rng(3);

@@ -164,6 +164,42 @@ TEST(Config, RejectsMalformedLines) {
   EXPECT_THROW(cfg.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Config, TypedGettersRejectHostileValues) {
+  // Each value here once reached greem_run: "abc" and "maybe" aborted it
+  // with an uncaught exception, "16abc" was read as 16.
+  const auto cfg = Config::parse_string(R"(
+n_per_dim = abc
+trailing = 16abc
+fof = maybe
+huge = 99999999999999999999999
+ratio = 2.5x
+big = 1e999
+nan = nan
+inf = -inf
+empty =
+neg = -1
+)");
+  EXPECT_THROW(cfg.get_int("n_per_dim", 16), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("trailing", 16), std::invalid_argument);
+  EXPECT_THROW(cfg.get_bool("fof", true), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("huge", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("ratio", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("big", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("nan", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("inf", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_double("empty", 0), std::invalid_argument);
+  // Syntactically valid: range checks are the caller's (greem_run rejects
+  // n_per_dim = -1; it once hung in next_pow2).
+  EXPECT_EQ(cfg.get_int("neg", 0), -1);
+  EXPECT_DOUBLE_EQ(cfg.get_double("neg", 0), -1.0);
+  try {
+    cfg.get_int("trailing", 16);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Config, UnknownKeysDetectsTypos) {
   const auto cfg = Config::parse_string("n_mesh = 8\nn_meshh = 9\n");
   const auto unknown = cfg.unknown_keys({"n_mesh"});

@@ -280,16 +280,6 @@ TEST(Kernels, NewtonSkipsExactSelfWithZeroSoftening) {
   EXPECT_DOUBLE_EQ(acc[0].x, 0.0);
 }
 
-TEST(Kernels, PotentialMatchesAnalyticPair) {
-  InteractionList list;
-  list.add({0.25, 0.0, 0.0}, 3.0);
-  const std::vector<Vec3> xi{{0.0, 0.0, 0.0}};
-  std::vector<double> pot(1, 0.0);
-  const double rcut = 1.0;
-  pp_potential_scalar(xi, pot, list, rcut, 0.0);
-  EXPECT_NEAR(pot[0], -3.0 * h_p3m(0.5) / 0.25, 1e-9);
-}
-
 TEST(Kernels, SofteningRegularizesCloseEncounters) {
   InteractionList list;
   list.add({1e-8, 0.0, 0.0}, 1.0);

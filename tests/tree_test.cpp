@@ -21,7 +21,6 @@
 #include "tree/octree.hpp"
 #include "tree/traversal.hpp"
 #include "tree/walk.hpp"
-#include "pp/cutoff.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -511,39 +510,6 @@ TEST(Traversal, BitwiseDeterministicAcrossPoolSizes) {
   set_num_threads(1);
 }
 
-
-TEST(Traversal, TreePotentialsMatchDirectPairSum) {
-  const auto pos = random_positions(300, 41);
-  std::vector<double> mass(pos.size(), 1.0 / 300);
-  const double rcut = 0.12;
-
-  // Direct reference: -m h(2r/rcut)/r over min-image pairs within rcut.
-  std::vector<double> ref(pos.size(), 0.0);
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    for (std::size_t j = 0; j < pos.size(); ++j) {
-      if (i == j) continue;
-      const double r = min_image(pos[i], pos[j]).norm();
-      if (r >= rcut || r == 0.0) continue;
-      ref[i] -= mass[j] * pp::h_p3m(2.0 * r / rcut) / r;
-    }
-
-  Octree tree(pos, mass);
-  TraversalParams tp;
-  tp.theta = 0.0;  // exact walk
-  tp.rcut = rcut;
-  tp.ncrit = 32;
-  tp.eps2 = 0.0;
-  tp.kernel = KernelKind::kScalar;
-  std::vector<Vec3> images;
-  for (int x = -1; x <= 1; ++x)
-    for (int y = -1; y <= 1; ++y)
-      for (int z = -1; z <= 1; ++z) images.emplace_back(x, y, z);
-  std::vector<double> pot(pos.size(), 0.0);
-  const auto stats = tree_potentials(tree, tp, pot, images);
-  EXPECT_GT(stats.interactions, 0u);
-  for (std::size_t i = 0; i < pos.size(); ++i)
-    EXPECT_NEAR(pot[i], ref[i], 1e-6 * std::max(1.0, std::abs(ref[i])));
-}
 
 TEST(GroupCosts, SumToTraversalStats) {
   // Locals followed by "ghosts" (sources beyond n_targets), the parallel
