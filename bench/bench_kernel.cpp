@@ -29,6 +29,7 @@ struct Workload {
   std::vector<Vec3> xi;
   std::vector<Vec3> acc;
   pp::InteractionList list;
+  std::size_t nj = 0;  ///< sources before pad4(), as the step counts them
   double rcut = 0.3;
   double eps2 = 1e-8;
 };
@@ -38,6 +39,7 @@ Workload make_workload(std::size_t ni, std::size_t nj) {
   Workload w;
   w.xi.resize(ni);
   w.acc.resize(ni);
+  w.nj = nj;
   for (auto& p : w.xi) p = {rng.uniform(), rng.uniform(), rng.uniform()};
   for (std::size_t j = 0; j < nj; ++j)
     w.list.add({rng.uniform(), rng.uniform(), rng.uniform()}, 1.0 / static_cast<double>(nj));
@@ -88,19 +90,6 @@ BENCHMARK(BM_PhantomVariant)
     ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx2))
     ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx512));
 
-void BM_PhantomKernelSP(benchmark::State& state) {
-  // Single-precision variant (the x86 Phantom-GRAPE arithmetic).
-  const auto ni = static_cast<std::size_t>(state.range(0));
-  const std::size_t nj = 2048;
-  auto w = make_workload(ni, nj);
-  for (auto _ : state) {
-    pp::pp_kernel_phantom_sp(w.xi, w.acc, w.list, w.rcut, w.eps2);
-    benchmark::DoNotOptimize(w.acc.data());
-  }
-  report_flops(state, ni, w.list.size(), pp::kFlopsPerInteraction);
-}
-BENCHMARK(BM_PhantomKernelSP)->Arg(128)->Arg(512);
-
 void BM_ScalarKernel(benchmark::State& state) {
   const auto ni = static_cast<std::size_t>(state.range(0));
   const std::size_t nj = 2048;
@@ -139,15 +128,15 @@ void BM_NSquaredKernel(benchmark::State& state) {
 BENCHMARK(BM_NSquaredKernel)->Arg(1024)->Arg(4096);
 
 /// Best-of-3 interaction rate of one variant on a fixed workload.
-double measure_rate(pp::PhantomVariant v, Workload& w) {
+double measure_rate(pp::PhantomVariant v, Workload& w, double seconds = 0.2) {
   using clock = std::chrono::steady_clock;
-  const double n_inter = static_cast<double>(w.xi.size()) * static_cast<double>(w.list.size());
+  const double n_inter = static_cast<double>(w.xi.size()) * static_cast<double>(w.nj);
   double best = 0;
   for (int rep = 0; rep < 3; ++rep) {
     std::size_t iters = 0;
     const auto t0 = clock::now();
     double elapsed = 0;
-    while (elapsed < 0.2) {
+    while (elapsed < seconds) {
       pp::pp_kernel_phantom_variant(v, w.xi, w.acc, w.list, w.rcut, w.eps2);
       benchmark::DoNotOptimize(w.acc.data());
       ++iters;
@@ -159,7 +148,7 @@ double measure_rate(pp::PhantomVariant v, Workload& w) {
 }
 
 void write_kernel_json(const char* path) {
-  constexpr std::size_t ni = 512, nj = 2048;
+  constexpr std::size_t ni = 512, nj = 2048, kStepNj = 977;
   auto w = make_workload(ni, nj);
 
   constexpr pp::PhantomVariant kVariants[] = {
@@ -195,6 +184,22 @@ void write_kernel_json(const char* path) {
     jw.field("gflops", rate[k] * pp::kFlopsPerInteraction * 1e-9);
     jw.field("speedup_vs_scalar", scalar > 0 ? rate[k] / scalar : 0.0);
     jw.field("speedup_vs_basic", basic > 0 ? rate[k] / basic : 0.0);
+    jw.end_object();
+  }
+  jw.end_array();
+  // The dispatched kernel at the step's shape: the traced clustered
+  // replay's group means (<Ni>, <Nj>) = (19, 977), and ni = 1..8 at the same
+  // list length.  Against the (512, 2048) rate above these price what one
+  // call costs besides its interactions: the list set-up and the ni % 4 tail.
+  jw.key("step_shape").begin_array();
+  for (const std::size_t shape_ni : {19, 1, 2, 3, 4, 5, 6, 7, 8}) {
+    auto sw = make_workload(shape_ni, kStepNj);
+    const double r = measure_rate(pp::phantom_dispatch(), sw, 0.1);
+    jw.begin_object();
+    jw.field("ni", shape_ni);
+    jw.field("nj", kStepNj);
+    jw.field("interactions_per_s", r);
+    jw.field("gflops", r * pp::kFlopsPerInteraction * 1e-9);
     jw.end_object();
   }
   jw.end_array();

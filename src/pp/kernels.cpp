@@ -45,6 +45,7 @@ void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
       const double dy = list.y[j] - pi.y;
       const double dz = list.z[j] - pi.z;
       const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      if (r2 == 0.0) continue;  // exact self-interaction with eps = 0
       const double rinv = 1.0 / std::sqrt(r2);
       const double r = r2 * rinv;
       const double g = g_p3m(r * two_over_rcut);

@@ -7,10 +7,12 @@
 // target particles, applying the gP3M cutoff (eq. 3) and an approximate
 // reciprocal square root refined to ~24-bit accuracy by the paper's
 // third-order iteration  y1 = y0 (1 + h/2 + 3 h^2 / 8),  h = 1 - x y0^2.
+// On AVX-512 it does the pair arithmetic in float instead, as the x86
+// Phantom-GRAPE does, and accumulates in double.
 //
 // Flop accounting follows the paper: 51 floating-point operations per
 // pairwise interaction (§II-A), used by the benchmarks to convert
-// interaction counts into a flop rate.
+// interaction counts into a flop rate, whatever the kernel's precision.
 
 #include <array>
 #include <cstdint>
@@ -48,28 +50,33 @@ struct InteractionList {
 };
 
 /// Scalar reference kernel with exact arithmetic (1/sqrt), gP3M cutoff.
-/// Adds accelerations of targets `xi` into `acc`.  Requires eps2 > 0 if a
-/// target coincides with a source (self-interactions contribute zero force).
+/// Adds accelerations of targets `xi` into `acc`.  A pair with r2 == 0 (a
+/// target coinciding with a source at eps2 = 0) contributes exactly zero.
 void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
                       const InteractionList& list, double rcut, double eps2);
 
 /// Optimized batched kernel ("phantom"): approximate rsqrt, branchless
-/// cutoff clamp, register-blocked SIMD loop.  Same contract as
+/// cutoff clamp, register-blocked SIMD loop.  Same r2 == 0 rule as
 /// pp_kernel_scalar; `list` must be pad4()-ed.
 ///
 /// This is a runtime-dispatched shim: it routes to the fastest
 /// implementation the CPU supports (see PhantomVariant), overridable with
 /// the GREEM_KERNEL environment variable (read once per process) or
-/// set_phantom_variant().  Every variant stays within the documented
-/// ~24-bit rsqrt tolerance of pp_kernel_scalar.
+/// set_phantom_variant().  The accuracy contract is per variant:
+///   - the double variants (basic, blocked, avx2) keep the paper's ~24-bit
+///     rsqrt: within 5e-7 x max(1, |a|) of pp_kernel_scalar;
+///   - avx512 does the pair arithmetic in float, on coordinates relative to
+///     xi[0], and accumulates in double: within 1e-4 x max(1, |a|) on the
+///     compact groups the tree walk forms (median ~3e-7).
 ///
-/// A target's last bits depend on its slot in `xi`: the blocked variants
-/// evaluate whole 4-target blocks and hand the ni % 4 tail to the 1i x 4j
-/// basic loop, whose summation order (and, on the SIMD variants, rsqrt
-/// seed) differs from the block's.  The result is deterministic for
-/// a given `xi`, but compacting or reordering the targets (for example,
-/// dropping a group's ghost members) can move the same target between a
-/// block and the tail and change it within the tolerance.
+/// A target's last bits depend on its slot in `xi` on the double blocked
+/// variants: they evaluate whole 4-target blocks and hand the ni % 4 tail
+/// to the 1i x 4j basic loop, whose summation order (and, on avx2, rsqrt
+/// seed) differs from the block's.  avx512 runs the tail through the block
+/// code, so there a target's result depends only on itself and xi[0].
+/// Either way the result is deterministic for a given `xi`, but compacting
+/// or reordering the targets (for example, dropping a group's ghost
+/// members) can change a target within the tolerance.
 void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
                        const InteractionList& list, double rcut, double eps2);
 
@@ -82,9 +89,11 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///                     paper (four targets share every j-lane load)
 ///   kBlockedAvx2   -- 4i x 4j AVX2+FMA intrinsics, rsqrt seed from
 ///                     _mm_rsqrt_ps + the paper's third-order step
-///   kBlockedAvx512 -- 4i x 8j AVX-512 intrinsics, _mm512_rsqrt14_pd
-///                     seed (the software analog of HPC-ACE frsqrta)
-///                     + the paper's third-order step
+///   kBlockedAvx512 -- 4i x 16j mixed-precision AVX-512 intrinsics: float
+///                     pair arithmetic relative to xi[0] with a
+///                     _mm512_rsqrt14_ps seed (the software analog of
+///                     HPC-ACE frsqrta) + one Newton step, double
+///                     accumulation across 512-entry j-blocks
 enum class PhantomVariant { kAuto, kScalar, kBasic, kBlocked, kBlockedAvx2, kBlockedAvx512 };
 
 /// True if `v` can execute on this CPU/build.
@@ -108,14 +117,6 @@ void set_phantom_variant(PhantomVariant v);
 void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
                                std::span<Vec3> acc, const InteractionList& list,
                                double rcut, double eps2);
-
-/// Single-precision variant of the phantom kernel, the arithmetic of the
-/// x86 Phantom-GRAPE builds (the K-computer port runs double): coordinates
-/// are shifted to the group's first target before the float conversion to
-/// preserve relative precision, and accumulation stays in double.
-/// Relative accuracy ~1e-5; `list` must be pad4()-ed.
-void pp_kernel_phantom_sp(std::span<const Vec3> xi, std::span<Vec3> acc,
-                          const InteractionList& list, double rcut, double eps2);
 
 /// Plain Newtonian kernel (no cutoff) for the pure-tree / direct baselines.
 void pp_kernel_newton(std::span<const Vec3> xi, std::span<Vec3> acc,

@@ -1,5 +1,6 @@
 #include "pp/kernels.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,10 +18,10 @@
 // optimizations are in-contract here and only here.
 //
 // Layout of this file: the scalar rsqrt, the basic (1i x 4j) kernel, the
-// portable blocked (4i x 4j) kernel, the AVX2 and AVX-512 intrinsic
-// kernels (paper §II-A: register blocking so four i-particles share every
-// j-lane load -- the HPC-ACE code holds the same 4x4 tile in registers),
-// and the runtime dispatch shim at the bottom.
+// portable blocked (4i x 4j) kernel, the AVX2 (double) and AVX-512 (mixed
+// precision) intrinsic kernels (paper §II-A: register blocking so four
+// i-particles share every j-lane load -- the HPC-ACE code holds the same
+// 4x4 tile in registers), and the runtime dispatch shim at the bottom.
 
 namespace greem::pp {
 
@@ -43,7 +44,7 @@ namespace {
 
 // The pre-blocking kernel: one target at a time, 4-wide j-lane loop the
 // compiler keeps in SIMD registers.  Retained as the portable baseline of
-// the dispatch table and as the i-tail handler of the blocked kernels.
+// the dispatch table and as the i-tail handler of the double blocked kernels.
 void kernel_basic(std::span<const Vec3> xi, std::span<Vec3> acc,
                   const InteractionList& list, double rcut, double eps2) {
   const double two_over_rcut = 2.0 / rcut;
@@ -76,6 +77,8 @@ void kernel_basic(std::span<const Vec3> xi, std::span<Vec3> acc,
             q * q * (8.0 / 5.0 + q * (-1.0 / 2.0 + q * (-12.0 / 35.0 + q * (3.0 / 20.0))));
         const double g =
             1.0 + q * q * q * poly - z6 * (3.0 / 35.0 + q * (18.0 / 35.0 + q * (1.0 / 5.0)));
+        // At r2 == 0 (a self pair at eps = 0) the bit-trick seed stays
+        // finite and dx = 0, so the pair contributes exactly zero.
         const double f = jm[j + l] * g * (y0 * y0 * y0);
         fx[l] = f * dx;
         fy[l] = f * dy;
@@ -157,7 +160,10 @@ void kernel_blocked(std::span<const Vec3> xi, std::span<Vec3> acc,
 __attribute__((target("avx2,fma")))
 inline __m256d cutoff_force_avx2(__m256d r2, __m256d mj, __m256d two_over_rcut) {
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d y0 = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(r2)));
+  // r2 == 0 (a self pair at eps = 0) has an infinite seed: zero it, which
+  // zeroes the pair's force exactly and leaves every other lane's bits.
+  const __m256d y0 = _mm256_and_pd(_mm256_cmp_pd(r2, _mm256_setzero_pd(), _CMP_GT_OQ),
+                                   _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(r2))));
   const __m256d h0 = _mm256_fnmadd_pd(_mm256_mul_pd(r2, y0), y0, one);
   const __m256d y1 = _mm256_mul_pd(
       y0, _mm256_fmadd_pd(
@@ -246,117 +252,136 @@ void kernel_blocked_avx2(std::span<const Vec3> xi, std::span<Vec3> acc,
 }
 
 // -------------------------------------------------------------- AVX-512 --
-// 4i x 8j tile in zmm registers, j unrolled by two chunks.  rsqrt seed:
-// _mm512_rsqrt14_pd (14-bit hardware estimate -- the direct analog of the
-// paper's frsqrta) + the third-order step: error ~2^-42.
+// Mixed precision, the arithmetic of the x86 Phantom-GRAPE builds (the
+// K-computer port runs double only because HPC-ACE has no wider float
+// SIMD): pair arithmetic in float on 4i x 16j tiles (the ni % 4 tail on a
+// 1-3i tile of the same code), accumulation in double.  The list is
+// converted once per call, in stack-resident j-blocks, to float coordinates
+// relative to xi[0], so a pair separation keeps float's relative precision
+// at the group's scale rather than the box's.  Lane partial sums stay in
+// float within a block and are reduced into double across blocks.  rsqrt
+// seed: _mm512_rsqrt14_ps (14-bit, the hardware estimate HPC-ACE's frsqrta
+// stands for) + one Newton step, which reaches float's own rounding.
+
+constexpr std::size_t kJBlock = 512;  // 8 KB of float SoA per j-block
 
 __attribute__((target("avx512f")))
-inline __m512d cutoff_force_avx512(__m512d r2, __m512d mj, __m512d two_over_rcut) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d y0 = _mm512_rsqrt14_pd(r2);
-  const __m512d h0 = _mm512_fnmadd_pd(_mm512_mul_pd(r2, y0), y0, one);
-  const __m512d y1 = _mm512_mul_pd(
-      y0, _mm512_fmadd_pd(
-              h0, _mm512_fmadd_pd(h0, _mm512_set1_pd(0.375), _mm512_set1_pd(0.5)), one));
-  __m512d q = _mm512_mul_pd(_mm512_mul_pd(r2, y1), two_over_rcut);
-  q = _mm512_min_pd(q, _mm512_set1_pd(2.0));
-  const __m512d zeta = _mm512_max_pd(_mm512_sub_pd(q, one), _mm512_setzero_pd());
-  const __m512d z2 = _mm512_mul_pd(zeta, zeta);
-  const __m512d z6 = _mm512_mul_pd(_mm512_mul_pd(z2, z2), z2);
-  const __m512d q2 = _mm512_mul_pd(q, q);
-  __m512d poly = _mm512_fmadd_pd(q, _mm512_set1_pd(3.0 / 20.0), _mm512_set1_pd(-12.0 / 35.0));
-  poly = _mm512_fmadd_pd(q, poly, _mm512_set1_pd(-0.5));
-  poly = _mm512_fmadd_pd(q, poly, _mm512_set1_pd(8.0 / 5.0));
-  poly = _mm512_fmadd_pd(q2, poly, _mm512_set1_pd(-8.0 / 5.0));
-  __m512d zp = _mm512_fmadd_pd(q, _mm512_set1_pd(1.0 / 5.0), _mm512_set1_pd(18.0 / 35.0));
-  zp = _mm512_fmadd_pd(q, zp, _mm512_set1_pd(3.0 / 35.0));
-  __m512d g = _mm512_fmadd_pd(_mm512_mul_pd(q2, q), poly, one);
-  g = _mm512_fnmadd_pd(z6, zp, g);
-  return _mm512_mul_pd(_mm512_mul_pd(mj, g), _mm512_mul_pd(_mm512_mul_pd(y1, y1), y1));
+inline __m512 cutoff_force_mixed(__m512 r2, __m512 mj, __m512 two_over_rcut) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512 y0 = _mm512_rsqrt14_ps(r2);
+  const __m512 h0 = _mm512_fnmadd_ps(_mm512_mul_ps(r2, y0), y0, one);
+  const __m512 y1 = _mm512_fmadd_ps(_mm512_mul_ps(y0, h0), _mm512_set1_ps(0.5f), y0);
+  const __m512 q = _mm512_mul_ps(_mm512_mul_ps(r2, y1), two_over_rcut);
+  // Only pairs with 0 < r < rcut contribute: r2 == 0 (a self pair at
+  // eps = 0, whose rsqrt is infinite) and q >= 2 (beyond the cutoff, where
+  // float leaves a residue in the polynomial) are masked to exact zeros.
+  const __mmask16 live = _mm512_mask_cmp_ps_mask(
+      _mm512_cmp_ps_mask(r2, _mm512_setzero_ps(), _CMP_GT_OQ), q, two, _CMP_LT_OQ);
+  const __m512 zeta = _mm512_max_ps(_mm512_sub_ps(q, one), _mm512_setzero_ps());
+  const __m512 z2 = _mm512_mul_ps(zeta, zeta);
+  const __m512 z6 = _mm512_mul_ps(_mm512_mul_ps(z2, z2), z2);
+  const __m512 q2 = _mm512_mul_ps(q, q);
+  __m512 poly = _mm512_fmadd_ps(q, _mm512_set1_ps(3.0f / 20.0f), _mm512_set1_ps(-12.0f / 35.0f));
+  poly = _mm512_fmadd_ps(q, poly, _mm512_set1_ps(-0.5f));
+  poly = _mm512_fmadd_ps(q, poly, _mm512_set1_ps(8.0f / 5.0f));
+  poly = _mm512_fmadd_ps(q2, poly, _mm512_set1_ps(-8.0f / 5.0f));
+  __m512 zp = _mm512_fmadd_ps(q, _mm512_set1_ps(1.0f / 5.0f), _mm512_set1_ps(18.0f / 35.0f));
+  zp = _mm512_fmadd_ps(q, zp, _mm512_set1_ps(3.0f / 35.0f));
+  __m512 g = _mm512_fmadd_ps(_mm512_mul_ps(q2, q), poly, one);
+  g = _mm512_fnmadd_ps(z6, zp, g);
+  return _mm512_maskz_mul_ps(live, _mm512_mul_ps(mj, g),
+                             _mm512_mul_ps(_mm512_mul_ps(y1, y1), y1));
+}
+
+/// Sum of the 16 float lanes, widened to double before the first add.
+__attribute__((target("avx512f")))
+inline double reduce_ps_in_pd(__m512 v) {
+  const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
+  const __m512d hi =
+      _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)));
+  return _mm512_reduce_add_pd(_mm512_add_pd(lo, hi));
+}
+
+/// One j-block of the list in float, relative to the group origin, padded
+/// to whole 16-lane chunks.  Lives on the kernel's stack.
+struct MixedBlock {
+  alignas(64) float x[kJBlock], y[kJBlock], z[kJBlock], m[kJBlock];
+  std::size_t n16 = 0;
+};
+
+/// NI targets (NI <= 4) against one j-block; the sums are added into
+/// acc[0..NI).  A target runs the same operations whatever NI is, so the
+/// ni % 4 tail gets the bits it would get inside a 4-target tile.
+template <int NI>
+__attribute__((target("avx512f"))) inline void mixed_tile(const MixedBlock& blk,
+                                                         const Vec3* xi, Vec3* acc,
+                                                         const Vec3& origin, __m512 veps2,
+                                                         __m512 two_over_rcut) {
+  __m512 px[NI], py[NI], pz[NI], ax[NI], ay[NI], az[NI];
+  for (int b = 0; b < NI; ++b) {
+    px[b] = _mm512_set1_ps(static_cast<float>(xi[b].x - origin.x));
+    py[b] = _mm512_set1_ps(static_cast<float>(xi[b].y - origin.y));
+    pz[b] = _mm512_set1_ps(static_cast<float>(xi[b].z - origin.z));
+    ax[b] = ay[b] = az[b] = _mm512_setzero_ps();
+  }
+  for (std::size_t j = 0; j < blk.n16; j += 16) {
+    const __m512 xj = _mm512_load_ps(blk.x + j);
+    const __m512 yj = _mm512_load_ps(blk.y + j);
+    const __m512 zj = _mm512_load_ps(blk.z + j);
+    const __m512 mj = _mm512_load_ps(blk.m + j);
+    for (int b = 0; b < NI; ++b) {
+      const __m512 dx = _mm512_sub_ps(xj, px[b]);
+      const __m512 dy = _mm512_sub_ps(yj, py[b]);
+      const __m512 dz = _mm512_sub_ps(zj, pz[b]);
+      __m512 r2 = _mm512_fmadd_ps(dx, dx, veps2);
+      r2 = _mm512_fmadd_ps(dy, dy, r2);
+      r2 = _mm512_fmadd_ps(dz, dz, r2);
+      const __m512 f = cutoff_force_mixed(r2, mj, two_over_rcut);
+      ax[b] = _mm512_fmadd_ps(f, dx, ax[b]);
+      ay[b] = _mm512_fmadd_ps(f, dy, ay[b]);
+      az[b] = _mm512_fmadd_ps(f, dz, az[b]);
+    }
+  }
+  for (int b = 0; b < NI; ++b)
+    acc[b] += Vec3{reduce_ps_in_pd(ax[b]), reduce_ps_in_pd(ay[b]), reduce_ps_in_pd(az[b])};
 }
 
 __attribute__((target("avx512f")))
 void kernel_blocked_avx512(std::span<const Vec3> xi, std::span<Vec3> acc,
                            const InteractionList& list, double rcut, double eps2) {
-  const __m512d two_over_rcut = _mm512_set1_pd(2.0 / rcut);
-  const __m512d veps2 = _mm512_set1_pd(eps2);
-  const std::size_t nj = list.size();
-  const double* jx = list.x.data();
-  const double* jy = list.y.data();
-  const double* jz = list.z.data();
-  const double* jm = list.m.data();
-
   const std::size_t ni = xi.size();
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= ni; i0 += 4) {
-    const __m512d p0x = _mm512_set1_pd(xi[i0 + 0].x), p0y = _mm512_set1_pd(xi[i0 + 0].y),
-                  p0z = _mm512_set1_pd(xi[i0 + 0].z);
-    const __m512d p1x = _mm512_set1_pd(xi[i0 + 1].x), p1y = _mm512_set1_pd(xi[i0 + 1].y),
-                  p1z = _mm512_set1_pd(xi[i0 + 1].z);
-    const __m512d p2x = _mm512_set1_pd(xi[i0 + 2].x), p2y = _mm512_set1_pd(xi[i0 + 2].y),
-                  p2z = _mm512_set1_pd(xi[i0 + 2].z);
-    const __m512d p3x = _mm512_set1_pd(xi[i0 + 3].x), p3y = _mm512_set1_pd(xi[i0 + 3].y),
-                  p3z = _mm512_set1_pd(xi[i0 + 3].z);
-    __m512d a0x = _mm512_setzero_pd(), a0y = a0x, a0z = a0x;
-    __m512d a1x = a0x, a1y = a0x, a1z = a0x;
-    __m512d a2x = a0x, a2y = a0x, a2z = a0x;
-    __m512d a3x = a0x, a3y = a0x, a3z = a0x;
-#define GREEM_AVX512_ONE_I(PX, PY, PZ, AX, AY, AZ)                       \
-      {                                                                  \
-        const __m512d dx = _mm512_sub_pd(xj, PX);                        \
-        const __m512d dy = _mm512_sub_pd(yj, PY);                        \
-        const __m512d dz = _mm512_sub_pd(zj, PZ);                        \
-        __m512d r2 = _mm512_fmadd_pd(dx, dx, veps2);                     \
-        r2 = _mm512_fmadd_pd(dy, dy, r2);                                \
-        r2 = _mm512_fmadd_pd(dz, dz, r2);                                \
-        const __m512d f = cutoff_force_avx512(r2, mj, two_over_rcut);    \
-        AX = _mm512_fmadd_pd(f, dx, AX);                                 \
-        AY = _mm512_fmadd_pd(f, dy, AY);                                 \
-        AZ = _mm512_fmadd_pd(f, dz, AZ);                                 \
-      }
-#define GREEM_AVX512_TILE(J)                                             \
-      {                                                                  \
-        const __m512d xj = _mm512_loadu_pd(jx + (J));                    \
-        const __m512d yj = _mm512_loadu_pd(jy + (J));                    \
-        const __m512d zj = _mm512_loadu_pd(jz + (J));                    \
-        const __m512d mj = _mm512_loadu_pd(jm + (J));                    \
-        GREEM_AVX512_ONE_I(p0x, p0y, p0z, a0x, a0y, a0z)                 \
-        GREEM_AVX512_ONE_I(p1x, p1y, p1z, a1x, a1y, a1z)                 \
-        GREEM_AVX512_ONE_I(p2x, p2y, p2z, a2x, a2y, a2z)                 \
-        GREEM_AVX512_ONE_I(p3x, p3y, p3z, a3x, a3y, a3z)                 \
-      }
-    std::size_t j = 0;
-    for (; j + 16 <= nj; j += 16) {  // two chunks in flight per iteration
-      GREEM_AVX512_TILE(j)
-      GREEM_AVX512_TILE(j + 8)
+  if (ni == 0) return;
+  const Vec3 origin = xi[0];
+  const __m512 two_over_rcut = _mm512_set1_ps(static_cast<float>(2.0 / rcut));
+  const __m512 veps2 = _mm512_set1_ps(static_cast<float>(eps2));
+  const std::size_t nj = list.size();
+
+  MixedBlock blk;
+  for (std::size_t jb = 0; jb < nj; jb += kJBlock) {
+    const std::size_t n = std::min(kJBlock, nj - jb);
+    for (std::size_t k = 0; k < n; ++k) {
+      blk.x[k] = static_cast<float>(list.x[jb + k] - origin.x);
+      blk.y[k] = static_cast<float>(list.y[jb + k] - origin.y);
+      blk.z[k] = static_cast<float>(list.z[jb + k] - origin.z);
+      blk.m[k] = static_cast<float>(list.m[jb + k]);
     }
-    for (; j + 8 <= nj; j += 8) GREEM_AVX512_TILE(j)
-    if (j < nj) {
-      // pad4() guarantees a multiple of 4: one masked half-width chunk.
-      const __mmask8 m4 = 0x0f;
-      const __m512d xj = _mm512_maskz_loadu_pd(m4, jx + j);
-      const __m512d yj = _mm512_maskz_loadu_pd(m4, jy + j);
-      const __m512d zj = _mm512_maskz_loadu_pd(m4, jz + j);
-      // Upper lanes: zero mass at zero distance would divide by eps2 only;
-      // zero mass makes them force-neutral exactly as pad4 entries are.
-      const __m512d mj = _mm512_maskz_loadu_pd(m4, jm + j);
-      GREEM_AVX512_ONE_I(p0x, p0y, p0z, a0x, a0y, a0z)
-      GREEM_AVX512_ONE_I(p1x, p1y, p1z, a1x, a1y, a1z)
-      GREEM_AVX512_ONE_I(p2x, p2y, p2z, a2x, a2y, a2z)
-      GREEM_AVX512_ONE_I(p3x, p3y, p3z, a3x, a3y, a3z)
+    // Far-away massless sources fill the last chunk.
+    blk.n16 = (n + 15) & ~std::size_t{15};
+    for (std::size_t k = n; k < blk.n16; ++k) {
+      blk.x[k] = blk.y[k] = blk.z[k] = 1.0e9f;
+      blk.m[k] = 0.0f;
     }
-#undef GREEM_AVX512_TILE
-#undef GREEM_AVX512_ONE_I
-    acc[i0 + 0] += Vec3{_mm512_reduce_add_pd(a0x), _mm512_reduce_add_pd(a0y),
-                        _mm512_reduce_add_pd(a0z)};
-    acc[i0 + 1] += Vec3{_mm512_reduce_add_pd(a1x), _mm512_reduce_add_pd(a1y),
-                        _mm512_reduce_add_pd(a1z)};
-    acc[i0 + 2] += Vec3{_mm512_reduce_add_pd(a2x), _mm512_reduce_add_pd(a2y),
-                        _mm512_reduce_add_pd(a2z)};
-    acc[i0 + 3] += Vec3{_mm512_reduce_add_pd(a3x), _mm512_reduce_add_pd(a3y),
-                        _mm512_reduce_add_pd(a3z)};
+    std::size_t i = 0;
+    for (; i + 4 <= ni; i += 4)
+      mixed_tile<4>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut);
+    switch (ni - i) {
+      case 3: mixed_tile<3>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
+      case 2: mixed_tile<2>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
+      case 1: mixed_tile<1>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
+      default: break;
+    }
   }
-  if (i0 < ni) kernel_basic(xi.subspan(i0), acc.subspan(i0), list, rcut, eps2);
 }
 
 #endif  // GREEM_X86_KERNELS
@@ -461,66 +486,6 @@ void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
 void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
                        const InteractionList& list, double rcut, double eps2) {
   pp_kernel_phantom_variant(g_variant, xi, acc, list, rcut, eps2);
-}
-
-
-void pp_kernel_phantom_sp(std::span<const Vec3> xi, std::span<Vec3> acc,
-                          const InteractionList& list, double rcut, double eps2) {
-  if (xi.empty()) return;
-  const std::size_t nj = list.size();
-  // Shift to a group-local origin so float coordinates keep ~7 digits of
-  // *relative* position; pair separations are differences of nearby values.
-  const Vec3 origin = xi[0];
-  std::vector<float> jx(nj), jy(nj), jz(nj), jm(nj);
-  for (std::size_t j = 0; j < nj; ++j) {
-    jx[j] = static_cast<float>(list.x[j] - origin.x);
-    jy[j] = static_cast<float>(list.y[j] - origin.y);
-    jz[j] = static_cast<float>(list.z[j] - origin.z);
-    jm[j] = static_cast<float>(list.m[j]);
-  }
-  const float two_over_rcut = static_cast<float>(2.0 / rcut);
-  const float feps2 = static_cast<float>(eps2);
-
-  for (std::size_t i = 0; i < xi.size(); ++i) {
-    const float pix = static_cast<float>(xi[i].x - origin.x);
-    const float piy = static_cast<float>(xi[i].y - origin.y);
-    const float piz = static_cast<float>(xi[i].z - origin.z);
-    float ax = 0, ay = 0, az = 0;
-    for (std::size_t j = 0; j < nj; j += 4) {
-      float fx[4], fy[4], fz[4];
-      for (int l = 0; l < 4; ++l) {
-        const float dx = jx[j + l] - pix;
-        const float dy = jy[j + l] - piy;
-        const float dz = jz[j + l] - piz;
-        const float r2 = dx * dx + dy * dy + dz * dz + feps2;
-        // Bit-trick seed + one Newton + one third-order step (float).
-        const auto bits = std::bit_cast<std::uint32_t>(r2);
-        float y0 = std::bit_cast<float>(std::uint32_t{0x5f3759df} - (bits >> 1));
-        y0 *= 1.5f - 0.5f * r2 * y0 * y0;
-        const float h0 = 1.0f - r2 * y0 * y0;
-        const float y1 = y0 * (1.0f + h0 * (0.5f + h0 * 0.375f));
-        const float r = r2 * y1;
-        float q = r * two_over_rcut;
-        q = q < 2.0f ? q : 2.0f;
-        const float zeta = q > 1.0f ? q - 1.0f : 0.0f;
-        const float z2 = zeta * zeta;
-        const float z6 = z2 * z2 * z2;
-        const float poly =
-            -1.6f + q * q * (1.6f + q * (-0.5f + q * (-12.0f / 35.0f + q * 0.15f)));
-        const float g = 1.0f + q * q * q * poly -
-                        z6 * (3.0f / 35.0f + q * (18.0f / 35.0f + q * 0.2f));
-        const float f = jm[j + l] * g * (y1 * y1 * y1);
-        fx[l] = f * dx;
-        fy[l] = f * dy;
-        fz[l] = f * dz;
-      }
-      ax += (fx[0] + fx[1]) + (fx[2] + fx[3]);
-      ay += (fy[0] + fy[1]) + (fy[2] + fy[3]);
-      az += (fz[0] + fz[1]) + (fz[2] + fz[3]);
-    }
-    acc[i] += Vec3{static_cast<double>(ax), static_cast<double>(ay),
-                   static_cast<double>(az)};
-  }
 }
 
 }  // namespace greem::pp

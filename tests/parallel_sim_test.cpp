@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -180,6 +181,30 @@ TEST(ParallelSim, SingleRankDegeneratesToSerial) {
   auto initial = with_velocities(random_uniform_particles(200, 1.0, 11), 12);
   const auto out = run_parallel({1, 1, 1}, initial, 2, 0.005);
   EXPECT_EQ(out.size(), initial.size());
+}
+
+TEST(ParallelSim, StepsAtDefaultZeroSoftening) {
+  // eps defaults to 0, so every target meets itself in its own interaction
+  // list at r = 0.  That pair must contribute zero, not the non-finite
+  // force the sentinel stops a run on.
+  const auto initial = with_velocities(random_uniform_particles(300, 1.0, 13), 14);
+  for (const std::array<int, 3> dims : {std::array{1, 1, 1}, std::array{2, 2, 1}}) {
+    std::atomic<int> finite_ranks{0};
+    parx::run_ranks(dims[0] * dims[1] * dims[2], [&](parx::Comm& world) {
+      std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
+      auto cfg = test_config(dims);
+      cfg.eps = ParallelSimConfig{}.eps;
+      EXPECT_EQ(cfg.eps, 0.0);
+      ParallelSimulation sim(world, cfg, std::move(local), 0.0);
+      EXPECT_NO_THROW(for (int s = 1; s <= 3; ++s) sim.step(s * 0.002));
+      sim.synchronize();
+      bool finite = true;
+      for (const Particle& q : sim.local())
+        finite = finite && std::isfinite(q.pos.norm()) && std::isfinite(q.mom.norm());
+      if (finite) finite_ranks.fetch_add(1);
+    });
+    EXPECT_EQ(finite_ranks.load(), dims[0] * dims[1] * dims[2]) << dims[0] << "x" << dims[1];
+  }
 }
 
 TEST(ParallelSim, RejectsMismatchedDims) {

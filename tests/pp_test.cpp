@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "pp/cutoff.hpp"
 #include "pp/kernels.hpp"
@@ -13,6 +15,42 @@
 
 namespace greem::pp {
 namespace {
+
+/// Per-variant accuracy contract against pp_kernel_scalar, relative to
+/// max(1, |a|): the paper's ~24-bit rsqrt for the double variants, float
+/// pair arithmetic (double accumulation) for the mixed-precision avx512.
+double variant_tolerance(PhantomVariant v) {
+  return v == PhantomVariant::kBlockedAvx512 ? 1e-4 : 5e-7;
+}
+
+constexpr PhantomVariant kAllVariants[] = {
+    PhantomVariant::kScalar, PhantomVariant::kBasic, PhantomVariant::kBlocked,
+    PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512};
+
+/// A compact group of `ni` targets (a cell of side 0.05, as the traversal
+/// provides) and `nj` sources around it, unpadded.
+void compact_group(Rng& rng, std::size_t ni, std::size_t nj, std::vector<Vec3>& xi,
+                   InteractionList& list) {
+  xi.resize(ni);
+  for (auto& p : xi)
+    p = {0.4 + rng.uniform(0.0, 0.05), 0.3 + rng.uniform(0.0, 0.05),
+         0.6 + rng.uniform(0.0, 0.05)};
+  list.clear();
+  for (std::size_t j = 0; j < nj; ++j)
+    list.add({rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.6), rng.uniform(0.4, 0.9)},
+             rng.uniform(0.5, 2.0));
+}
+
+void expect_within(std::span<const Vec3> got, std::span<const Vec3> ref, double tol,
+                   const char* what) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const double scale = std::max(1.0, ref[i].norm());
+    EXPECT_NEAR(got[i].x, ref[i].x, tol * scale) << what << " target " << i;
+    EXPECT_NEAR(got[i].y, ref[i].y, tol * scale) << what << " target " << i;
+    EXPECT_NEAR(got[i].z, ref[i].z, tol * scale) << what << " target " << i;
+  }
+}
 
 TEST(Cutoff, BoundaryValues) {
   EXPECT_DOUBLE_EQ(g_p3m(0.0), 1.0);
@@ -141,14 +179,11 @@ TEST(Kernels, PhantomMatchesScalar) {
   pp_kernel_scalar(xi, a_scalar, list, rcut, eps2);
   list.pad4();
   pp_kernel_phantom(xi, a_phantom, list, rcut, eps2);
-  for (std::size_t i = 0; i < ni; ++i) {
-    // Error budget: the ~24-bit approximate rsqrt, relative to the
-    // acceleration magnitude (individual near-neighbor terms dominate).
-    const double scale = std::max(1.0, a_scalar[i].norm());
-    EXPECT_NEAR(a_phantom[i].x, a_scalar[i].x, 5e-7 * scale);
-    EXPECT_NEAR(a_phantom[i].y, a_scalar[i].y, 5e-7 * scale);
-    EXPECT_NEAR(a_phantom[i].z, a_scalar[i].z, 5e-7 * scale);
-  }
+  // Error budget: the dispatched variant's contract (the approximate rsqrt,
+  // and on avx512 float pair arithmetic), relative to the acceleration
+  // magnitude (individual near-neighbor terms dominate).
+  expect_within(a_phantom, a_scalar, variant_tolerance(phantom_dispatch()),
+                phantom_variant_name(phantom_dispatch()));
 }
 
 TEST(Kernels, EveryPhantomVariantMatchesScalar) {
@@ -172,30 +207,24 @@ TEST(Kernels, EveryPhantomVariantMatchesScalar) {
     if (!phantom_variant_available(v)) continue;
     std::vector<Vec3> a(ni);
     pp_kernel_phantom_variant(v, xi, a, list, rcut, eps2);
-    for (std::size_t i = 0; i < ni; ++i) {
-      const double scale = std::max(1.0, a_scalar[i].norm());
-      EXPECT_NEAR(a[i].x, a_scalar[i].x, 5e-7 * scale) << phantom_variant_name(v);
-      EXPECT_NEAR(a[i].y, a_scalar[i].y, 5e-7 * scale) << phantom_variant_name(v);
-      EXPECT_NEAR(a[i].z, a_scalar[i].z, 5e-7 * scale) << phantom_variant_name(v);
-    }
+    expect_within(a, a_scalar, variant_tolerance(v), phantom_variant_name(v));
   }
 }
 
 TEST(Kernels, TargetInITailAgreesWithTargetInBlock) {
-  // The blocked variants hand the ni % 4 tail to the 1i x 4j basic loop,
-  // so a target's last bits depend on its slot in xi.  Slot changes stay
-  // within the rsqrt budget: the same target evaluated as the tail of a
-  // 5-target span and as the first slot of a 4-block must agree to twice
-  // the per-variant tolerance against scalar.
+  // The double blocked variants hand the ni % 4 tail to the 1i x 4j basic
+  // loop, and avx512 shifts coordinates to xi[0], so a target's last bits
+  // depend on its slot in xi.  Slot changes stay within the variant's
+  // budget: the same target evaluated as the tail of a 5-target span and
+  // as the first slot of a 4-block must agree to twice the per-variant
+  // tolerance against scalar.
   Rng rng(23);
   InteractionList list;
   for (std::size_t j = 0; j < 61; ++j)
     list.add({rng.uniform(), rng.uniform(), rng.uniform()}, rng.uniform(0.5, 2.0));
   list.pad4();
   const double rcut = 0.4, eps2 = 1e-6;
-  for (const PhantomVariant v :
-       {PhantomVariant::kScalar, PhantomVariant::kBasic, PhantomVariant::kBlocked,
-        PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512}) {
+  for (const PhantomVariant v : kAllVariants) {
     if (!phantom_variant_available(v)) continue;
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<Vec3> others(4);
@@ -211,9 +240,10 @@ TEST(Kernels, TargetInITailAgreesWithTargetInBlock) {
       const Vec3& ab = a_block[0];
       const Vec3& at = a_tail[4];
       const double scale = std::max(1.0, ab.norm());
-      EXPECT_NEAR(at.x, ab.x, 2 * 5e-7 * scale) << phantom_variant_name(v);
-      EXPECT_NEAR(at.y, ab.y, 2 * 5e-7 * scale) << phantom_variant_name(v);
-      EXPECT_NEAR(at.z, ab.z, 2 * 5e-7 * scale) << phantom_variant_name(v);
+      const double tol = 2 * variant_tolerance(v) * scale;
+      EXPECT_NEAR(at.x, ab.x, tol) << phantom_variant_name(v);
+      EXPECT_NEAR(at.y, ab.y, tol) << phantom_variant_name(v);
+      EXPECT_NEAR(at.z, ab.z, tol) << phantom_variant_name(v);
     }
   }
 }
@@ -235,15 +265,49 @@ TEST(Kernels, PhantomDispatchResolvesToAvailableVariant) {
 }
 
 TEST(Kernels, SelfInteractionIsZero) {
+  // A target coinciding with a source contributes exactly zero, also at
+  // eps2 = 0 where the pair's rsqrt is infinite.
   const std::vector<Vec3> xi{{0.5, 0.5, 0.5}};
   InteractionList list;
   list.add({0.5, 0.5, 0.5}, 3.0);
   list.pad4();
-  std::vector<Vec3> acc(1);
-  pp_kernel_phantom(xi, acc, list, 0.3, 1e-8);
-  EXPECT_DOUBLE_EQ(acc[0].x, 0.0);
-  EXPECT_DOUBLE_EQ(acc[0].y, 0.0);
-  EXPECT_DOUBLE_EQ(acc[0].z, 0.0);
+  for (const double eps2 : {1e-8, 0.0}) {
+    for (const PhantomVariant v : kAllVariants) {
+      if (!phantom_variant_available(v)) continue;
+      std::vector<Vec3> acc(1);
+      pp_kernel_phantom_variant(v, xi, acc, list, 0.3, eps2);
+      EXPECT_DOUBLE_EQ(acc[0].x, 0.0) << phantom_variant_name(v) << " eps2 " << eps2;
+      EXPECT_DOUBLE_EQ(acc[0].y, 0.0) << phantom_variant_name(v) << " eps2 " << eps2;
+      EXPECT_DOUBLE_EQ(acc[0].z, 0.0) << phantom_variant_name(v) << " eps2 " << eps2;
+    }
+  }
+}
+
+TEST(Kernels, SelfPairAtZeroSofteningLeavesOtherSourcesIntact) {
+  // eps2 = 0 with every target also in the list (as the walk emits them):
+  // each target's self pair drops out and the rest matches the scalar
+  // kernel on the list without it.
+  Rng rng(5);
+  std::vector<Vec3> xi;
+  InteractionList others;
+  compact_group(rng, 7, 93, xi, others);
+  InteractionList with_self = others;
+  for (const Vec3& p : xi) with_self.add(p, 1.0);
+  with_self.pad4();
+  std::vector<Vec3> ref(xi.size());
+  for (std::size_t i = 0; i < xi.size(); ++i) {
+    InteractionList without_i = others;
+    for (std::size_t k = 0; k < xi.size(); ++k)
+      if (k != i) without_i.add(xi[k], 1.0);
+    pp_kernel_scalar(std::span(xi).subspan(i, 1), std::span(ref).subspan(i, 1), without_i,
+                     0.3, 0.0);
+  }
+  for (const PhantomVariant v : kAllVariants) {
+    if (!phantom_variant_available(v)) continue;
+    std::vector<Vec3> a(xi.size());
+    pp_kernel_phantom_variant(v, xi, a, with_self, 0.3, 0.0);
+    expect_within(a, ref, variant_tolerance(v), phantom_variant_name(v));
+  }
 }
 
 TEST(Kernels, CutoffKillsDistantSources) {
@@ -293,39 +357,84 @@ TEST(Kernels, SofteningRegularizesCloseEncounters) {
 
 
 TEST(Kernels, SinglePrecisionPhantomTracksScalar) {
+  // The mixed-precision avx512 kernel on a compact group, as the traversal
+  // provides (targets share a cell).
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
   Rng rng(31);
-  const std::size_t ni = 64, nj = 512;
-  std::vector<Vec3> xi(ni);
-  // A compact group, as the traversal provides (targets share a cell).
-  for (auto& p : xi)
-    p = {0.4 + rng.uniform(0.0, 0.05), 0.3 + rng.uniform(0.0, 0.05),
-         0.6 + rng.uniform(0.0, 0.05)};
+  std::vector<Vec3> xi;
   InteractionList list;
-  for (std::size_t j = 0; j < nj; ++j)
-    list.add({rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.6), rng.uniform(0.4, 0.9)},
-             rng.uniform(0.5, 2.0));
+  compact_group(rng, 64, 512, xi, list);
   const double rcut = 0.3, eps2 = 1e-6;
 
-  std::vector<Vec3> ref(ni), sp(ni);
+  std::vector<Vec3> ref(xi.size()), sp(xi.size());
   pp_kernel_scalar(xi, ref, list, rcut, eps2);
   list.pad4();
-  pp_kernel_phantom_sp(xi, sp, list, rcut, eps2);
-  for (std::size_t i = 0; i < ni; ++i) {
-    const double scale = std::max(1.0, ref[i].norm());
-    EXPECT_NEAR(sp[i].x, ref[i].x, 5e-4 * scale);
-    EXPECT_NEAR(sp[i].y, ref[i].y, 5e-4 * scale);
-    EXPECT_NEAR(sp[i].z, ref[i].z, 5e-4 * scale);
-  }
+  pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, sp, list, rcut, eps2);
+  expect_within(sp, ref, 5e-4, "avx512");
 }
 
 TEST(Kernels, SinglePrecisionHandlesSelfAndPadding) {
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
   const std::vector<Vec3> xi{{0.5, 0.5, 0.5}};
   InteractionList list;
   list.add({0.5, 0.5, 0.5}, 3.0);  // self
   list.pad4();                      // far-away massless padding
   std::vector<Vec3> acc(1);
-  pp_kernel_phantom_sp(xi, acc, list, 0.3, 1e-8);
+  pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, acc, list, 0.3, 1e-8);
   EXPECT_NEAR(acc[0].norm(), 0.0, 1e-10);
+}
+
+class MixedKernelShape
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(MixedKernelShape, TracksScalarOnCompactGroups) {
+  // Every tile and block edge of the avx512 kernel: ni % 4 tails, nj not a
+  // multiple of 16, and lists that cross one or more 512-entry j-blocks.
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
+  const auto [ni, nj] = GetParam();
+  Rng rng(1000 + ni * 7919 + nj);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<Vec3> xi;
+    InteractionList list;
+    compact_group(rng, ni, nj, xi, list);
+    std::vector<Vec3> ref(ni), got(ni);
+    pp_kernel_scalar(xi, ref, list, 0.3, 1e-6);
+    list.pad4();
+    pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, got, list, 0.3, 1e-6);
+    expect_within(got, ref, variant_tolerance(PhantomVariant::kBlockedAvx512), "avx512");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Edges, MixedKernelShape,
+    ::testing::Values(std::tuple{1, 977}, std::tuple{2, 977}, std::tuple{3, 977},
+                      std::tuple{5, 977}, std::tuple{19, 977}, std::tuple{37, 977},
+                      std::tuple{4, 20}, std::tuple{6, 509}, std::tuple{8, 512},
+                      std::tuple{7, 513}, std::tuple{9, 1100}, std::tuple{5, 1536}));
+
+TEST(Kernels, MixedKernelResultIsSlotInvariant) {
+  // With xi[0] fixed, avx512 gives a target bitwise the same acceleration
+  // in every later slot and for every ni % 4: the tail runs the block code.
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
+  Rng rng(77);
+  std::vector<Vec3> pool;
+  InteractionList list;
+  compact_group(rng, 12, 700, pool, list);
+  list.pad4();
+  const Vec3 t = pool.back();
+  std::vector<Vec3> first;
+  for (std::size_t ni = 2; ni <= 11; ++ni) {
+    for (std::size_t slot = 1; slot < ni; ++slot) {
+      std::vector<Vec3> xi(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(ni));
+      xi[slot] = t;
+      std::vector<Vec3> a(ni);
+      pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, a, list, 0.3, 1e-6);
+      if (first.empty()) first.push_back(a[slot]);
+      EXPECT_EQ(a[slot].x, first[0].x) << "ni " << ni << " slot " << slot;
+      EXPECT_EQ(a[slot].y, first[0].y) << "ni " << ni << " slot " << slot;
+      EXPECT_EQ(a[slot].z, first[0].z) << "ni " << ni << " slot " << slot;
+    }
+  }
 }
 
 }  // namespace
