@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/hash.hpp"
@@ -146,11 +147,13 @@ void ParallelSimulation::domain_cycle(std::uint64_t substep_id) {
   domain::Decomposition fresh;
   if (config_.lb_mode == LoadBalanceMode::kGroupCost) {
     // Load-balance v2: per-particle weights from the scattered GroupCost
-    // attribution of the previous PP cycle.  Before the first cycle every
-    // lb_w is 0 and the weighted path degenerates to uniform-density
-    // sampling (same collective sequence either way).
+    // attribution of the PP cycles since the previous decomposition, which
+    // start summing afresh here.  Before the first cycle every lb_w is 0
+    // and the weighted path degenerates to uniform-density sampling (same
+    // collective sequence either way).
     std::vector<double> w(particles_.size());
-    for (std::size_t i = 0; i < particles_.size(); ++i) w[i] = particles_[i].lb_w;
+    for (std::size_t i = 0; i < particles_.size(); ++i)
+      w[i] = std::exchange(particles_[i].lb_w, 0.0);
     fresh = domain::sample_and_decompose_weighted(world_, config_.dims, pos, w,
                                                   config_.sampling, substep_id);
   } else {
@@ -253,8 +256,8 @@ void ParallelSimulation::pp_force_cycle() {
   if (plan.active()) donation_cycle(octree, tp, deferred, plan, acc);
 
   // Scatter the per-group cost onto the group's local members: each local
-  // particle carries its share of its group's measured cost as the
-  // sampling weight of the next domain decomposition (load-balance v2).
+  // particle adds its share of its group's measured cost to the sampling
+  // weight of the next domain decomposition (load-balance v2).
   if (config_.lb_mode == LoadBalanceMode::kGroupCost) {
     for (const auto& gc : report_.pp_group_costs) {
       const double w = (config_.cost_metric == CostMetric::kInteractions
@@ -264,7 +267,7 @@ void ParallelSimulation::pp_force_cycle() {
       const tree::TreeNode node = octree.node(gc.node);
       for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
         const std::uint32_t orig = octree.original_index(i);
-        if (orig < n_local) particles_[orig].lb_w = w;
+        if (orig < n_local) particles_[orig].lb_w += w;
       }
     }
   }
@@ -477,22 +480,25 @@ void ParallelSimulation::step(double t_next) {
   // phase below announces itself so a FaultSpec can target it.
   const std::uint64_t fault_step = step_counter_ + 1;
 
+  // The step's one domain decomposition (the paper's step is one PM cycle,
+  // two PP cycles and a decomposition).  Every PP cycle of the step keeps
+  // its ownership.  Ghosts are selected from each particle's current
+  // position, so a target that drifted a distance delta off its box misses
+  // only sources within delta of its cutoff radius, where the cutoff force
+  // has all but vanished.
+  parx::set_fault_context(fault_step, parx::FaultPhase::kDD);
+  domain_cycle(substep_counter_++);
+
+  // Long-range kick: closing half of the previous step + opening half of
+  // this one, from the cached PM acceleration (evaluated by the previous
+  // step's pipelined PM cycle at these same positions -- acc_l rode
+  // through the exchange with the particle).
+  const double k_long = pending_long_kick_ + 0.5 * m.kick(t0, t1);
+  for (auto& p : particles_) p.mom += p.acc_l * k_long;
+  pending_long_kick_ = 0.5 * m.kick(t0, t1);
+
   const int nsub = config_.nsub;
   for (int s = 0; s < nsub; ++s) {
-    // Domain decomposition cycle (paper: once per PP cycle).
-    parx::set_fault_context(fault_step, parx::FaultPhase::kDD);
-    domain_cycle(substep_counter_++);
-
-    if (s == 0) {
-      // Long-range kick: closing half of the previous step + opening half
-      // of this one, from the cached PM acceleration (evaluated by the
-      // previous step's pipelined PM cycle at these same positions --
-      // acc_l rode through the exchange with the particle).
-      const double k = pending_long_kick_ + 0.5 * m.kick(t0, t1);
-      for (auto& p : particles_) p.mom += p.acc_l * k;
-      pending_long_kick_ = 0.5 * m.kick(t0, t1);
-    }
-
     const double ts0 = t0 + (t1 - t0) * static_cast<double>(s) / nsub;
     const double ts1 = t0 + (t1 - t0) * static_cast<double>(s + 1) / nsub;
     const double tsm = 0.5 * (ts0 + ts1);

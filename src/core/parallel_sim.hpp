@@ -2,12 +2,14 @@
 // Distributed TreePM simulation: the per-rank driver reproducing the
 // paper's full step,
 //
-//   step = [ domain decomposition + PP cycle ] x nsub  +  one PM cycle,
+//   step = domain decomposition  +  PP cycle x nsub  +  one PM cycle,
 //
-// with the 3-D multi-section decomposition re-sampled every cycle using
-// the measured force cost, ghost (boundary) particle exchange for the
-// short-range tree, and the parallel PM with the direct or relay mesh
-// conversion.  Phase timings accumulate under the row names of Table I.
+// with the 3-D multi-section decomposition re-sampled once per step using
+// the measured force cost (per group and summed over the previous step's
+// PP cycles, under load-balance v2), ghost (boundary) particle exchange
+// for the short-range tree, and the parallel PM with the direct or relay
+// mesh conversion.  Phase timings accumulate under the row names of
+// Table I.
 //
 // The PM cycle is *pipelined*: it is evaluated at the end of each step (at
 // the same positions the next step's long-range kick needs) right after
@@ -267,6 +269,9 @@ class ParallelSimulation {
   /// first cycle simply runs without donation (placement may differ from
   /// the uninterrupted run, the result bits never do).
   std::vector<std::uint64_t> rank_pred_;
+  /// Domain decompositions run so far: the constructor's plus one per
+  /// step.  Seeds each decomposition's sampling; checkpointed as
+  /// `substep`.
   std::uint64_t substep_counter_ = 0;
   std::uint64_t step_counter_ = 0;
   StepReport report_;

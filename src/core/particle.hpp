@@ -24,10 +24,11 @@ struct Particle {
   Vec3 acc_l;
   double mass = 0;
   /// Predicted short-range work share (load-balance v2): the per-particle
-  /// slice of its Barnes group's measured cost, scattered after each PP
-  /// cycle and consumed as this particle's sampling weight by the next
-  /// domain decomposition.  Migrates and checkpoints with the particle so
-  /// cuts stay reproducible across exchanges and restarts.
+  /// slice of its Barnes group's measured cost, summed over the PP cycles
+  /// since the last domain decomposition, which consumes it as this
+  /// particle's sampling weight and resets it.  Migrates and checkpoints
+  /// with the particle so cuts stay reproducible across exchanges and
+  /// restarts.
   double lb_w = 0;
   std::uint64_t id = 0;
 };

@@ -2,11 +2,64 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <utility>
 
 #include "util/morton.hpp"
 
 namespace greem::tree {
+
+namespace {
+
+/// A particle's Morton key and its caller index: the radix sort's element.
+struct KeyIndex {
+  std::uint64_t key;
+  std::uint32_t index;
+};
+
+/// Stable LSD radix sort of (key, index) pairs by key, 11 bits per pass
+/// (six passes cover the 63 key bits).  Stability is the tie rule: pairs
+/// enter in index order, so equal keys leave in index order.  A pass whose
+/// digit is the same for every key moves nothing and is skipped.
+void radix_sort(std::vector<KeyIndex>& a) {
+  constexpr int kBits = 11;
+  constexpr int kPasses = (3 * kMortonBits + kBits - 1) / kBits;
+  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+  const std::size_t n = a.size();
+  std::vector<std::uint32_t> hist(kPasses * kBuckets, 0);
+  auto digit = [](std::uint64_t key, int p) { return (key >> (p * kBits)) & (kBuckets - 1); };
+  for (const KeyIndex& e : a)
+    for (int p = 0; p < kPasses; ++p) ++hist[p * kBuckets + digit(e.key, p)];
+
+  std::vector<KeyIndex> tmp(n);
+  for (int p = 0; p < kPasses; ++p) {
+    std::uint32_t* h = hist.data() + p * kBuckets;
+    if (n == 0 || h[digit(a[0].key, p)] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) sum += std::exchange(h[b], sum);
+    for (const KeyIndex& e : a) tmp[h[digit(e.key, p)]++] = e;
+    a.swap(tmp);
+  }
+}
+
+/// Shape of one node, found before the node arrays are sized.
+struct Shape {
+  std::uint32_t first, count;  ///< particle range
+  std::uint32_t first_child;   ///< 0 for a leaf
+  std::uint8_t nchildren;
+  std::uint8_t octant;  ///< this node's octant within its parent
+};
+
+void add_point_quadrupole(Quadrupole& q, const Vec3& d, double m) {
+  const double d2 = d.norm2();
+  q[0] += m * (3.0 * d.x * d.x - d2);
+  q[1] += m * 3.0 * d.x * d.y;
+  q[2] += m * 3.0 * d.x * d.z;
+  q[3] += m * (3.0 * d.y * d.y - d2);
+  q[4] += m * 3.0 * d.y * d.z;
+  q[5] += m * (3.0 * d.z * d.z - d2);
+}
+
+}  // namespace
 
 Octree::Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreeParams params) {
   const std::size_t n = pos.size();
@@ -27,158 +80,137 @@ Octree::Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreePa
   box_origin_ = lo;
   box_size_ = size;
 
-  std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3 q = (pos[i] - box_origin_) / box_size_;
-    const double scale = static_cast<double>(1ULL << kMortonBits);
-    auto cell = [&](double v) {
-      auto c = static_cast<std::int64_t>(v * scale);
-      c = std::clamp<std::int64_t>(c, 0, (1LL << kMortonBits) - 1);
+  // Keys, sorted with their indices.
+  std::vector<KeyIndex> sorted(n);
+  {
+    constexpr double kScale = static_cast<double>(1ULL << kMortonBits);
+    auto cell = [](double v) {
+      const auto c = std::clamp<std::int64_t>(static_cast<std::int64_t>(v * kScale), 0,
+                                              (1LL << kMortonBits) - 1);
       return static_cast<std::uint64_t>(c);
     };
-    keys[i] = morton_encode(cell(q.x), cell(q.y), cell(q.z));
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3 q = (pos[i] - box_origin_) / box_size_;
+      sorted[i] = {morton_encode(cell(q.x), cell(q.y), cell(q.z)), static_cast<std::uint32_t>(i)};
+    }
   }
+  radix_sort(sorted);
 
   order_.resize(n);
-  std::iota(order_.begin(), order_.end(), 0u);
-  std::sort(order_.begin(), order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
-
   sorted_pos_.resize(n);
   sorted_mass_.resize(n);
-  std::vector<std::uint64_t> sorted_keys(n);
+  std::vector<std::uint64_t> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sorted_pos_[i] = pos[order_[i]];
-    sorted_mass_[i] = mass[order_[i]];
-    sorted_keys[i] = keys[order_[i]];
+    const std::uint32_t j = sorted[i].index;
+    order_[i] = j;
+    sorted_pos_[i] = pos[j];
+    sorted_mass_[i] = mass[j];
+    keys[i] = sorted[i].key;
+  }
+  std::vector<KeyIndex>().swap(sorted);
+
+  // Shape pass: split the key-sorted range recursively.  Every split
+  // appends the node's non-empty octants as a contiguous sibling run, so
+  // node i's children come after node i and the numbering is the recursive
+  // build's.  A cell splits while it holds more than leaf_capacity
+  // particles, down to the key resolution (deeper levels have no key bits
+  // left to split on).
+  const int max_depth = std::min(params.max_depth, kMortonBits);
+  std::vector<Shape> shape;
+  shape.reserve(n / std::max<std::size_t>(params.leaf_capacity, 1) * 3 + 16);
+  shape.push_back({0, static_cast<std::uint32_t>(n), 0, 0, 0});
+  auto split = [&](auto& self, std::uint32_t node, int level) -> void {
+    const std::uint32_t lo_i = shape[node].first;
+    const std::uint32_t hi_i = lo_i + shape[node].count;
+    if (hi_i - lo_i <= params.leaf_capacity || level >= max_depth) return;
+    // The range shares every key bit above this level's octant digit, so
+    // the run of octant o ends at the first key >= prefix | (o + 1) << shift.
+    // Only non-empty octants are visited, and the last one needs no search.
+    const int shift = 3 * (kMortonBits - 1 - level);
+    const std::uint64_t prefix = keys[lo_i] >> shift >> 3 << 3;
+    auto octant = [&](std::uint32_t i) { return static_cast<unsigned>((keys[i] >> shift) & 7u); };
+    const unsigned last = octant(hi_i - 1);
+    const auto first_child = static_cast<std::uint32_t>(shape.size());
+    for (std::uint32_t begin = lo_i, end; begin < hi_i; begin = end) {
+      const unsigned o = octant(begin);
+      end = o == last ? hi_i
+                      : static_cast<std::uint32_t>(
+                            std::lower_bound(keys.begin() + begin + 1, keys.begin() + hi_i,
+                                             (prefix | (o + 1)) << shift) -
+                            keys.begin());
+      shape.push_back({begin, end - begin, 0, 0, static_cast<std::uint8_t>(o)});
+    }
+    shape[node].first_child = first_child;
+    shape[node].nchildren = static_cast<std::uint8_t>(shape.size() - first_child);
+    for (std::uint32_t c = first_child; c < first_child + shape[node].nchildren; ++c)
+      self(self, c, level + 1);
+  };
+  split(split, 0, 0);
+
+  // Fill the node arrays, sized once: geometry top-down (a child's center
+  // is its parent's plus a quarter side per axis), then moments bottom-up
+  // (children have higher indices), each node summing its particles or
+  // its children in order.
+  const std::size_t m = shape.size();
+  NodeArrays& a = nodes_;
+  a.resize(m);
+  a.cx[0] = box_origin_.x + size / 2;
+  a.cy[0] = box_origin_.y + size / 2;
+  a.cz[0] = box_origin_.z + size / 2;
+  a.half[0] = size / 2;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Shape& s = shape[i];
+    a.first[i] = s.first;
+    a.count[i] = s.count;
+    a.first_child[i] = s.first_child;
+    a.nchildren[i] = s.nchildren;
+    const double q = a.half[i] / 2;
+    for (std::uint32_t c = s.first_child; c < s.first_child + s.nchildren; ++c) {
+      const unsigned o = shape[c].octant;
+      a.cx[c] = a.cx[i] + ((o & 1) ? q : -q);
+      a.cy[c] = a.cy[i] + ((o & 2) ? q : -q);
+      a.cz[c] = a.cz[i] + ((o & 4) ? q : -q);
+      a.half[c] = q;
+    }
   }
 
-  const std::size_t expect = n / std::max<std::size_t>(params.leaf_capacity, 1) * 3 + 16;
-  nodes_.reserve(expect);
-  if (params.with_quadrupole) quads_.reserve(expect);
-  const Vec3 root_center = box_origin_ + Vec3(size / 2, size / 2, size / 2);
-  struct Ctx {
-    Octree* self;
-    const OctreeParams& params;
-    int max_depth;
-    std::span<const std::uint64_t> keys;
-
-    /// Append `k` zeroed nodes; returns the index of the first.
-    std::uint32_t append(unsigned k) {
-      const auto at = static_cast<std::uint32_t>(self->nodes_.size());
-      self->nodes_.resize(at + std::size_t{k});
-      if (params.with_quadrupole) self->quads_.resize(at + std::size_t{k});
-      return at;
-    }
-
-    Vec3 com_of(std::uint32_t node) const {
-      const NodeArrays& a = self->nodes_;
-      return {a.comx[node], a.comy[node], a.comz[node]};
-    }
-
-    void set_moments(std::uint32_t node, const Vec3& com, double m) {
-      NodeArrays& a = self->nodes_;
-      a.comx[node] = com.x;
-      a.comy[node] = com.y;
-      a.comz[node] = com.z;
-      a.mass[node] = m;
-    }
-
-    void build(std::uint32_t node, std::uint32_t lo_i, std::uint32_t hi_i, int level,
-               Vec3 center, double half) {
-      auto& t = *self;
-      NodeArrays& a = t.nodes_;
-      a.cx[node] = center.x;
-      a.cy[node] = center.y;
-      a.cz[node] = center.z;
-      a.half[node] = half;
-      a.first[node] = lo_i;
-      a.count[node] = hi_i - lo_i;
-
-      const std::uint32_t count = hi_i - lo_i;
-      if (count <= params.leaf_capacity || level >= max_depth) {
-        Vec3 com{};
-        double m = 0;
-        for (std::uint32_t i = lo_i; i < hi_i; ++i) {
-          com += t.sorted_pos_[i] * t.sorted_mass_[i];
-          m += t.sorted_mass_[i];
-        }
-        set_moments(node, m > 0 ? com / m : center, m);
-        if (params.with_quadrupole) {
-          auto& q = t.quads_[node];
-          for (std::uint32_t i = lo_i; i < hi_i; ++i)
-            add_point_quadrupole(q, t.sorted_pos_[i] - com_of(node), t.sorted_mass_[i]);
-        }
-        return;
+  if (params.with_quadrupole) quads_.assign(m, Quadrupole{});
+  for (std::size_t i = m; i-- > 0;) {
+    const Shape& s = shape[i];
+    const std::uint32_t kids_end = s.first_child + s.nchildren;
+    Vec3 com{};
+    double msum = 0;
+    if (s.nchildren == 0) {
+      for (std::uint32_t k = s.first; k < s.first + s.count; ++k) {
+        com += sorted_pos_[k] * sorted_mass_[k];
+        msum += sorted_mass_[k];
       }
-
-      const int shift = 3 * (kMortonBits - 1 - level);
-      auto octant = [&](std::uint32_t i) {
-        return static_cast<unsigned>((keys[i] >> shift) & 7u);
-      };
-      // Partition the sorted range into the 8 octant subranges.
-      std::uint32_t bounds[9];
-      bounds[0] = lo_i;
-      std::uint32_t cur = lo_i;
-      for (unsigned o = 0; o < 8; ++o) {
-        while (cur < hi_i && octant(cur) == o) ++cur;
-        bounds[o + 1] = cur;
-      }
-
-      struct Child {
-        unsigned o;
-        std::uint32_t lo, hi;
-      };
-      Child children[8];
-      unsigned nchild = 0;
-      for (unsigned o = 0; o < 8; ++o)
-        if (bounds[o + 1] != bounds[o]) children[nchild++] = {o, bounds[o], bounds[o + 1]};
-      const std::uint32_t first_child = append(nchild);
-      a.first_child[node] = first_child;
-      a.nchildren[node] = nchild;
-
-      Vec3 com{};
-      double m = 0;
-      for (unsigned c = 0; c < nchild; ++c) {
-        const auto [o, clo, chi] = children[c];
-        const std::uint32_t cnode = first_child + c;
-        const double q = half / 2;
-        const Vec3 ccenter = center + Vec3{(o & 1) ? q : -q, (o & 2) ? q : -q, (o & 4) ? q : -q};
-        build(cnode, clo, chi, level + 1, ccenter, q);
-        com += com_of(cnode) * a.mass[cnode];
-        m += a.mass[cnode];
-      }
-      set_moments(node, m > 0 ? com / m : center, m);
-      if (params.with_quadrupole) {
-        // Parallel-axis combination: a child's moment about the parent com
-        // is its own moment plus its mass shifted by s = com_c - com.
-        auto& q = t.quads_[node];
-        for (std::uint32_t cnode = first_child; cnode < first_child + nchild; ++cnode) {
-          for (std::size_t k = 0; k < 6; ++k) q[k] += t.quads_[cnode][k];
-          add_point_quadrupole(q, com_of(cnode) - com_of(node), a.mass[cnode]);
-        }
+    } else {
+      for (std::uint32_t c = s.first_child; c < kids_end; ++c) {
+        com += Vec3{a.comx[c], a.comy[c], a.comz[c]} * a.mass[c];
+        msum += a.mass[c];
       }
     }
-
-    static void add_point_quadrupole(Quadrupole& q, const Vec3& d, double m) {
-      const double d2 = d.norm2();
-      q[0] += m * (3.0 * d.x * d.x - d2);
-      q[1] += m * 3.0 * d.x * d.y;
-      q[2] += m * 3.0 * d.x * d.z;
-      q[3] += m * (3.0 * d.y * d.y - d2);
-      q[4] += m * 3.0 * d.y * d.z;
-      q[5] += m * (3.0 * d.z * d.z - d2);
+    if (msum > 0) com /= msum;
+    else com = {a.cx[i], a.cy[i], a.cz[i]};
+    a.comx[i] = com.x;
+    a.comy[i] = com.y;
+    a.comz[i] = com.z;
+    a.mass[i] = msum;
+    if (!params.with_quadrupole) continue;
+    // Leaves sum their particles' moments about the com; a parent combines
+    // its children by the parallel-axis shift s = com_c - com.
+    Quadrupole& qd = quads_[i];
+    if (s.nchildren == 0) {
+      for (std::uint32_t k = s.first; k < s.first + s.count; ++k)
+        add_point_quadrupole(qd, sorted_pos_[k] - com, sorted_mass_[k]);
+    } else {
+      for (std::uint32_t c = s.first_child; c < kids_end; ++c) {
+        for (std::size_t k = 0; k < 6; ++k) qd[k] += quads_[c][k];
+        add_point_quadrupole(qd, Vec3{a.comx[c], a.comy[c], a.comz[c]} - com, a.mass[c]);
+      }
     }
-  };
-  // Deeper levels have no key bits left to split on.
-  Ctx ctx{this, params, std::min(params.max_depth, kMortonBits), sorted_keys};
-  ctx.append(1);
-  ctx.build(0, 0, static_cast<std::uint32_t>(n), 0, root_center, size / 2);
-}
-
-void NodeArrays::reserve(std::size_t n) {
-  for (auto* v : {&cx, &cy, &cz, &half, &comx, &comy, &comz, &mass}) v->reserve(n);
-  for (auto* v : {&first_child, &nchildren, &first, &count}) v->reserve(n);
+  }
 }
 
 void NodeArrays::resize(std::size_t n) {

@@ -4,8 +4,11 @@
 // Particles are sorted by Morton key over the bounding cube of the input,
 // so every tree cell owns a contiguous particle range; nodes are stored in
 // a flat array built by recursive partitioning of the key-sorted range.
-// Monopole (center-of-mass) moments are accumulated bottom-up, which is
-// the expansion GreeM uses for the short-range tree walk.
+// Tied keys (particles in the same finest cell, duplicate positions) keep
+// their input order: the sort is a stable radix sort, so the tree is a
+// pure function of the inputs.  Monopole (center-of-mass) moments are
+// accumulated bottom-up, which is the expansion GreeM uses for the
+// short-range tree walk.
 //
 // Node storage is a structure of arrays (NodeArrays): the siblings of a
 // cell are contiguous, so the block walk (tree/walk.hpp) loads one field
@@ -47,7 +50,6 @@ struct NodeArrays {
   std::vector<std::uint32_t> first, count;            ///< particle range
 
   std::size_t size() const { return half.size(); }
-  void reserve(std::size_t n);
   void resize(std::size_t n);  ///< new nodes are zeroed
 };
 
@@ -69,7 +71,8 @@ class Octree {
  public:
   /// Build over a snapshot of positions/masses.  The inputs are not
   /// modified; the tree keeps Morton-sorted copies plus the permutation
-  /// back to the caller's indexing.
+  /// back to the caller's indexing.  Particles with equal Morton keys
+  /// appear in increasing caller index.
   Octree(std::span<const Vec3> pos, std::span<const double> mass, OctreeParams params = {});
 
   const NodeArrays& node_arrays() const { return nodes_; }

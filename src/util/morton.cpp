@@ -4,16 +4,6 @@
 
 namespace greem {
 
-std::uint64_t morton_expand_bits(std::uint64_t x) {
-  x &= 0x1fffffULL;  // 21 bits
-  x = (x | (x << 32)) & 0x1f00000000ffffULL;
-  x = (x | (x << 16)) & 0x1f0000ff0000ffULL;
-  x = (x | (x << 8)) & 0x100f00f00f00f00fULL;
-  x = (x | (x << 4)) & 0x10c30c30c30c30c3ULL;
-  x = (x | (x << 2)) & 0x1249249249249249ULL;
-  return x;
-}
-
 std::uint64_t morton_compact_bits(std::uint64_t x) {
   x &= 0x1249249249249249ULL;
   x = (x ^ (x >> 2)) & 0x10c30c30c30c30c3ULL;
@@ -22,10 +12,6 @@ std::uint64_t morton_compact_bits(std::uint64_t x) {
   x = (x ^ (x >> 16)) & 0x1f00000000ffffULL;
   x = (x ^ (x >> 32)) & 0x1fffffULL;
   return x;
-}
-
-std::uint64_t morton_encode(std::uint64_t ix, std::uint64_t iy, std::uint64_t iz) {
-  return morton_expand_bits(ix) | (morton_expand_bits(iy) << 1) | (morton_expand_bits(iz) << 2);
 }
 
 void morton_decode(std::uint64_t key, std::uint64_t& ix, std::uint64_t& iy, std::uint64_t& iz) {

@@ -15,8 +15,11 @@
 #include <mutex>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/recovery.hpp"
 #include "core/parallel_sim.hpp"
+#include "parx/fault.hpp"
 #include "parx/runtime.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -331,6 +334,94 @@ TEST(ParallelSim, DonationOnAndOffAreBitwiseIdentical) {
   auto cfg_v1 = cfg_on;
   cfg_v1.lb_mode = LoadBalanceMode::kRankCost;
   EXPECT_NE(config_fingerprint(cfg_on), config_fingerprint(cfg_v1));
+}
+
+// ------------------------------------------------ decomposition cadence --
+
+TEST(ParallelSim, DecomposesOncePerStep) {
+  // However many PP cycles a step runs, it decomposes once: k steps
+  // advance the decomposition counter (checkpointed as `substep`) by k,
+  // on top of the constructor's one.
+  const auto initial = with_velocities(random_uniform_particles(400, 1.0, 91), 92);
+  constexpr std::uint64_t kSteps = 3;
+  for (const int nsub : {2, 4}) {
+    const std::string dir = testing::TempDir() + "/dd_cadence_" + std::to_string(nsub);
+    std::filesystem::remove_all(dir);
+    std::uint64_t at_start = 0, at_end = 0;
+    parx::run_ranks(4, [&](parx::Comm& world) {
+      std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
+      auto cfg = test_config({2, 2, 1});
+      cfg.nsub = nsub;
+      ParallelSimulation sim(world, cfg, std::move(local), 0.0);
+      // Rank 0 commits the manifest, so it reads it back.
+      auto substep = [&](std::uint64_t& out) {
+        sim.checkpoint(dir, 0);
+        if (world.rank() == 0) out = ckpt::read_manifest(*ckpt::find_latest(dir))->state.substep;
+      };
+      substep(at_start);
+      for (std::uint64_t s = 1; s <= kSteps; ++s) sim.step(static_cast<double>(s) * 0.004);
+      substep(at_end);
+    });
+    EXPECT_EQ(at_start, 1u) << "nsub " << nsub;
+    EXPECT_EQ(at_end - at_start, kSteps) << "nsub " << nsub;
+  }
+}
+
+TEST(ParallelSim, DecompositionFaultFiresOnceAndRollsBack) {
+  // A rank abort aimed at the decomposition phase of step 2 hits the
+  // step's one decomposition: it fires once, one rollback retries the
+  // step, and the run ends bitwise where the uninterrupted run does.
+  const auto initial = with_velocities(random_uniform_particles(400, 1.0, 93), 94);
+  const std::string dir = testing::TempDir() + "/dd_fault";
+  std::filesystem::remove_all(dir);
+  constexpr std::uint64_t kSteps = 3;
+  const auto schedule = [](std::uint64_t i) { return static_cast<double>(i + 1) * 0.004; };
+  auto cfg = test_config({2, 2, 1});
+  cfg.cost_metric = CostMetric::kInteractions;  // bitwise-reproducible cuts
+
+  auto run = [&](const parx::FaultPlan& plan, ckpt::RecoveryStats* stats) {
+    parx::Runtime rt(4);
+    rt.set_fault_plan(plan);
+    std::mutex mu;
+    std::vector<Particle> out;
+    rt.run([&](parx::Comm& world) {
+      std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
+      ParallelSimulation sim(world, cfg, std::move(local), 0.0);
+      ckpt::RecoveryOptions opts;
+      opts.dir = dir;
+      opts.checkpoint_every = 1;
+      const auto st = ckpt::run_with_recovery(sim, kSteps, schedule, opts);
+      sim.synchronize();
+      std::lock_guard lock(mu);
+      if (world.rank() == 0) *stats = st;
+      const auto loc = sim.local();
+      out.insert(out.end(), loc.begin(), loc.end());
+    });
+    std::sort(out.begin(), out.end(),
+              [](const Particle& a, const Particle& b) { return a.id < b.id; });
+    return out;
+  };
+
+  ckpt::RecoveryStats clean_stats, fault_stats;
+  const auto clean = run(parx::FaultPlan(), &clean_stats);
+  std::filesystem::remove_all(dir);
+  const auto injected_before = telemetry::Registry::global().counter("faults/injected").value();
+  const auto faulted =
+      run(parx::FaultPlan().at({.step = 2, .phase = parx::FaultPhase::kDD,
+                                .kind = parx::FaultKind::kRankAbort, .rank = 1, .times = 1}),
+          &fault_stats);
+
+  EXPECT_EQ(clean_stats.failures, 0u);
+  EXPECT_EQ(fault_stats.failures, 1u);
+  EXPECT_EQ(fault_stats.restores, 1u);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(telemetry::Registry::global().counter("faults/injected").value(),
+              injected_before + 1);
+  }
+  ASSERT_EQ(faulted.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i)
+    ASSERT_EQ(std::memcmp(&faulted[i], &clean[i], sizeof(Particle)), 0)
+        << "rolled-back run diverged at particle " << i;
 }
 
 // ------------------------------------------------------------- sentinel --

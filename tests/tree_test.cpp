@@ -21,6 +21,7 @@
 #include "tree/octree.hpp"
 #include "tree/traversal.hpp"
 #include "tree/walk.hpp"
+#include "util/morton.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -134,6 +135,211 @@ TEST(Octree, GroupsPartitionAllParticles) {
     expect_first = node.first + node.count;
   }
   EXPECT_EQ(covered, 1500u);
+}
+
+// ---------------------------------------------- reference tree build --
+
+/// The octree as first written: an index std::stable_sort by Morton key
+/// (ties in index order, the documented rule) and a recursive partition
+/// that scans each range for its octant bounds and grows the node arrays
+/// at every split.  Octree must reproduce it bit for bit.
+struct ReferenceTree {
+  NodeArrays nodes;
+  std::vector<Quadrupole> quads;
+  std::vector<Vec3> sorted_pos;
+  std::vector<double> sorted_mass;
+  std::vector<std::uint32_t> order;
+};
+
+void add_point_quad(Quadrupole& q, const Vec3& d, double m) {
+  const double d2 = d.norm2();
+  q[0] += m * (3.0 * d.x * d.x - d2);
+  q[1] += m * 3.0 * d.x * d.y;
+  q[2] += m * 3.0 * d.x * d.z;
+  q[3] += m * (3.0 * d.y * d.y - d2);
+  q[4] += m * 3.0 * d.y * d.z;
+  q[5] += m * (3.0 * d.z * d.z - d2);
+}
+
+ReferenceTree reference_build(std::span<const Vec3> pos, std::span<const double> mass,
+                              OctreeParams params) {
+  const std::size_t n = pos.size();
+  Vec3 lo{0, 0, 0}, hi{1, 1, 1};
+  if (n > 0) {
+    lo = hi = pos[0];
+    for (const auto& p : pos) {
+      lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+      hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+    }
+  }
+  double size = std::max({hi.x - lo.x, hi.y - lo.y, hi.z - lo.z, 1e-12});
+  size *= 1.0 + 1e-9;
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 q = (pos[i] - lo) / size;
+    auto cell = [](double v) {
+      auto c = static_cast<std::int64_t>(v * static_cast<double>(1ULL << kMortonBits));
+      return static_cast<std::uint64_t>(std::clamp<std::int64_t>(c, 0, (1LL << kMortonBits) - 1));
+    };
+    keys[i] = morton_encode(cell(q.x), cell(q.y), cell(q.z));
+  }
+  ReferenceTree t;
+  t.order.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) t.order[i] = i;
+  std::stable_sort(t.order.begin(), t.order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+  std::vector<std::uint64_t> skeys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.sorted_pos.push_back(pos[t.order[i]]);
+    t.sorted_mass.push_back(mass[t.order[i]]);
+    skeys[i] = keys[t.order[i]];
+  }
+  const int max_depth = std::min(params.max_depth, kMortonBits);
+  NodeArrays& a = t.nodes;
+  auto append = [&](unsigned k) {
+    const auto at = static_cast<std::uint32_t>(a.size());
+    a.resize(at + k);
+    if (params.with_quadrupole) t.quads.resize(at + k);
+    return at;
+  };
+  auto com_of = [&](std::uint32_t i) { return Vec3{a.comx[i], a.comy[i], a.comz[i]}; };
+  auto set_moments = [&](std::uint32_t i, const Vec3& com, double m) {
+    a.comx[i] = com.x;
+    a.comy[i] = com.y;
+    a.comz[i] = com.z;
+    a.mass[i] = m;
+  };
+  auto build = [&](auto& self, std::uint32_t node, std::uint32_t lo_i, std::uint32_t hi_i,
+                   int level, Vec3 center, double half) -> void {
+    a.cx[node] = center.x;
+    a.cy[node] = center.y;
+    a.cz[node] = center.z;
+    a.half[node] = half;
+    a.first[node] = lo_i;
+    a.count[node] = hi_i - lo_i;
+    if (hi_i - lo_i <= params.leaf_capacity || level >= max_depth) {
+      Vec3 com{};
+      double m = 0;
+      for (std::uint32_t i = lo_i; i < hi_i; ++i) {
+        com += t.sorted_pos[i] * t.sorted_mass[i];
+        m += t.sorted_mass[i];
+      }
+      set_moments(node, m > 0 ? com / m : center, m);
+      if (params.with_quadrupole)
+        for (std::uint32_t i = lo_i; i < hi_i; ++i)
+          add_point_quad(t.quads[node], t.sorted_pos[i] - com_of(node), t.sorted_mass[i]);
+      return;
+    }
+    const int shift = 3 * (kMortonBits - 1 - level);
+    std::uint32_t bounds[9];
+    bounds[0] = lo_i;
+    std::uint32_t cur = lo_i;
+    for (unsigned o = 0; o < 8; ++o) {
+      while (cur < hi_i && ((skeys[cur] >> shift) & 7u) == o) ++cur;
+      bounds[o + 1] = cur;
+    }
+    unsigned octs[8], nchild = 0;
+    for (unsigned o = 0; o < 8; ++o)
+      if (bounds[o + 1] != bounds[o]) octs[nchild++] = o;
+    const std::uint32_t first_child = append(nchild);
+    a.first_child[node] = first_child;
+    a.nchildren[node] = nchild;
+    Vec3 com{};
+    double m = 0;
+    for (unsigned c = 0; c < nchild; ++c) {
+      const unsigned o = octs[c];
+      const double q = half / 2;
+      self(self, first_child + c, bounds[o], bounds[o + 1], level + 1,
+           center + Vec3{(o & 1) ? q : -q, (o & 2) ? q : -q, (o & 4) ? q : -q}, q);
+      com += com_of(first_child + c) * a.mass[first_child + c];
+      m += a.mass[first_child + c];
+    }
+    set_moments(node, m > 0 ? com / m : center, m);
+    if (params.with_quadrupole)
+      for (std::uint32_t c = first_child; c < first_child + nchild; ++c) {
+        for (std::size_t k = 0; k < 6; ++k) t.quads[node][k] += t.quads[c][k];
+        add_point_quad(t.quads[node], com_of(c) - com_of(node), a.mass[c]);
+      }
+  };
+  append(1);
+  build(build, 0, 0, static_cast<std::uint32_t>(n), 0, lo + Vec3(size / 2, size / 2, size / 2),
+        size / 2);
+  return t;
+}
+
+/// Byte equality of two contiguous ranges.
+template <class A, class B>
+bool same_bytes(const A& a, const B& b) {
+  const std::span x(a);
+  const std::span y(b);
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+}
+
+void expect_matches_reference(std::span<const Vec3> pos, std::span<const double> mass,
+                              OctreeParams params, const std::string& what) {
+  const Octree tree(pos, mass, params);
+  const ReferenceTree ref = reference_build(pos, mass, params);
+  const NodeArrays& a = tree.node_arrays();
+  const NodeArrays& r = ref.nodes;
+  ASSERT_EQ(a.size(), r.size()) << what;
+  EXPECT_TRUE(same_bytes(a.cx, r.cx) && same_bytes(a.cy, r.cy) && same_bytes(a.cz, r.cz) &&
+              same_bytes(a.half, r.half))
+      << what << ": cell geometry";
+  EXPECT_TRUE(same_bytes(a.comx, r.comx) && same_bytes(a.comy, r.comy) &&
+              same_bytes(a.comz, r.comz) && same_bytes(a.mass, r.mass))
+      << what << ": monopoles";
+  EXPECT_TRUE(same_bytes(a.first_child, r.first_child) && same_bytes(a.nchildren, r.nchildren) &&
+              same_bytes(a.first, r.first) && same_bytes(a.count, r.count))
+      << what << ": topology";
+  EXPECT_TRUE(same_bytes(tree.order(), ref.order)) << what << ": order";
+  EXPECT_TRUE(same_bytes(tree.sorted_pos(), ref.sorted_pos)) << what << ": sorted positions";
+  EXPECT_TRUE(same_bytes(tree.sorted_mass(), ref.sorted_mass)) << what << ": sorted masses";
+  EXPECT_TRUE(same_bytes(tree.quads(), ref.quads)) << what << ": quadrupoles";
+}
+
+TEST(Octree, MatchesReferenceBuild) {
+  struct Set {
+    std::string name;
+    std::vector<Vec3> pos;
+  };
+  std::vector<Set> sets;
+  sets.push_back({"uniform", random_positions(5000, 71)});
+  {
+    std::vector<Vec3> p;
+    for (const auto& q : core::plummer_particles(5000, 1.0, {0.4, 0.6, 0.5}, 0.02, 72))
+      p.push_back(q.pos);
+    sets.push_back({"plummer", p});
+  }
+  {
+    // Many exact duplicates, in scattered input order: ties must fall in
+    // index order.
+    auto p = random_positions(400, 73);
+    Rng rng(74);
+    for (int k = 0; k < 1600; ++k) p.push_back(p[static_cast<std::size_t>(rng.uniform(0, 400))]);
+    sets.push_back({"duplicates", p});
+  }
+  {
+    // All but two in one finest cell of a box that the other two stretch
+    // to the unit cube: the tree runs down to the key resolution.
+    std::vector<Vec3> p{{0, 0, 0}, {1, 1, 1}};
+    for (int k = 0; k < 40; ++k) p.push_back({0.3 + k * 1e-10, 0.3, 0.3 - k * 1e-10});
+    sets.push_back({"one finest cell", p});
+  }
+  sets.push_back({"single", {{0.3, 0.2, 0.9}}});
+  sets.push_back({"empty", {}});
+
+  for (const auto& set : sets) {
+    Rng rng(75);
+    std::vector<double> mass(set.pos.size());
+    for (auto& m : mass) m = rng.uniform(0.5, 1.5);
+    for (const std::uint32_t cap : {1u, 8u, 64u})
+      for (const int depth : {3, 21})
+        for (const bool quad : {false, true})
+          expect_matches_reference(set.pos, mass, {cap, depth, quad},
+                                   set.name + " cap " + std::to_string(cap) + " depth " +
+                                       std::to_string(depth) + (quad ? " quad" : ""));
+  }
 }
 
 class TraversalAccuracy : public ::testing::TestWithParam<double> {};
@@ -327,6 +533,111 @@ TEST(Ghost, GhostForceEqualsFullShortRange) {
   }
 }
 
+
+/// The ghost selection as first written: every particle against every
+/// destination through all 27 periodic images, in that nesting order.
+GhostExport reference_ghosts(std::span<const Vec3> pos, std::span<const double> mass,
+                             std::span<const Box> domains, int self_rank, double rcut) {
+  GhostExport out;
+  out.pos.resize(domains.size());
+  out.mass.resize(domains.size());
+  const double rcut2 = rcut * rcut;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const Vec3 q = pos[i];
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+      double ax[3][3];
+      for (std::size_t a = 0; a < 3; ++a)
+        for (int s = 0; s < 3; ++s) {
+          const double v = q[a] + static_cast<double>(s - 1);
+          const double lo = domains[d].lo[a], hi = domains[d].hi[a];
+          ax[a][s] = v < lo ? lo - v : (v >= hi ? v - hi : 0.0);
+        }
+      for (int sx = 0; sx < 3; ++sx)
+        for (int sy = 0; sy < 3; ++sy)
+          for (int sz = 0; sz < 3; ++sz) {
+            if (static_cast<int>(d) == self_rank && sx == 1 && sy == 1 && sz == 1) continue;
+            const double dx2 = ax[0][sx] * ax[0][sx];
+            const double dy2 = dx2 + ax[1][sy] * ax[1][sy];
+            if (dx2 > rcut2 || dy2 > rcut2 || dy2 + ax[2][sz] * ax[2][sz] > rcut2) continue;
+            out.pos[d].push_back(q + Vec3{static_cast<double>(sx - 1),
+                                          static_cast<double>(sy - 1),
+                                          static_cast<double>(sz - 1)});
+            out.mass[d].push_back(mass[i]);
+          }
+    }
+  }
+  return out;
+}
+
+/// Boxes of a dims[0] x dims[1] x dims[2] grid with uneven cuts (x cuts
+/// shared, y cuts per x slab, z cuts per column, like the multi-section
+/// decomposition), rank = (i * dims[1] + j) * dims[2] + k.
+std::vector<Box> uneven_boxes(std::array<int, 3> dims, Rng& rng) {
+  auto cuts = [&](int n) {
+    std::vector<double> c{0.0};
+    for (int k = 1; k < n; ++k)
+      c.push_back((k + rng.uniform(-0.3, 0.3)) / static_cast<double>(n));
+    c.push_back(1.0);
+    return c;
+  };
+  std::vector<Box> boxes;
+  const auto xc = cuts(dims[0]);
+  for (int i = 0; i < dims[0]; ++i) {
+    const auto yc = cuts(dims[1]);
+    for (int j = 0; j < dims[1]; ++j) {
+      const auto zc = cuts(dims[2]);
+      for (int k = 0; k < dims[2]; ++k)
+        boxes.push_back({{xc[i], yc[j], zc[k]}, {xc[i + 1], yc[j + 1], zc[k + 1]}});
+    }
+  }
+  return boxes;
+}
+
+TEST(Ghost, MatchesReferenceSelection) {
+  for (const auto dims : {std::array{1, 1, 1}, std::array{2, 1, 1}, std::array{2, 2, 2},
+                          std::array{3, 3, 1}}) {
+    Rng rng(81);
+    const auto boxes = uneven_boxes(dims, rng);
+    for (const double rcut : {0.05, 0.12, 0.3}) {
+      for (int r = 0; r < static_cast<int>(boxes.size()); ++r) {
+        // The rank's particles: inside its box, a quarter of them drifted
+        // up to 1e-3 outside it, and some exactly on its faces and corners.
+        const Box& own = boxes[static_cast<std::size_t>(r)];
+        std::vector<Vec3> pos;
+        for (int k = 0; k < 1500; ++k) {
+          Vec3 q;
+          for (std::size_t a = 0; a < 3; ++a) q[a] = rng.uniform(own.lo[a], own.hi[a]);
+          if (k % 4 == 0)
+            for (std::size_t a = 0; a < 3; ++a) q[a] += rng.uniform(-1e-3, 1e-3);
+          pos.push_back(q);
+        }
+        pos.push_back(own.lo);
+        pos.push_back({own.lo.x, own.hi.y, own.lo.z});
+        pos.push_back({own.lo.x, 0.5 * (own.lo.y + own.hi.y), own.lo.z - 1e-3});
+        std::vector<double> mass(pos.size());
+        for (auto& m : mass) m = rng.uniform(0.5, 1.5);
+
+        const auto got = select_ghosts(pos, mass, boxes, r, rcut);
+        const auto want = reference_ghosts(pos, mass, boxes, r, rcut);
+        ASSERT_EQ(got.pos.size(), boxes.size());
+        std::size_t exported = 0;
+        for (std::size_t d = 0; d < boxes.size(); ++d) {
+          const std::string what = "dims " + std::to_string(dims[0]) + "x" +
+                                   std::to_string(dims[1]) + "x" + std::to_string(dims[2]) +
+                                   " rcut " + std::to_string(rcut) + " rank " +
+                                   std::to_string(r) + " -> " + std::to_string(d);
+          EXPECT_TRUE(same_bytes(got.pos[d], want.pos[d])) << what << ": positions";
+          EXPECT_TRUE(same_bytes(got.mass[d], want.mass[d])) << what << ": masses";
+          exported += want.pos[d].size();
+        }
+        EXPECT_GT(exported, 0u);
+        if (dims == std::array{1, 1, 1}) {
+          EXPECT_FALSE(want.pos[0].empty());  // periodic self-ghosts
+        }
+      }
+    }
+  }
+}
 
 TEST(Quadrupole, KnownTensorForSymmetricPair) {
   // Two equal masses at +-d along x: Q_xx = 4 m d^2, Q_yy = Q_zz = -2 m d^2.
