@@ -86,7 +86,6 @@ void BM_PhantomVariant(benchmark::State& state) {
 }
 BENCHMARK(BM_PhantomVariant)
     ->Arg(static_cast<int>(pp::PhantomVariant::kBasic))
-    ->Arg(static_cast<int>(pp::PhantomVariant::kBlocked))
     ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx2))
     ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx512));
 
@@ -153,8 +152,7 @@ void write_kernel_json(const char* path) {
 
   constexpr pp::PhantomVariant kVariants[] = {
       pp::PhantomVariant::kScalar, pp::PhantomVariant::kBasic,
-      pp::PhantomVariant::kBlocked, pp::PhantomVariant::kBlockedAvx2,
-      pp::PhantomVariant::kBlockedAvx512};
+      pp::PhantomVariant::kBlockedAvx2, pp::PhantomVariant::kBlockedAvx512};
   double rate[std::size(kVariants)] = {};
   for (std::size_t k = 0; k < std::size(kVariants); ++k)
     if (pp::phantom_variant_available(kVariants[k])) rate[k] = measure_rate(kVariants[k], w);

@@ -9,8 +9,10 @@
 //   BENCH_step.json       the RunMeta envelope plus a summary of the last
 //                         step, checkpoint overhead, and the
 //                         metrics-registry counters,
-//   BENCH_step_trace.json Chrome trace-format spans (load in
-//                         chrome://tracing or https://ui.perfetto.dev).
+//   BENCH_flight_trace.json  the run's Chrome trace: spans, transport frame
+//                         events and cross-rank flow arrows from the
+//                         flight-recorder rings (load in chrome://tracing
+//                         or https://ui.perfetto.dev; --flight-dump).
 //
 // This is the artifact CI uploads; it doubles as the quickest way to eyeball
 // where a step spends its time, and as the kill-and-restart harness: with
@@ -34,8 +36,8 @@
 //                         "@RATE" / "xN" (e.g. 3:pp:2, "*:any:*:drop@0.01")
 //   --watchdog SEC        arm the hang watchdog with this quiescence window
 //   --watchdog-dump FILE  watchdog also writes its state dump here
-//   --flight-dump FILE    flight-recorder dump path (Chrome trace JSON;
-//                         default BENCH_flight_trace.json, "" disables) --
+//   --flight-dump FILE    Chrome trace path (default
+//                         BENCH_flight_trace.json, "" disables) --
 //                         written at end of run, or by the watchdog /
 //                         sentinel / fault-recovery hooks the moment they
 //                         fire (docs/observability.md)
@@ -293,7 +295,6 @@ int main(int argc, char** argv) {
 
   constexpr int kRanks = 8;
   const char* jsonl_path = "BENCH_step.jsonl";
-  const char* trace_path = "BENCH_step_trace.json";
 
   if (!telemetry::enabled())
     std::printf("note: built with GREEM_TELEMETRY=OFF; step reports and traces "
@@ -398,13 +399,13 @@ int main(int argc, char** argv) {
   });
   const double wall_seconds = wall.seconds();
 
-  // Flight-recorder artifact: dump the main run's recent event history now,
-  // before the probes and sweeps below wrap the per-thread rings.  If the
-  // watchdog fired it already dumped the hang evidence to this path --
-  // don't overwrite it with post-hang history.
+  // The run's trace: dump the main run's recent event history now, before
+  // the probes and sweeps below wrap the per-thread rings.  If the watchdog
+  // fired it already dumped the hang evidence to this path -- don't
+  // overwrite it with post-hang history.
   if (!opt.flight_dump.empty() &&
       telemetry::Registry::global().counter("parx/watchdog_fired").value() == 0) {
-    if (telemetry::dump_flight_recorder(opt.flight_dump))
+    if (telemetry::write_chrome_trace(opt.flight_dump))
       std::printf("wrote %s (%llu flight events recorded)\n", opt.flight_dump.c_str(),
                   static_cast<unsigned long long>(telemetry::flight_event_count()));
   }
@@ -462,11 +463,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (telemetry::write_chrome_trace(trace_path))
-    std::printf("wrote %s (%llu spans, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(telemetry::trace_event_count()),
-                static_cast<unsigned long long>(telemetry::trace_dropped_count()));
-
   if (std::ofstream os("BENCH_step.json"); os) {
     auto& reg = telemetry::Registry::global();
     telemetry::JsonWriter jw(os);
@@ -480,7 +476,7 @@ int main(int argc, char** argv) {
     jw.field("n_mesh", cfg.pm.n_mesh);
     jw.field("wall_seconds", wall_seconds);
     jw.field("step_report", jsonl_path);
-    jw.field("trace", trace_path);
+    jw.field("trace", opt.flight_dump);
     jw.key("last_step").begin_object();
     jw.field("interactions", last.interactions);
     jw.field("flops", last.flops);

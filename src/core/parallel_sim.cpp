@@ -171,8 +171,6 @@ void ParallelSimulation::domain_cycle(std::uint64_t substep_id) {
   const auto dest = domain::destinations(decomp_, pos);
   particles_ = domain::exchange_by_rank<Particle>(world_, particles_, dest);
   report_.dd.add("particle exchange", sw.seconds());
-
-  pm_.update_domain(decomp_.box_of(world_.rank()));
   if (ep) report_.traffic_dd += ep->delta();
 }
 
@@ -439,12 +437,11 @@ void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
   auto pos = positions_of(particles_);
   auto mass = masses_of(particles_);
 
-  // The drift since the exchange can carry fast particles beyond the
-  // 2-cell pad that update_domain() assumed around the domain box, which
-  // would run the density stencil off the local mesh.  Re-announce the PM
-  // regions from the box that actually covers the drifted positions (a
-  // collective, like the exchange itself).  In a healthy step the union
-  // equals the domain box and the regions are unchanged.
+  // Announce the PM regions (a collective, like the exchange itself) from
+  // the box that covers the drifted positions: the drift since the
+  // exchange can carry fast particles beyond the 2-cell pad around the
+  // domain box, which would run the density stencil off the local mesh.
+  // In a healthy step the union equals the domain box.
   {
     Box pm_box = decomp_.box_of(world_.rank());
     for (const Vec3& q : pos) {
@@ -577,7 +574,6 @@ void ParallelSimulation::restore_checkpoint(const std::string& ckpt_path) {
   last_force_cost_ = r.rank_cost;
   decomp_ = domain::Decomposition::unflatten(gs.dims, gs.decomp_flat);
   smoother_.set_history(gs.smoother_history);
-  pm_.update_domain(decomp_.box_of(world_.rank()));
   report_ = StepReport{};
   // Published donation costs are not checkpointed: the first post-restore
   // cycle runs without donation (lb_w rode the particle payload, so the

@@ -729,7 +729,7 @@ void Monitor::check_hang(double now) {
                                   ra.peer.load(std::memory_order_relaxed));
   }
   if (!cfg.flight_dump_path.empty())
-    telemetry::dump_flight_recorder(cfg.flight_dump_path);
+    telemetry::write_chrome_trace(cfg.flight_dump_path);
   else
     telemetry::dump_flight_recorder();
   telemetry::LiveEndpoint::global().publish_event("watchdog", head);

@@ -63,17 +63,17 @@ void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
 /// implementation the CPU supports (see PhantomVariant), overridable with
 /// the GREEM_KERNEL environment variable (read once per process) or
 /// set_phantom_variant().  The accuracy contract is per variant:
-///   - the double variants (basic, blocked, avx2) keep the paper's ~24-bit
+///   - the double variants (basic, avx2) keep the paper's ~24-bit
 ///     rsqrt: within 5e-7 x max(1, |a|) of pp_kernel_scalar;
 ///   - avx512 does the pair arithmetic in float, on coordinates relative to
 ///     xi[0], and accumulates in double: within 1e-4 x max(1, |a|) on the
 ///     compact groups the tree walk forms (median ~3e-7).
 ///
-/// A target's last bits depend on its slot in `xi` on the double blocked
-/// variants: they evaluate whole 4-target blocks and hand the ni % 4 tail
-/// to the 1i x 4j basic loop, whose summation order (and, on avx2, rsqrt
-/// seed) differs from the block's.  avx512 runs the tail through the block
-/// code, so there a target's result depends only on itself and xi[0].
+/// A target's last bits depend on its slot in `xi` on avx2: it evaluates
+/// whole 4-target blocks and hands the ni % 4 tail to the 1i x 4j basic
+/// loop, whose summation order and rsqrt seed differ from the block's.
+/// avx512 runs the tail through the block code, so there a target's result
+/// depends only on itself and xi[0].
 /// Either way the result is deterministic for a given `xi`, but compacting
 /// or reordering the targets (for example, dropping a group's ghost
 /// members) can change a target within the tolerance.
@@ -84,9 +84,7 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///   kAuto          -- fastest available (avx512 > avx2 > basic)
 ///   kScalar        -- exact pp_kernel_scalar (for A/B benchmarking)
 ///   kBasic         -- 1i x 4j lane loop, compiler-vectorized (the
-///                     pre-blocking kernel; kept as the portable baseline)
-///   kBlocked       -- portable 4i x 4j register-blocked form of the
-///                     paper (four targets share every j-lane load)
+///                     portable kernel)
 ///   kBlockedAvx2   -- 4i x 4j AVX2+FMA intrinsics, rsqrt seed from
 ///                     _mm_rsqrt_ps + the paper's third-order step
 ///   kBlockedAvx512 -- 4i x 16j mixed-precision AVX-512 intrinsics: float
@@ -94,13 +92,13 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///                     _mm512_rsqrt14_ps seed (the software analog of
 ///                     HPC-ACE frsqrta) + one Newton step, double
 ///                     accumulation across 512-entry j-blocks
-enum class PhantomVariant { kAuto, kScalar, kBasic, kBlocked, kBlockedAvx2, kBlockedAvx512 };
+enum class PhantomVariant { kAuto, kScalar, kBasic, kBlockedAvx2, kBlockedAvx512 };
 
 /// True if `v` can execute on this CPU/build.
 bool phantom_variant_available(PhantomVariant v);
 
 /// Name used by GREEM_KERNEL and the bench JSON ("auto", "scalar",
-/// "basic", "blocked", "avx2", "avx512").
+/// "basic", "avx2", "avx512").
 const char* phantom_variant_name(PhantomVariant v);
 
 /// The variant pp_kernel_phantom currently dispatches to, with kAuto and

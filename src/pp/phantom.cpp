@@ -18,10 +18,10 @@
 // optimizations are in-contract here and only here.
 //
 // Layout of this file: the scalar rsqrt, the basic (1i x 4j) kernel, the
-// portable blocked (4i x 4j) kernel, the AVX2 (double) and AVX-512 (mixed
-// precision) intrinsic kernels (paper §II-A: register blocking so four
-// i-particles share every j-lane load -- the HPC-ACE code holds the same
-// 4x4 tile in registers), and the runtime dispatch shim at the bottom.
+// AVX2 (double) and AVX-512 (mixed precision) intrinsic kernels (paper
+// §II-A: register blocking so four i-particles share every j-lane load --
+// the HPC-ACE code holds the same 4x4 tile in registers), and the runtime
+// dispatch shim at the bottom.
 
 namespace greem::pp {
 
@@ -43,8 +43,8 @@ double approx_rsqrt(double x) {
 namespace {
 
 // The pre-blocking kernel: one target at a time, 4-wide j-lane loop the
-// compiler keeps in SIMD registers.  Retained as the portable baseline of
-// the dispatch table and as the i-tail handler of the double blocked kernels.
+// compiler keeps in SIMD registers.  The portable kernel of the dispatch
+// table and the i-tail handler of the AVX2 kernel.
 void kernel_basic(std::span<const Vec3> xi, std::span<Vec3> acc,
                   const InteractionList& list, double rcut, double eps2) {
   const double two_over_rcut = 2.0 / rcut;
@@ -90,64 +90,6 @@ void kernel_basic(std::span<const Vec3> xi, std::span<Vec3> acc,
     }
     acc[i] += Vec3{ax, ay, az};
   }
-}
-
-// Portable 4i x 4j register blocking: four targets share each j-lane
-// load, 12 lane-accumulators live across the whole j loop.  ISA-neutral
-// form of the paper's tile; the intrinsic kernels below are its
-// hand-scheduled x86 instances.
-void kernel_blocked(std::span<const Vec3> xi, std::span<Vec3> acc,
-                    const InteractionList& list, double rcut, double eps2) {
-  const double two_over_rcut = 2.0 / rcut;
-  const std::size_t nj = list.size();
-  const double* jx = list.x.data();
-  const double* jy = list.y.data();
-  const double* jz = list.z.data();
-  const double* jm = list.m.data();
-
-  const std::size_t ni = xi.size();
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= ni; i0 += 4) {
-    double px[4], py[4], pz[4];
-    for (int b = 0; b < 4; ++b) {
-      px[b] = xi[i0 + b].x;
-      py[b] = xi[i0 + b].y;
-      pz[b] = xi[i0 + b].z;
-    }
-    double axl[4][4] = {}, ayl[4][4] = {}, azl[4][4] = {};
-    for (std::size_t j = 0; j < nj; j += 4) {
-      for (int b = 0; b < 4; ++b) {
-        const double pix = px[b], piy = py[b], piz = pz[b];
-        for (int l = 0; l < 4; ++l) {
-          const double dx = jx[j + l] - pix;
-          const double dy = jy[j + l] - piy;
-          const double dz = jz[j + l] - piz;
-          const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-          const double y0 = approx_rsqrt(r2);
-          double q = r2 * y0 * two_over_rcut;
-          q = q < 2.0 ? q : 2.0;
-          const double zeta = q > 1.0 ? q - 1.0 : 0.0;
-          const double z2 = zeta * zeta;
-          const double z6 = z2 * z2 * z2;
-          const double poly =
-              -8.0 / 5.0 +
-              q * q * (8.0 / 5.0 + q * (-1.0 / 2.0 + q * (-12.0 / 35.0 + q * (3.0 / 20.0))));
-          const double g =
-              1.0 + q * q * q * poly - z6 * (3.0 / 35.0 + q * (18.0 / 35.0 + q * (1.0 / 5.0)));
-          const double f = jm[j + l] * g * (y0 * y0 * y0);
-          axl[b][l] += f * dx;
-          ayl[b][l] += f * dy;
-          azl[b][l] += f * dz;
-        }
-      }
-    }
-    for (int b = 0; b < 4; ++b) {
-      acc[i0 + b] += Vec3{(axl[b][0] + axl[b][1]) + (axl[b][2] + axl[b][3]),
-                          (ayl[b][0] + ayl[b][1]) + (ayl[b][2] + ayl[b][3]),
-                          (azl[b][0] + azl[b][1]) + (azl[b][2] + azl[b][3])};
-    }
-  }
-  if (i0 < ni) kernel_basic(xi.subspan(i0), acc.subspan(i0), list, rcut, eps2);
 }
 
 #ifdef GREEM_X86_KERNELS
@@ -405,8 +347,7 @@ PhantomVariant env_variant() {
   if (env == nullptr) return PhantomVariant::kAuto;
   for (const PhantomVariant v :
        {PhantomVariant::kAuto, PhantomVariant::kScalar, PhantomVariant::kBasic,
-        PhantomVariant::kBlocked, PhantomVariant::kBlockedAvx2,
-        PhantomVariant::kBlockedAvx512})
+        PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512})
     if (std::strcmp(env, phantom_variant_name(v)) == 0) return v;
   return PhantomVariant::kAuto;
 }
@@ -422,7 +363,6 @@ bool phantom_variant_available(PhantomVariant v) {
     case PhantomVariant::kAuto:
     case PhantomVariant::kScalar:
     case PhantomVariant::kBasic:
-    case PhantomVariant::kBlocked:
       return true;
     case PhantomVariant::kBlockedAvx2:
 #ifdef GREEM_X86_KERNELS
@@ -445,7 +385,6 @@ const char* phantom_variant_name(PhantomVariant v) {
     case PhantomVariant::kAuto: return "auto";
     case PhantomVariant::kScalar: return "scalar";
     case PhantomVariant::kBasic: return "basic";
-    case PhantomVariant::kBlocked: return "blocked";
     case PhantomVariant::kBlockedAvx2: return "avx2";
     case PhantomVariant::kBlockedAvx512: return "avx512";
   }
@@ -465,9 +404,6 @@ void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
       return;
     case PhantomVariant::kBasic:
       kernel_basic(xi, acc, list, rcut, eps2);
-      return;
-    case PhantomVariant::kBlocked:
-      kernel_blocked(xi, acc, list, rcut, eps2);
       return;
 #ifdef GREEM_X86_KERNELS
     case PhantomVariant::kBlockedAvx2:

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -68,6 +69,7 @@ RecorderState& state() {
 }
 
 thread_local std::shared_ptr<Ring> tl_ring;
+thread_local int tl_pid = kHostTrack;
 
 Ring& my_ring() {
   if (!tl_ring) {
@@ -100,7 +102,7 @@ void record(RecKind rec, std::uint8_t frame, const char* name, std::int64_t ts_n
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.bytes.store(bytes, std::memory_order_relaxed);
   slot.flow.store(flow, std::memory_order_relaxed);
-  slot.pid.store(current_trace_rank(), std::memory_order_relaxed);
+  slot.pid.store(tl_pid, std::memory_order_relaxed);
   slot.stamp.store(stamp + 2, std::memory_order_release);  // even: committed
   r.head.store(h + 1, std::memory_order_release);
   s.recorded.fetch_add(1, std::memory_order_relaxed);
@@ -176,12 +178,26 @@ std::vector<Event> collect() {
 
 }  // namespace
 
-std::uint64_t next_flow_id() {
-  return state().next_flow.fetch_add(1, std::memory_order_relaxed);
+int set_trace_rank(int r) {
+  const int prev = tl_pid;
+  tl_pid = r;
+  return prev;
 }
 
-void flight_record_span(const char* name, std::int64_t ts_ns, std::int64_t dur_ns) {
-  record(RecKind::kSpan, 0, name, ts_ns, dur_ns, 0, 0, 0, 0, 0);
+int current_trace_rank() { return tl_pid; }
+
+std::int64_t trace_now_ns() {
+  using clock = std::chrono::steady_clock;
+  static const clock::time_point epoch = clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - epoch).count();
+}
+
+void Span::finish() {
+  record(RecKind::kSpan, 0, name_, start_ns_, trace_now_ns() - start_ns_, 0, 0, 0, 0, 0);
+}
+
+std::uint64_t next_flow_id() {
+  return state().next_flow.fetch_add(1, std::memory_order_relaxed);
 }
 
 void flight_record_frame(FrameEventKind kind, int src_world, int dst_world,
@@ -218,7 +234,7 @@ std::uint64_t flight_event_count() {
   return state().recorded.load(std::memory_order_relaxed);
 }
 
-void clear_flight_recorder() {
+void clear_trace() {
   RecorderState& s = state();
   std::lock_guard lock(s.mu);
   for (const auto& rp : s.rings) {
@@ -233,7 +249,7 @@ void clear_flight_recorder() {
   s.recorded.store(0, std::memory_order_relaxed);
 }
 
-bool dump_flight_recorder(const std::string& path) {
+bool write_chrome_trace(const std::string& path) {
   const std::vector<Event> all = collect();
 
   std::ofstream os(path);
@@ -242,8 +258,7 @@ bool dump_flight_recorder(const std::string& path) {
   w.begin_object();
   w.key("displayTimeUnit").value("ms");
   w.key("traceEvents").begin_array();
-  // Track-name metadata, matching write_chrome_trace so the two artifacts
-  // line up when loaded together.
+  // Track-name metadata: one process row per rank plus the host row.
   std::vector<int> pids;
   for (const Event& e : all)
     if (std::find(pids.begin(), pids.end(), e.pid) == pids.end()) pids.push_back(e.pid);
@@ -333,7 +348,7 @@ bool dump_flight_recorder(const std::string& path) {
 bool dump_flight_recorder() {
   const std::string path = flight_dump_path();
   if (path.empty()) return false;
-  return dump_flight_recorder(path);
+  return write_chrome_trace(path);
 }
 
 }  // namespace greem::telemetry

@@ -1,21 +1,21 @@
 #pragma once
-// Always-on, lock-free per-thread flight recorder.
+// Always-on, lock-free per-thread flight recorder: the one event store of
+// the telemetry layer.
 //
 // Each thread owns a bounded ring of the most recent events it produced:
-// finished spans (mirrored from telemetry::Span), parx transport frame
-// events (send/retransmit/deliver/recv/ack/drop with seq, byte count and
-// causal flow id), and watchdog/sentinel marks.  Recording is a handful of
+// finished spans (telemetry::Span, trace.hpp), parx transport frame events
+// (send/retransmit/deliver/recv/ack/drop with seq, byte count and causal
+// flow id), and watchdog/sentinel marks.  Recording is a handful of
 // relaxed atomic stores guarded by a per-slot seqlock -- no mutex, no
 // allocation, no formatting -- so it stays armed in production runs and the
-// last few thousand events per thread are always available for post-mortem
-// inspection.
+// last kFlightRingCapacity events per thread are always available for
+// post-mortem inspection.
 //
-// dump_flight_recorder() freezes a best-effort snapshot (torn slots are
-// skipped, not blocked on) into Chrome trace-format JSON on the same time
-// base as trace.cpp, so a watchdog dump and an opt-in span trace line up
-// in Perfetto.  Matched send/recv events additionally emit "s"/"f" flow
-// events sharing the message's flow id, which Perfetto renders as arrows
-// between rank tracks.
+// write_chrome_trace() (trace.hpp) freezes a best-effort snapshot (torn
+// slots are skipped, not blocked on) into Chrome trace-format JSON.
+// Matched send/recv events additionally emit "s"/"f" flow events sharing
+// the message's flow id, which Perfetto renders as arrows between rank
+// tracks.
 //
 // The recorder is dumped automatically when the hang watchdog fires, the
 // invariant sentinel trips, or fault recovery runs (see transport.cpp,
@@ -52,10 +52,6 @@ inline constexpr std::size_t kFlightRingCapacity = 4096;
 /// "unstamped").
 std::uint64_t next_flow_id();
 
-/// Record a finished span (called by Span::finish; `name` must have static
-/// storage duration).
-void flight_record_span(const char* name, std::int64_t ts_ns, std::int64_t dur_ns);
-
 /// Record a transport frame event.  `seq` is the reliable-transport
 /// sequence number (0 on the zero-copy fast path), `flow` the causal id
 /// stamped at send time.
@@ -67,9 +63,10 @@ void flight_record_frame(FrameEventKind kind, int src_world, int dst_world,
 /// arguments preserved into the dump (typically rank and peer).
 void flight_record_mark(const char* name, std::int64_t a = 0, std::int64_t b = 0);
 
-/// Disarm/re-arm recording at runtime (armed by default).  Used by the
-/// bench_step overhead probe to measure the armed-vs-disarmed delta; a
-/// disarmed recorder keeps its rings.
+/// Disarm/re-arm recording at runtime (armed by default); a disarmed
+/// recorder drops spans, frame events and marks alike and keeps its rings.
+/// Used by the bench_step overhead probe to measure the armed-vs-disarmed
+/// delta.
 void set_flight_recorder_enabled(bool on);
 bool flight_recorder_enabled();
 
@@ -84,21 +81,13 @@ std::string flight_dump_path();
 /// rings have since overwritten.
 std::uint64_t flight_event_count();
 
-/// Drop all buffered events (rings stay registered, count resets).
-void clear_flight_recorder();
-
-/// Snapshot every thread's ring into Chrome trace-format JSON at `path`.
-/// Returns false on I/O failure.  Safe to call while other threads record;
-/// slots being written during the snapshot are skipped.
-bool dump_flight_recorder(const std::string& path);
-
-/// Dump to the module-level path; false (and no I/O) when none configured.
+/// write_chrome_trace() to the module-level path; false (and no I/O) when
+/// none is configured.
 bool dump_flight_recorder();
 
 #else
 
 inline std::uint64_t next_flow_id() { return 0; }
-inline void flight_record_span(const char*, std::int64_t, std::int64_t) {}
 inline void flight_record_frame(FrameEventKind, int, int, std::uint64_t, std::uint64_t,
                                 std::uint64_t) {}
 inline void flight_record_mark(const char*, std::int64_t = 0, std::int64_t = 0) {}
@@ -107,8 +96,6 @@ inline bool flight_recorder_enabled() { return false; }
 inline void set_flight_dump_path(std::string) {}
 inline std::string flight_dump_path() { return {}; }
 inline std::uint64_t flight_event_count() { return 0; }
-inline void clear_flight_recorder() {}
-inline bool dump_flight_recorder(const std::string&) { return false; }
 inline bool dump_flight_recorder() { return false; }
 
 #endif  // GREEM_TELEMETRY_ENABLED

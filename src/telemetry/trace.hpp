@@ -2,21 +2,28 @@
 // Low-overhead span tracer emitting Chrome trace-format JSON.
 //
 // A Span is an RAII scope; its constructor takes one steady-clock sample
-// and its destructor pushes a complete ("ph":"X") event into a lock-free
-// thread-local buffer -- no allocation, no locking, no formatting on the
-// hot path.  write_chrome_trace() flushes every thread's buffer into a
-// file that chrome://tracing and https://ui.perfetto.dev load directly.
+// and its destructor writes a complete ("ph":"X") event into the calling
+// thread's flight-recorder ring (flight_recorder.hpp) -- a few relaxed
+// atomic stores, no locking, no formatting, and no allocation once the
+// thread's ring exists.  The ring is the only store: write_chrome_trace()
+// snapshots every thread's ring (spans together with transport frame
+// events and marks) into a file that chrome://tracing and
+// https://ui.perfetto.dev load directly.  A trace therefore holds the last
+// kFlightRingCapacity events of each thread; a caller that wants one
+// window calls clear_trace() at its start.
 //
 // Track identity: each event carries (pid, tid).  parx rank threads call
 // set_trace_rank(r) so their spans land on a per-rank track ("rank r"
 // process row in Perfetto); other threads default to the host track
-// (pid kHostTrack).  tids are assigned per OS thread in registration
+// (pid kHostTrack).  tids are assigned per OS thread in ring registration
 // order.
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // only the pointer is stored.
 //
-// With GREEM_TELEMETRY=OFF everything here is an empty inline no-op.
+// The functions declared here are implemented in flight_recorder.cpp,
+// next to the ring.  With GREEM_TELEMETRY=OFF everything here is an empty
+// inline no-op.
 
 #include <cstdint>
 #include <string>
@@ -30,7 +37,7 @@ inline constexpr int kHostTrack = -1;
 
 #if GREEM_TELEMETRY_ENABLED
 
-/// Route this thread's subsequent spans to the track of world rank `r`
+/// Route this thread's subsequent events to the track of world rank `r`
 /// (kHostTrack restores the default).  Returns the previous setting so
 /// scoped users can restore it.
 int set_trace_rank(int r);
@@ -40,14 +47,14 @@ int set_trace_rank(int r);
 int current_trace_rank();
 
 /// Nanoseconds since the process-wide trace epoch -- the time base of
-/// every span, frame event and flight-recorder dump, so artifacts from
-/// different subsystems line up in Perfetto.
+/// every span, frame event and mark, so events from different subsystems
+/// line up in Perfetto.
 std::int64_t trace_now_ns();
 
 /// RAII complete-event span.  `name` must have static storage duration.
 class Span {
  public:
-  explicit Span(const char* name) : name_(name), start_ns_(now_ns()) {}
+  explicit Span(const char* name) : name_(name), start_ns_(trace_now_ns()) {}
   ~Span() { finish(); }
 
   Span(const Span&) = delete;
@@ -60,26 +67,20 @@ class Span {
   }
 
  private:
-  static std::int64_t now_ns();
   void finish();
 
   const char* name_;
   std::int64_t start_ns_;
 };
 
-/// Total spans recorded so far across all threads (drops excluded).
-std::uint64_t trace_event_count();
-
-/// Spans dropped because a thread buffer hit its cap (kMaxEventsPerThread).
-std::uint64_t trace_dropped_count();
-
-/// Write every recorded span as Chrome trace-format JSON ({"traceEvents":
-/// [...]}) to `path`.  Returns false on I/O failure.  Spans still open are
-/// not included.  Safe to call while other threads record (events pushed
-/// concurrently may land in this file or the next).
+/// Snapshot every thread's ring into Chrome trace-format JSON
+/// ({"traceEvents": [...]}) at `path`.  Returns false on I/O failure.
+/// Spans still open are not included.  Safe to call while other threads
+/// record: slots being rewritten during the snapshot are skipped.
 bool write_chrome_trace(const std::string& path);
 
-/// Discard all recorded spans (thread buffers stay registered).
+/// Discard every buffered event (rings stay registered, the flight event
+/// count resets).
 void clear_trace();
 
 #else
@@ -94,8 +95,6 @@ class Span {
   void end() {}
 };
 
-inline std::uint64_t trace_event_count() { return 0; }
-inline std::uint64_t trace_dropped_count() { return 0; }
 inline bool write_chrome_trace(const std::string&) { return false; }
 inline void clear_trace() {}
 

@@ -1,11 +1,12 @@
-// Flight-recorder and live-endpoint tests: ring wraparound stays bounded,
-// concurrent writers and dumpers are race-free (this test is in the tsan
-// label set), a lossy-link soak leaves matched send/recv flow pairs and
-// retransmit evidence from multiple ranks in the dump, the zero-copy fast
-// path stamps flows too, and the live endpoint speaks its line protocol
-// over a real socket.  Everything content-related is skipped when the tree
-// is built with GREEM_TELEMETRY=OFF -- the API must still compile and be
-// callable as no-ops, which this file checks by existing.
+// Flight-recorder and live-endpoint tests: ring wraparound stays bounded
+// for marks and spans alike, concurrent writers and dumpers are race-free
+// (this test is in the tsan label set), a lossy-link soak leaves matched
+// send/recv flow pairs and retransmit evidence from multiple ranks in the
+// dump, the zero-copy fast path stamps flows too, and the live endpoint
+// speaks its line protocol over a real socket.  Everything content-related
+// is skipped when the tree is built with GREEM_TELEMETRY=OFF -- the API
+// must still compile and be callable as no-ops, which this file checks by
+// existing.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/live_endpoint.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace greem::telemetry {
 namespace {
@@ -50,7 +52,7 @@ std::size_t count_occurrences(const std::string& hay, const std::string& needle)
 }
 
 /// Flow ids of the "s" (begin) or "f" (end) halves of the Perfetto flow
-/// pairs in a dump, keyed off the exact key order dump_flight_recorder
+/// pairs in a dump, keyed off the exact key order write_chrome_trace
 /// writes.
 std::set<long long> flow_ids(const std::string& json, bool begin) {
   const std::string marker =
@@ -71,21 +73,32 @@ struct TempFile {
 
 TEST(FlightRecorder, WraparoundStaysBounded) {
   if (!enabled()) GTEST_SKIP() << "telemetry off";
-  clear_flight_recorder();
-  const std::uint64_t before = flight_event_count();
-  static const char kName[] = "test/wraparound_mark";
-  const std::size_t writes = kFlightRingCapacity + 1000;
-  for (std::size_t i = 0; i < writes; ++i)
-    flight_record_mark(kName, static_cast<std::int64_t>(i));
-  EXPECT_GE(flight_event_count() - before, writes);
+  // Marks and spans share the ring: the trace keeps only the newest
+  // kFlightRingCapacity events of this thread whichever kind filled it.
+  static const char kMark[] = "test/wraparound_mark";
+  static const char kSpan[] = "test/wraparound_span";
+  const struct {
+    const char* name;
+    void (*record)(std::size_t);
+  } inputs[] = {
+      {kMark, [](std::size_t i) { flight_record_mark(kMark, static_cast<std::int64_t>(i)); }},
+      {kSpan, [](std::size_t) { Span span(kSpan); }},
+  };
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.name);
+    clear_trace();
+    const std::uint64_t before = flight_event_count();
+    const std::size_t writes = kFlightRingCapacity + 1000;
+    for (std::size_t i = 0; i < writes; ++i) in.record(i);
+    EXPECT_GE(flight_event_count() - before, writes);
 
-  TempFile f("flight_wrap.json");
-  ASSERT_TRUE(dump_flight_recorder(f.path));
-  const std::string json = slurp(f.path);
-  // The ring keeps only the newest kFlightRingCapacity events of this
-  // thread: every surviving slot is ours, and none beyond capacity.
-  EXPECT_EQ(count_occurrences(json, kName), kFlightRingCapacity);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    TempFile f("flight_wrap.json");
+    ASSERT_TRUE(write_chrome_trace(f.path));
+    const std::string json = slurp(f.path);
+    // Every surviving slot is ours, and none beyond capacity.
+    EXPECT_EQ(count_occurrences(json, in.name), kFlightRingCapacity);
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  }
 }
 
 TEST(FlightRecorder, DisarmedRecordsNothing) {
@@ -125,13 +138,13 @@ TEST(FlightRecorder, ConcurrentWritersAndDumps) {
   }
   std::thread dumper([&] {
     while (!done.load(std::memory_order_acquire))
-      (void)dump_flight_recorder(f.path);
+      (void)write_chrome_trace(f.path);
   });
   for (auto& t : writers) t.join();
   done.store(true, std::memory_order_release);
   dumper.join();
 
-  ASSERT_TRUE(dump_flight_recorder(f.path));
+  ASSERT_TRUE(write_chrome_trace(f.path));
   const std::string json = slurp(f.path);
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -158,7 +171,7 @@ void run_alltoallv_rounds(int rounds, const parx::FaultPlan& plan) {
 
 TEST(FlightRecorder, LossySoakCapturesFrameEventsAcrossRanks) {
   if (!enabled()) GTEST_SKIP() << "telemetry off";
-  clear_flight_recorder();
+  clear_trace();
   parx::FaultSpec drop;
   drop.step = parx::kEveryStep;
   drop.rank = parx::kEveryRank;
@@ -168,7 +181,7 @@ TEST(FlightRecorder, LossySoakCapturesFrameEventsAcrossRanks) {
   run_alltoallv_rounds(100, parx::FaultPlan().at(drop));
 
   TempFile f("flight_lossy.json");
-  ASSERT_TRUE(dump_flight_recorder(f.path));
+  ASSERT_TRUE(write_chrome_trace(f.path));
   const std::string json = slurp(f.path);
 
   // Frame events from the framed transport, including retransmissions of
@@ -191,11 +204,11 @@ TEST(FlightRecorder, LossySoakCapturesFrameEventsAcrossRanks) {
 
 TEST(FlightRecorder, FastPathStampsFlowsToo) {
   if (!enabled()) GTEST_SKIP() << "telemetry off";
-  clear_flight_recorder();
+  clear_trace();
   run_alltoallv_rounds(20, parx::FaultPlan());  // no plan: zero-copy path
 
   TempFile f("flight_fastpath.json");
-  ASSERT_TRUE(dump_flight_recorder(f.path));
+  ASSERT_TRUE(write_chrome_trace(f.path));
   const std::string json = slurp(f.path);
   EXPECT_GT(count_occurrences(json, "\"name\":\"parx/send\""), 0u);
   EXPECT_GT(count_occurrences(json, "\"name\":\"parx/recv\""), 0u);

@@ -24,8 +24,8 @@ double variant_tolerance(PhantomVariant v) {
 }
 
 constexpr PhantomVariant kAllVariants[] = {
-    PhantomVariant::kScalar, PhantomVariant::kBasic, PhantomVariant::kBlocked,
-    PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512};
+    PhantomVariant::kScalar, PhantomVariant::kBasic, PhantomVariant::kBlockedAvx2,
+    PhantomVariant::kBlockedAvx512};
 
 /// A compact group of `ni` targets (a cell of side 0.05, as the traversal
 /// provides) and `nj` sources around it, unpadded.
@@ -188,7 +188,7 @@ TEST(Kernels, PhantomMatchesScalar) {
 
 TEST(Kernels, EveryPhantomVariantMatchesScalar) {
   // Deliberately ni % 4 != 0 and nj % 4 != 0: exercises the i-tail of the
-  // blocked kernels and the padded j-tail in the same run.
+  // blocked (SIMD) kernels and the padded j-tail in the same run.
   Rng rng(91);
   const std::size_t ni = 37, nj = 101;
   std::vector<Vec3> xi(ni);
@@ -202,8 +202,7 @@ TEST(Kernels, EveryPhantomVariantMatchesScalar) {
   pp_kernel_scalar(xi, a_scalar, list, rcut, eps2);
   list.pad4();
   for (const PhantomVariant v :
-       {PhantomVariant::kBasic, PhantomVariant::kBlocked, PhantomVariant::kBlockedAvx2,
-        PhantomVariant::kBlockedAvx512}) {
+       {PhantomVariant::kBasic, PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512}) {
     if (!phantom_variant_available(v)) continue;
     std::vector<Vec3> a(ni);
     pp_kernel_phantom_variant(v, xi, a, list, rcut, eps2);
@@ -212,12 +211,11 @@ TEST(Kernels, EveryPhantomVariantMatchesScalar) {
 }
 
 TEST(Kernels, TargetInITailAgreesWithTargetInBlock) {
-  // The double blocked variants hand the ni % 4 tail to the 1i x 4j basic
-  // loop, and avx512 shifts coordinates to xi[0], so a target's last bits
-  // depend on its slot in xi.  Slot changes stay within the variant's
-  // budget: the same target evaluated as the tail of a 5-target span and
-  // as the first slot of a 4-block must agree to twice the per-variant
-  // tolerance against scalar.
+  // avx2 hands the ni % 4 tail to the 1i x 4j basic loop, and avx512
+  // shifts coordinates to xi[0], so a target's last bits depend on its slot
+  // in xi.  Slot changes stay within the variant's budget: the same target
+  // evaluated as the tail of a 5-target span and as the first slot of a
+  // 4-block must agree to twice the per-variant tolerance against scalar.
   Rng rng(23);
   InteractionList list;
   for (std::size_t j = 0; j < 61; ++j)
