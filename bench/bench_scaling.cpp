@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "core/parallel_sim.hpp"
@@ -29,6 +30,7 @@
 #include "pp/kernels.hpp"
 #include "telemetry/json.hpp"
 #include "tree/octree.hpp"
+#include "tree/traversal.hpp"
 #include "util/parallel_for.hpp"
 #include "util/table.hpp"
 
@@ -159,11 +161,17 @@ double pp_spawn_pass(const tree::Octree& tree, const tree::TraversalParams& para
   auto worker = [&](std::size_t lo, std::size_t hi) {
     pp::InteractionList list;
     std::vector<Vec3> group_acc;
-    tree::TraversalStats stats;
+    std::vector<std::uint32_t> members;
+    tree::WalkScratch scratch;
+    const Vec3 home{};
     for (std::size_t gi = lo; gi < hi; ++gi) {
       const tree::TreeNode g = tree.node(groups[gi]);
+      // Every particle is a target: the group's targets are its cell range.
+      members.resize(g.count);
+      std::iota(members.begin(), members.end(), g.first);
       list.clear();
-      tree::build_interaction_list(tree, groups[gi], params, Vec3{}, list, stats);
+      tree::WalkSink sink{&list};
+      tree::build_interaction_list(tree, members, params, {&home, 1}, sink, scratch);
       list.pad4();
       group_acc.assign(g.count, Vec3{});
       pp::pp_kernel_phantom(tree.sorted_pos().subspan(g.first, g.count), group_acc, list,

@@ -613,6 +613,9 @@ void ParallelSimulation::write_step_record() {
   rec.nodes_visited = gstats.nodes_visited;
   const double walk_s = world_.allreduce_sum(report_.pp.get("tree traversal"));
   rec.walk_mnodes_s = walk_s > 0 ? static_cast<double>(rec.nodes_visited) / walk_s / 1e6 : 0;
+  rec.groups = gstats.ngroups;
+  rec.mean_ni = gstats.mean_ni();
+  rec.mean_nj = gstats.mean_nj();
   rec.ghosts_imported =
       world_.allreduce_sum(static_cast<std::uint64_t>(report_.n_ghost_imported));
 

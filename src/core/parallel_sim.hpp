@@ -197,7 +197,7 @@ class ParallelSimulation {
     std::size_t n_ghost_imported = 0;
     /// Per-group cost attribution of the final PP cycle (walk/force
     /// seconds, interactions, ghost imports per group) -- rank-local, in
-    /// tree.groups(ncrit) order; the load-balance v2 input.
+    /// tree.groups(ncrit, n_local) order; the load-balance v2 input.
     std::vector<tree::GroupCost> pp_group_costs;
     /// Work-donation activity, accumulated over the step's PP cycles
     /// (donor-side counts; every rank sees the same plan, so the transfer

@@ -40,6 +40,9 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("flop_rate", r.flop_rate);
   w.field("nodes_visited", r.nodes_visited);
   w.field("walk_mnodes_s", r.walk_mnodes_s);
+  w.field("groups", r.groups);
+  w.field("mean_ni", r.mean_ni);
+  w.field("mean_nj", r.mean_nj);
   w.field("ghosts_imported", r.ghosts_imported);
   w.key("pool").begin_object();
   w.field("loops", r.pool_loops);

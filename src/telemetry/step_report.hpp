@@ -51,6 +51,12 @@ struct StepRecord {
   std::uint64_t nodes_visited = 0;
   double walk_mnodes_s = 0;  ///< nodes_visited / sum of traversal s / 1e6
 
+  // Table I group statistics of the step's PP cycles, global: walked
+  // groups, and their mean targets <Ni> and mean list length <Nj>.
+  std::uint64_t groups = 0;
+  double mean_ni = 0;
+  double mean_nj = 0;
+
   std::uint64_t ghosts_imported = 0;  ///< global boundary-particle imports
 
   // Intra-rank task-pool activity during this step (the pool is shared

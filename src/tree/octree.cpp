@@ -230,24 +230,29 @@ TreeNode Octree::node(std::uint32_t i) const {
           a.count[i]};
 }
 
-std::vector<std::uint32_t> Octree::groups(std::uint32_t ncrit) const {
+std::vector<std::uint32_t> Octree::groups(std::uint32_t ncrit, std::size_t n_targets) const {
   const NodeArrays& a = nodes_;
+  // targets_before[k]: targets among the first k tree-order particles, so
+  // a cell's target count is one difference over its particle range.
+  std::vector<std::uint32_t> targets_before(order_.size() + 1, 0);
+  for (std::size_t k = 0; k < order_.size(); ++k)
+    targets_before[k + 1] = targets_before[k] + (order_[k] < n_targets);
   std::vector<std::uint32_t> out;
   std::vector<std::uint32_t> stack{0};
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
-    if (a.count[ni] == 0) continue;
-    if (a.count[ni] <= ncrit || a.nchildren[ni] == 0) {
+    const std::uint32_t targets =
+        targets_before[a.first[ni] + a.count[ni]] - targets_before[a.first[ni]];
+    if (targets == 0) continue;
+    if (targets <= ncrit || a.nchildren[ni] == 0) {
       out.push_back(ni);
       continue;
     }
-    for (std::uint32_t c = 0; c < a.nchildren[ni]; ++c) stack.push_back(a.first_child[ni] + c);
+    // Children pushed last-first pop in index order: the groups come out
+    // in tree order and sweep the particle array contiguously.
+    for (std::uint32_t c = a.nchildren[ni]; c-- > 0;) stack.push_back(a.first_child[ni] + c);
   }
-  // DFS with a stack visits children in reverse; restore tree order so
-  // groups sweep the particle array contiguously.
-  std::sort(out.begin(), out.end(),
-            [&](std::uint32_t x, std::uint32_t y) { return a.first[x] < a.first[y]; });
   return out;
 }
 

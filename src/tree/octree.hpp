@@ -93,10 +93,15 @@ class Octree {
 
   std::size_t num_particles() const { return sorted_pos_.size(); }
 
-  /// Maximal cells with at most `ncrit` particles, in tree order: the
-  /// particle groups of Barnes' modified algorithm (§II of the paper;
-  /// <Ni> ~ 100 is optimal on K computer).  Returned as node indices.
-  std::vector<std::uint32_t> groups(std::uint32_t ncrit) const;
+  /// The particle groups of Barnes' modified algorithm (§II of the paper;
+  /// <Ni> ~ 100 is optimal on K computer), as node indices in tree order.
+  /// Only targets -- particles with original index < n_targets (parallel
+  /// ranks: locals precede the imported ghosts) -- count: a group is a
+  /// maximal cell holding at most `ncrit` targets and at least one, or a
+  /// leaf with more.  Cells without a target form no group, and the
+  /// groups' target sets partition the targets.
+  std::vector<std::uint32_t> groups(std::uint32_t ncrit,
+                                    std::size_t n_targets = SIZE_MAX) const;
 
  private:
   NodeArrays nodes_;

@@ -31,17 +31,10 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   if (tree.num_particles() == 0) return stats;
 
   // Targets are the rank's own particles (original index < n_targets);
-  // imported ghosts are sources only.  A group with no target is neither
-  // walked nor evaluated and gets no cost record, so gidx below indexes
-  // the groups that own at least one target, in groups(ncrit) order.
-  std::vector<std::uint32_t> group_nodes;
-  for (const std::uint32_t gn : tree.groups(params.ncrit)) {
-    const TreeNode g = tree.node(gn);
-    const auto members = tree.order().subspan(g.first, g.count);
-    if (std::any_of(members.begin(), members.end(),
-                    [&](std::uint32_t orig) { return orig < n_targets; }))
-      group_nodes.push_back(gn);
-  }
+  // imported ghosts are sources only and form no group, so every group
+  // owns at least one target and gidx below indexes groups(ncrit,
+  // n_targets).
+  const std::vector<std::uint32_t> group_nodes = tree.groups(params.ncrit, n_targets);
   const bool quad = params.kernel == KernelKind::kNewtonQuad;
   // Quadrupole lists carry node moments that the donation wire format does
   // not ship; donation is simply inactive under kNewtonQuad.
@@ -55,7 +48,8 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   // orders of magnitude between clustered and void regions, so static
   // chunking load-imbalances badly.  Each pool slot reuses one scratch set
   // (interaction list, gathered targets, accumulators) across all groups
-  // it takes.  Accumulated phase seconds are summed CPU time.
+  // it takes; the scratch is freed when the traversal returns.
+  // Accumulated phase seconds are summed CPU time.
   struct SlotScratch {
     TraversalStats stats;
     double traverse_s = 0, force_s = 0;
@@ -64,6 +58,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     std::vector<Vec3> group_acc;
     pp::InteractionList list;
     std::vector<pp::QuadSource> quad_nodes;
+    WalkScratch walk;
     std::vector<DeferredGroup> deferred;
   };
   std::vector<SlotScratch> scratch(max_parallel_slots());
@@ -79,8 +74,8 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       const TreeNode g = tree.node(group_nodes[gidx]);
 
       sw.restart();
-      // Only the group's targets are evaluated; its ghost members still
-      // shape the group cube the walk opens against, but are sources only.
+      // Only the group's targets are evaluated, and only they shape the
+      // box the walk opens against; its ghost members are sources only.
       sc.tidx.clear();
       for (std::uint32_t i = g.first; i < g.first + g.count; ++i)
         if (tree.original_index(i) < n_targets) sc.tidx.push_back(i);
@@ -88,10 +83,9 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
 
       list.clear();
       quad_nodes.clear();
-      // Ghost attribution only pays its per-source index lookup when ghosts
-      // can exist (n_targets below the particle count: parallel ranks).
+      // Opened leaf sources with original index >= n_targets are ghosts.
       WalkSink sink{&list, quad ? &quad_nodes : nullptr, static_cast<std::uint32_t>(n_targets)};
-      walk_group(tree, group_nodes[gidx], params.theta, params.rcut, image_offsets, sink);
+      build_interaction_list(tree, sc.tidx, params, image_offsets, sink, sc.walk);
       local_stats.nodes_visited += sink.nodes_visited;
       const std::uint64_t nj = list.size() + quad_nodes.size();
       const double walk_s = sw.seconds();
@@ -113,8 +107,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
         gc->interactions = ni * nj;
         gc->ghost_sources = sink.ghost_sources;
         gc->walk_s = walk_s;
-        gc->center = g.center;
-        gc->half = g.half;
       }
 
       // Donation deferral: capture the finished interaction list instead of
@@ -238,12 +230,10 @@ TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalPar
                        defer_min_interactions, deferred);
 }
 
-void build_interaction_list(const Octree& tree, std::uint32_t group_node,
-                            const TraversalParams& params, const Vec3& offset,
-                            pp::InteractionList& list, TraversalStats& stats) {
-  WalkSink sink{&list};
-  walk_group(tree, group_node, params.theta, params.rcut, {&offset, 1}, sink);
-  stats.nodes_visited += sink.nodes_visited;
+void build_interaction_list(const Octree& tree, std::span<const std::uint32_t> targets,
+                            const TraversalParams& params, std::span<const Vec3> offsets,
+                            WalkSink& sink, WalkScratch& scratch) {
+  walk_group(tree, target_box(tree, targets), params.theta, params.rcut, offsets, sink, scratch);
 }
 
 }  // namespace greem::tree

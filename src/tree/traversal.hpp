@@ -5,6 +5,12 @@
 // group and evaluated by the PP kernel.  This trades a factor <Ni> in
 // traversal cost for longer interaction lists — the tradeoff the paper
 // tunes to <Ni> ~ 100 on K computer.
+//
+// Groups are formed over the targets only (Octree::groups with
+// n_targets): imported ghosts are sources, never count toward ncrit and
+// never form a group.  Each group walks against the tight box of its
+// targets (tree/walk.hpp), so a boundary group holding a few targets among
+// many ghosts opens against those few, not the ghost-sized cell.
 
 #include <cstdint>
 #include <limits>
@@ -13,6 +19,7 @@
 
 #include "pp/kernels.hpp"
 #include "tree/octree.hpp"
+#include "tree/walk.hpp"
 #include "util/vec3.hpp"
 
 namespace greem::tree {
@@ -29,7 +36,7 @@ enum class KernelKind {
 struct TraversalParams {
   double theta = 0.5;  ///< opening angle (cell size / distance)
   double rcut = std::numeric_limits<double>::infinity();  ///< short-range cutoff
-  std::uint32_t ncrit = 64;  ///< max particles per group (<Ni> knob)
+  std::uint32_t ncrit = 64;  ///< max targets per group (<Ni> knob)
   double eps2 = 0.0;         ///< softening squared
   KernelKind kernel = KernelKind::kPhantom;
 };
@@ -58,22 +65,19 @@ struct TraversalTimes {
   double force_s = 0;
 };
 
-/// Per-group cost attribution, one entry per group that owns at least one
-/// target (ni >= 1), in tree.groups(ncrit) order -- the input the
-/// load-balance roadmap item needs (which spatial regions cost what).
-/// Ghost-only groups are never walked and get no record.  Every field
+/// Per-group cost attribution, one entry per group, in
+/// tree.groups(ncrit, n_targets) order -- the input the load-balance
+/// roadmap item needs (which spatial regions cost what).  Every field
 /// except the two timings is deterministic: independent of pool size and
 /// scheduling.
 struct GroupCost {
-  std::uint32_t node = 0;  ///< group node index into tree.nodes()
+  std::uint32_t node = 0;  ///< group cell index into the tree's nodes
   std::uint32_t ni = 0;    ///< target (local) particles in the group, >= 1
   std::uint64_t nj = 0;    ///< interaction-list length (sources + multipoles)
   std::uint64_t interactions = 0;   ///< ni * nj
   std::uint64_t ghost_sources = 0;  ///< opened leaf sources that are ghosts
   double walk_s = 0;   ///< tree walk (interaction-list build) seconds
   double force_s = 0;  ///< kernel evaluation seconds
-  Vec3 center{};       ///< group bounding cube, for spatial re-balancing
-  double half = 0;
 };
 
 /// A group whose kernel evaluation was deferred for inter-rank work
@@ -103,11 +107,11 @@ TraversalStats tree_accelerations(const Octree& tree, const TraversalParams& par
 
 /// As above but only for the targets, original indices < n_targets
 /// (parallel ranks: locals precede ghosts, which are sources only).
-/// Groups without a target are skipped; the kernel of a mixed group runs
-/// on its targets alone, so `acc` needs only n_targets entries.
-/// The stats count only groups with targets and only target interactions.
-/// When `group_costs` is non-null it is filled with one record per group
-/// with targets (deterministic content modulo the timings).
+/// Groups are formed over the targets alone, and the kernel of a group
+/// runs on its targets, so `acc` needs only n_targets entries.  The stats
+/// count only target interactions.  When `group_costs` is non-null it is
+/// filled with one record per group (deterministic content modulo the
+/// timings).
 ///
 /// When `deferred` is non-null, groups whose ni * nj is at least
 /// `defer_min_interactions` skip kernel evaluation; their interaction
@@ -135,10 +139,12 @@ void gather_targets(const Octree& tree, std::span<const std::uint32_t> idx,
 void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
                            const TraversalParams& params, std::span<Vec3> group_acc);
 
-/// Build the interaction list for one group node under `params` (exposed
-/// for tests and the group-size benchmark).
-void build_interaction_list(const Octree& tree, std::uint32_t group_node,
-                            const TraversalParams& params, const Vec3& offset,
-                            pp::InteractionList& list, TraversalStats& stats);
+/// Build the interaction list of the group whose targets are the
+/// tree-order particles `targets`: the walk of their tight box
+/// (target_box) over `offsets` under `params`, appended to `sink`.  The
+/// one list builder of tree_accelerations*; exposed for tests and benches.
+void build_interaction_list(const Octree& tree, std::span<const std::uint32_t> targets,
+                            const TraversalParams& params, std::span<const Vec3> offsets,
+                            WalkSink& sink, WalkScratch& scratch);
 
 }  // namespace greem::tree

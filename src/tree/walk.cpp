@@ -4,8 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-
-#include "util/morton.hpp"
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GREEM_X86_WALK 1
@@ -19,17 +18,11 @@
 namespace greem::tree {
 namespace {
 
-enum class Op : std::uint32_t { kExpand, kEmitNode, kEmitLeaf };
-
-struct Token {
-  std::uint32_t node;
-  Op op;
-};
-
-// The walk expands the first cell to open of every block directly and
-// defers at most the 7 siblings after it, and only cells above the
-// deepest level (max_depth <= kMortonBits) are expanded.
-constexpr std::size_t kStackCapacity = 7 * (kMortonBits + 1);
+/// Grow `v` so that 8 more entries fit after its first `len`: a block
+/// appends at most 8 node indices, stored as 8 full lanes.
+[[gnu::always_inline]] inline void make_room(std::vector<std::uint32_t>& v, std::size_t len) {
+  if (v.size() < len + 8) v.resize(std::max(len + 8, 2 * v.size()));
+}
 
 /// The portable classifier: one child at a time, the predicates of the
 /// header in their scalar operation order.
@@ -39,13 +32,12 @@ struct PortableBlock {
     ChildMasks m;
     for (std::uint32_t k = 0; k < n; ++k) {
       const std::uint32_t i = first + k;
-      const double hsum = b.half + a.half[i];
       double bb = 0;
-      double gap = std::abs(b.center.x - (a.cx[i] + b.offset.x)) - hsum;
+      double gap = std::abs(b.center.x - (a.cx[i] + b.offset.x)) - (b.half.x + a.half[i]);
       if (gap > 0) bb += gap * gap;
-      gap = std::abs(b.center.y - (a.cy[i] + b.offset.y)) - hsum;
+      gap = std::abs(b.center.y - (a.cy[i] + b.offset.y)) - (b.half.y + a.half[i]);
       if (gap > 0) bb += gap * gap;
-      gap = std::abs(b.center.z - (a.cz[i] + b.offset.z)) - hsum;
+      gap = std::abs(b.center.z - (a.cz[i] + b.offset.z)) - (b.half.z + a.half[i]);
       if (gap > 0) bb += gap * gap;
       // Cutoff pruning: if every pair (group target, node source) is beyond
       // rcut, the gP3M factor vanishes and the node contributes nothing.
@@ -54,27 +46,29 @@ struct PortableBlock {
       // Multipole acceptance: cell size over the closest approach of the
       // group box to the node's center of mass, plus non-overlap.
       double dcom2 = 0;
-      gap = std::abs((a.comx[i] + b.offset.x) - b.center.x) - b.half;
+      gap = std::abs((a.comx[i] + b.offset.x) - b.center.x) - b.half.x;
       if (gap > 0) dcom2 += gap * gap;
-      gap = std::abs((a.comy[i] + b.offset.y) - b.center.y) - b.half;
+      gap = std::abs((a.comy[i] + b.offset.y) - b.center.y) - b.half.y;
       if (gap > 0) dcom2 += gap * gap;
-      gap = std::abs((a.comz[i] + b.offset.z) - b.center.z) - b.half;
+      gap = std::abs((a.comz[i] + b.offset.z) - b.center.z) - b.half.z;
       if (gap > 0) dcom2 += gap * gap;
       const double size = 2.0 * a.half[i];
 
       const std::uint32_t bit = 1u << k;
-      if (dcom2 > 0 && size * size < b.theta2 * dcom2 && bb > 0)
-        m.accept |= bit;
-      else if (a.nchildren[i] == 0)
+      if (dcom2 > 0 && size * size < b.theta2 * dcom2 && bb > 0) {
+        // An accepted com at or past rcut from the whole group adds 0.
+        if (dcom2 < b.rcut2) m.accept |= bit;
+      } else if (a.nchildren[i] == 0) {
         m.leaf |= bit;
-      else
+      } else {
         m.open |= bit;
+      }
     }
     return m;
   }
 
   /// Write the shifted com and mass of the `mask` children of `first`,
-  /// in lane order, into list slots from `at`.
+  /// in lane order, into list slots from `at`; the list has room for 8.
   static void store_accepted(const NodeArrays& a, std::uint32_t first, std::uint32_t mask,
                              const Vec3& off, pp::InteractionList& list, std::size_t at) {
     for (; mask; mask &= mask - 1, ++at) {
@@ -84,6 +78,36 @@ struct PortableBlock {
       list.z[at] = a.comz[i] + off.z;
       list.m[at] = a.mass[i];
     }
+  }
+
+  /// Write the node indices of the `mask` children of `first`, in lane
+  /// order, from `out`; `out` has room for 8.
+  static void append(std::uint32_t first, std::uint32_t mask, std::uint32_t* out) {
+    std::size_t len = 0;
+    for (std::uint32_t k = 0; k < 8; ++k) {
+      out[len] = first + k;
+      len += mask >> k & 1u;
+    }
+  }
+
+  /// Copy the `cnt` tree-order particles from `lo`, shifted by `off`, into
+  /// list slots from `at`; the list has room for cnt rounded up to 8.
+  /// Returns how many have original index >= ghost_from.
+  static std::uint32_t copy_leaf(const Octree& t, std::uint32_t lo, std::uint32_t cnt,
+                                 const Vec3& off, pp::InteractionList& list, std::size_t at,
+                                 std::uint32_t ghost_from) {
+    const Vec3* pos = t.sorted_pos().data() + lo;
+    const double* mass = t.sorted_mass().data() + lo;
+    const std::uint32_t* orig = t.order().data() + lo;
+    std::uint32_t ghosts = 0;
+    for (std::uint32_t k = 0; k < cnt; ++k) {
+      list.x[at + k] = pos[k].x + off.x;
+      list.y[at + k] = pos[k].y + off.y;
+      list.z[at + k] = pos[k].z + off.z;
+      list.m[at + k] = mass[k];
+      ghosts += orig[k] >= ghost_from;
+    }
+    return ghosts;
   }
 };
 
@@ -103,6 +127,13 @@ __attribute__((target("avx512f"))) inline __m512d norm2_avx512(__m512d gx, __m51
                        _mm512_mul_pd(gz, gz));
 }
 
+/// The `m` lanes of src[0, 8) plus `shift`, packed to the low lanes.
+__attribute__((target("avx512f"))) inline __m512d compress_avx512(__mmask8 m, const double* src,
+                                                                   double shift) {
+  return _mm512_maskz_compress_pd(
+      m, _mm512_add_pd(_mm512_maskz_loadu_pd(m, src), _mm512_set1_pd(shift)));
+}
+
 /// The AVX-512 classifier: the <= 8 children in the lanes of one zmm pass;
 /// masked loads leave lanes past `n` untouched.
 struct Avx512Block {
@@ -114,44 +145,50 @@ struct Avx512Block {
     const __m512d ox = _mm512_set1_pd(b.offset.x), oy = _mm512_set1_pd(b.offset.y),
                   oz = _mm512_set1_pd(b.offset.z);
     const __m512d gcx = _mm512_set1_pd(b.center.x), gcy = _mm512_set1_pd(b.center.y),
-                  gcz = _mm512_set1_pd(b.center.z), gh = _mm512_set1_pd(b.half);
+                  gcz = _mm512_set1_pd(b.center.z);
+    const __m512d ghx = _mm512_set1_pd(b.half.x), ghy = _mm512_set1_pd(b.half.y),
+                  ghz = _mm512_set1_pd(b.half.z);
     const __m512d nh = _mm512_maskz_loadu_pd(lanes, a.half.data() + first);
-    const __m512d hsum = _mm512_add_pd(gh, nh);
 
     // Cutoff prune: box-box distance of the shifted cell to the group.
     const __m512d bb = norm2_avx512(
         gap_avx512(lanes, _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.cx.data() + first), ox),
-                   gcx, hsum),
+                   gcx, _mm512_add_pd(ghx, nh)),
         gap_avx512(lanes, _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.cy.data() + first), oy),
-                   gcy, hsum),
+                   gcy, _mm512_add_pd(ghy, nh)),
         gap_avx512(lanes, _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.cz.data() + first), oz),
-                   gcz, hsum));
-    const __mmask8 live = static_cast<__mmask8>(
-        lanes & ~_mm512_mask_cmp_pd_mask(lanes, bb, _mm512_set1_pd(b.rcut2), _CMP_GT_OQ));
+                   gcz, _mm512_add_pd(ghz, nh)));
+    const __m512d rcut2 = _mm512_set1_pd(b.rcut2);
+    const __mmask8 live =
+        static_cast<__mmask8>(lanes & ~_mm512_mask_cmp_pd_mask(lanes, bb, rcut2, _CMP_GT_OQ));
 
-    // Acceptance: com distance to the group cube against the cell size.
+    // Acceptance: com distance to the group box against the cell size.
     const __m512d dcom2 = norm2_avx512(
         gap_avx512(lanes, gcx,
-                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comx.data() + first), ox), gh),
+                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comx.data() + first), ox), ghx),
         gap_avx512(lanes, gcy,
-                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comy.data() + first), oy), gh),
+                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comy.data() + first), oy), ghy),
         gap_avx512(lanes, gcz,
-                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comz.data() + first), oz), gh));
+                   _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, a.comz.data() + first), oz), ghz));
     const __m512d size = _mm512_mul_pd(_mm512_set1_pd(2.0), nh);
     const __m512d zero = _mm512_setzero_pd();
-    __mmask8 accept = _mm512_mask_cmp_pd_mask(live, dcom2, zero, _CMP_GT_OQ);
-    accept = _mm512_mask_cmp_pd_mask(accept, _mm512_mul_pd(size, size),
-                                     _mm512_mul_pd(_mm512_set1_pd(b.theta2), dcom2), _CMP_LT_OQ);
-    accept = _mm512_mask_cmp_pd_mask(accept, bb, zero, _CMP_GT_OQ);
+    __mmask8 mac = _mm512_mask_cmp_pd_mask(live, dcom2, zero, _CMP_GT_OQ);
+    mac = _mm512_mask_cmp_pd_mask(mac, _mm512_mul_pd(size, size),
+                                  _mm512_mul_pd(_mm512_set1_pd(b.theta2), dcom2), _CMP_LT_OQ);
+    mac = _mm512_mask_cmp_pd_mask(mac, bb, zero, _CMP_GT_OQ);
+    const auto accept =
+        static_cast<std::uint32_t>(_mm512_mask_cmp_pd_mask(mac, dcom2, rcut2, _CMP_LT_OQ));
 
     const __m512i nchildren = _mm512_maskz_loadu_epi32(lanes, a.nchildren.data() + first);
     const auto leaf = static_cast<std::uint32_t>(
         _mm512_mask_cmpeq_epi32_mask(lanes, nchildren, _mm512_setzero_si512()));
-    const std::uint32_t rest = static_cast<std::uint32_t>(live & ~accept);
+    const std::uint32_t rest = static_cast<std::uint32_t>(live & ~mac);
     return {accept, rest & leaf, rest & ~leaf};
   }
 
-  /// PortableBlock::store_accepted as one compress-store per column.
+  /// PortableBlock::store_accepted as one compress per column, stored as
+  /// a full vector: the lanes past the accepted ones are scratch that the
+  /// next append overwrites (a masked compress-store to memory is slow).
   __attribute__((target("avx512f"))) static void store_accepted(const NodeArrays& a,
                                                                 std::uint32_t first,
                                                                 std::uint32_t mask,
@@ -159,44 +196,97 @@ struct Avx512Block {
                                                                 pp::InteractionList& list,
                                                                 std::size_t at) {
     const auto m = static_cast<__mmask8>(mask);
-    _mm512_mask_compressstoreu_pd(
-        list.x.data() + at, m,
-        _mm512_add_pd(_mm512_maskz_loadu_pd(m, a.comx.data() + first), _mm512_set1_pd(off.x)));
-    _mm512_mask_compressstoreu_pd(
-        list.y.data() + at, m,
-        _mm512_add_pd(_mm512_maskz_loadu_pd(m, a.comy.data() + first), _mm512_set1_pd(off.y)));
-    _mm512_mask_compressstoreu_pd(
-        list.z.data() + at, m,
-        _mm512_add_pd(_mm512_maskz_loadu_pd(m, a.comz.data() + first), _mm512_set1_pd(off.z)));
-    _mm512_mask_compressstoreu_pd(list.m.data() + at, m,
-                                  _mm512_maskz_loadu_pd(m, a.mass.data() + first));
+    _mm512_storeu_pd(list.x.data() + at, compress_avx512(m, a.comx.data() + first, off.x));
+    _mm512_storeu_pd(list.y.data() + at, compress_avx512(m, a.comy.data() + first, off.y));
+    _mm512_storeu_pd(list.z.data() + at, compress_avx512(m, a.comz.data() + first, off.z));
+    _mm512_storeu_pd(list.m.data() + at, compress_avx512(m, a.mass.data() + first, 0.0));
+  }
+
+  /// PortableBlock::append as one compress of the lane indices, stored as
+  /// 8 full lanes.
+  __attribute__((target("avx512f"))) static void append(std::uint32_t first, std::uint32_t mask,
+                                                        std::uint32_t* out) {
+    const __m512i idx = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<int>(first)),
+        _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0));
+    _mm512_mask_storeu_epi32(out, 0xff,
+                             _mm512_maskz_compress_epi32(static_cast<__mmask16>(mask), idx));
+  }
+
+  /// PortableBlock::copy_leaf 8 particles at a time: three masked loads of
+  /// the interleaved positions, split into x, y and z by two-source
+  /// permutes, stored as full vectors.
+  __attribute__((target("avx512f"))) static std::uint32_t copy_leaf(
+      const Octree& t, std::uint32_t lo, std::uint32_t cnt, const Vec3& off,
+      pp::InteractionList& list, std::size_t at, std::uint32_t ghost_from) {
+    static_assert(sizeof(Vec3) == 3 * sizeof(double));
+    const Vec3* pos = t.sorted_pos().data() + lo;
+    const double* mass = t.sorted_mass().data() + lo;
+    const std::uint32_t* orig = t.order().data() + lo;
+    // Element e of the 24 interleaved doubles: lane e of v0, e - 8 of v1
+    // (index e in a v0:v1 permute), e - 16 of v2 (index e - 8 against v2).
+    const __m512i x01 = _mm512_set_epi64(0, 0, 15, 12, 9, 6, 3, 0);
+    const __m512i x2 = _mm512_set_epi64(13, 10, 5, 4, 3, 2, 1, 0);
+    const __m512i y01 = _mm512_set_epi64(0, 0, 0, 13, 10, 7, 4, 1);
+    const __m512i y2 = _mm512_set_epi64(14, 11, 8, 4, 3, 2, 1, 0);
+    const __m512i z01 = _mm512_set_epi64(0, 0, 0, 14, 11, 8, 5, 2);
+    const __m512i z2 = _mm512_set_epi64(15, 12, 9, 4, 3, 2, 1, 0);
+    const __m512d ox = _mm512_set1_pd(off.x), oy = _mm512_set1_pd(off.y),
+                  oz = _mm512_set1_pd(off.z);
+    const __m512i gf = _mm512_set1_epi32(static_cast<int>(ghost_from));
+    std::uint32_t ghosts = 0;
+    const auto lanes = [](std::uint32_t n) {
+      return static_cast<__mmask8>(n >= 8 ? 0xffu : (1u << n) - 1);
+    };
+    for (std::uint32_t k = 0; k < cnt; k += 8) {
+      const std::uint32_t c = std::min(cnt - k, 8u);
+      const std::uint32_t n3 = 3 * c;
+      // The positions' bytes as 24 doubles; a vector past the last
+      // particle loads no lane, from an address kept inside the array.
+      const char* p = reinterpret_cast<const char*>(pos + k);
+      const __m512d v0 = _mm512_maskz_loadu_pd(lanes(n3), p);
+      const __m512d v1 = _mm512_maskz_loadu_pd(lanes(n3 > 8 ? n3 - 8 : 0), n3 > 8 ? p + 64 : p);
+      const __m512d v2 =
+          _mm512_maskz_loadu_pd(lanes(n3 > 16 ? n3 - 16 : 0), n3 > 16 ? p + 128 : p);
+      const __m512d x = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, x01, v1), x2, v2);
+      const __m512d y = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, y01, v1), y2, v2);
+      const __m512d z = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, z01, v1), z2, v2);
+      const std::size_t to = at + k;
+      _mm512_storeu_pd(list.x.data() + to, _mm512_add_pd(x, ox));
+      _mm512_storeu_pd(list.y.data() + to, _mm512_add_pd(y, oy));
+      _mm512_storeu_pd(list.z.data() + to, _mm512_add_pd(z, oz));
+      const __mmask8 m = lanes(c);
+      _mm512_storeu_pd(list.m.data() + to, _mm512_maskz_loadu_pd(m, mass + k));
+      const __m512i o = _mm512_maskz_loadu_epi32(m, orig + k);
+      ghosts += static_cast<std::uint32_t>(
+          std::popcount(static_cast<unsigned>(_mm512_mask_cmpge_epu32_mask(m, o, gf))));
+    }
+    return ghosts;
   }
 };
 
 #endif  // GREEM_X86_WALK
 
-/// The block walk of one image: everything but the classifier and the
-/// accepted-node store is shared by both instantiations.  Its members are
+/// The level-order walk of one image: everything but the classifier and
+/// the compress-stores is shared by both instantiations.  Its members are
 /// forced inline into walk_portable and walk_avx512, so the AVX-512
 /// block code inlines into the one entry compiled for AVX-512.
 template <class Block>
-struct ImageWalk {
+struct LevelWalk {
   const Octree& tree;
   const NodeArrays& a;
   const WalkBox& box;
   WalkSink& sink;
-  bool count_ghosts;
+  WalkScratch& s;
   pp::InteractionList& list;
   std::size_t len;  ///< entries written; the list is sized ahead of them
+  std::size_t next_len = 0, leaves_len = 0;
 
-  /// Claim `k` list slots; returns the first.  The columns grow
-  /// geometrically ahead of `len`, so an append costs one capacity check
-  /// rather than four resizes, and finish() trims them to `len`.
-  [[gnu::always_inline]] std::size_t claim(std::size_t k) {
-    const std::size_t at = len;
-    len += k;
-    if (len > list.size()) resize_list(std::max(len, 2 * list.size()));
-    return at;
+  /// The list columns are sized ahead of `len` (blocks and leaves store
+  /// whole vectors past their entries), growing geometrically to at least
+  /// `n`; finish() trims them to `len`.
+  [[gnu::always_inline]] void room(std::size_t n) {
+    if (n > list.size()) resize_list(std::max(n, 2 * list.size()));
   }
 
   void resize_list(std::size_t n) {
@@ -205,56 +295,29 @@ struct ImageWalk {
 
   void finish() { resize_list(len); }
 
-  [[gnu::always_inline]] void emit_node(std::uint32_t i) {
-    const Vec3 com{a.comx[i] + box.offset.x, a.comy[i] + box.offset.y, a.comz[i] + box.offset.z};
+  /// Classify one child block and append its three classes.
+  [[gnu::always_inline]] void block(std::uint32_t first, std::uint32_t n) {
+    const ChildMasks m = Block::classify(a, first, n, box);
+    sink.nodes_visited += n;
     if (sink.quads) {
-      sink.quads->push_back({com, a.mass[i], tree.quads()[i]});
-      return;
+      for (std::uint32_t bits = m.accept; bits; bits &= bits - 1) {
+        const std::uint32_t i = first + static_cast<std::uint32_t>(std::countr_zero(bits));
+        sink.quads->push_back({{a.comx[i] + box.offset.x, a.comy[i] + box.offset.y,
+                                a.comz[i] + box.offset.z},
+                               a.mass[i],
+                               tree.quads()[i]});
+      }
+    } else {
+      room(len + 8);
+      Block::store_accepted(a, first, m.accept, box.offset, list, len);
+      len += static_cast<std::size_t>(std::popcount(m.accept));
     }
-    const std::size_t at = claim(1);
-    list.x[at] = com.x;
-    list.y[at] = com.y;
-    list.z[at] = com.z;
-    list.m[at] = a.mass[i];
-  }
-
-  [[gnu::always_inline]] void emit_leaf(std::uint32_t i) {
-    const std::uint32_t lo = a.first[i], cnt = a.count[i];
-    const Vec3* pos = tree.sorted_pos().data() + lo;
-    const double* mass = tree.sorted_mass().data() + lo;
-    const std::size_t at = claim(cnt);
-    double* x = list.x.data() + at;
-    double* y = list.y.data() + at;
-    double* z = list.z.data() + at;
-    double* m = list.m.data() + at;
-    for (std::uint32_t k = 0; k < cnt; ++k) {
-      x[k] = pos[k].x + box.offset.x;
-      y[k] = pos[k].y + box.offset.y;
-      z[k] = pos[k].z + box.offset.z;
-      m[k] = mass[k];
-    }
-    if (count_ghosts) {
-      const std::uint32_t* orig = tree.order().data() + lo;
-      for (std::uint32_t k = 0; k < cnt; ++k) sink.ghost_sources += orig[k] >= sink.ghost_from;
-    }
-  }
-
-  /// Emit the accepted and leaf lanes of `mask`, in lane order.
-  [[gnu::always_inline]] void emit(std::uint32_t first, const ChildMasks& m, std::uint32_t mask) {
-    if ((m.leaf & mask) == 0 && !sink.quads) {
-      const std::uint32_t accept = m.accept & mask;
-      if (accept)
-        Block::store_accepted(a, first, accept, box.offset, list,
-                             claim(static_cast<std::size_t>(std::popcount(accept))));
-      return;
-    }
-    for (std::uint32_t bits = (m.accept | m.leaf) & mask; bits; bits &= bits - 1) {
-      const auto k = static_cast<std::uint32_t>(std::countr_zero(bits));
-      if (m.accept >> k & 1u)
-        emit_node(first + k);
-      else
-        emit_leaf(first + k);
-    }
+    make_room(s.next, next_len);
+    Block::append(first, m.open, s.next.data() + next_len);
+    next_len += static_cast<std::size_t>(std::popcount(m.open));
+    make_room(s.leaves, leaves_len);
+    Block::append(first, m.leaf, s.leaves.data() + leaves_len);
+    leaves_len += static_cast<std::size_t>(std::popcount(m.leaf));
   }
 
   [[gnu::always_inline]] void run() {
@@ -262,65 +325,40 @@ struct ImageWalk {
       ++sink.nodes_visited;
       return;
     }
-    Token stack[kStackCapacity];
-    std::size_t top = 0;
-    std::uint32_t first = 0, n = 1;  // the root is a one-lane block
-    for (;;) {
-      const ChildMasks m = Block::classify(a, first, n, box);
-      sink.nodes_visited += n;
-      if (m.open == 0) {
-        emit(first, m, m.accept | m.leaf);
-      } else {
-        const auto k0 = static_cast<std::uint32_t>(std::countr_zero(m.open));
-        emit(first, m, (1u << k0) - 1);
-        // Siblings after the first cell to open wait on the stack, pushed
-        // last-first so they pop in index order after its subtree.
-        std::uint32_t rest = (m.accept | m.leaf | m.open) & ~((2u << k0) - 1);
-        for (; rest; rest &= ~(1u << (31 - std::countl_zero(rest)))) {
-          const auto k = static_cast<std::uint32_t>(31 - std::countl_zero(rest));
-          const Op op = (m.open >> k & 1u) ? Op::kExpand
-                        : (m.accept >> k & 1u) ? Op::kEmitNode
-                                               : Op::kEmitLeaf;
-          assert(top < kStackCapacity);
-          stack[top++] = {first + k, op};
-        }
-        const std::uint32_t cell = first + k0;
-        first = a.first_child[cell];
-        n = a.nchildren[cell];
-        continue;
+    block(0, 1);  // the root is a one-lane block
+    while (next_len != 0) {
+      std::swap(s.frontier, s.next);
+      const std::size_t cells = next_len;
+      next_len = 0;
+      for (std::size_t f = 0; f < cells; ++f) {
+        const std::uint32_t cell = s.frontier[f];
+        block(a.first_child[cell], a.nchildren[cell]);
       }
-      // Drain emit tokens up to the next cell to expand.
-      for (;;) {
-        if (top == 0) return;
-        const Token t = stack[--top];
-        if (t.op == Op::kExpand) {
-          first = a.first_child[t.node];
-          n = a.nchildren[t.node];
-          break;
-        }
-        if (t.op == Op::kEmitNode)
-          emit_node(t.node);
-        else
-          emit_leaf(t.node);
-      }
+    }
+    // The opened leaves' particles, leaf by leaf, after one resize.
+    std::size_t total = 0;
+    for (std::size_t f = 0; f < leaves_len; ++f) total += a.count[s.leaves[f]];
+    room(len + total + 8);
+    for (std::size_t f = 0; f < leaves_len; ++f) {
+      const std::uint32_t leaf = s.leaves[f], cnt = a.count[leaf];
+      sink.ghost_sources +=
+          Block::copy_leaf(tree, a.first[leaf], cnt, box.offset, list, len, sink.ghost_from);
+      len += cnt;
     }
   }
 };
 
-void walk_portable(const Octree& tree, const WalkBox& box, WalkSink& sink) {
-  ImageWalk<PortableBlock> w{tree, tree.node_arrays(), box, sink,
-                             sink.ghost_from < tree.num_particles(), *sink.list,
+void walk_portable(const Octree& tree, const WalkBox& box, WalkSink& sink, WalkScratch& s) {
+  LevelWalk<PortableBlock> w{tree, tree.node_arrays(), box, sink, s, *sink.list,
                              sink.list->size()};
   w.run();
   w.finish();
 }
 
 #ifdef GREEM_X86_WALK
-__attribute__((target("avx512f"))) void walk_avx512(const Octree& tree,
-                                                             const WalkBox& box,
-                                                             WalkSink& sink) {
-  ImageWalk<Avx512Block> w{tree, tree.node_arrays(), box, sink,
-                           sink.ghost_from < tree.num_particles(), *sink.list,
+__attribute__((target("avx512f"))) void walk_avx512(const Octree& tree, const WalkBox& box,
+                                                    WalkSink& sink, WalkScratch& s) {
+  LevelWalk<Avx512Block> w{tree, tree.node_arrays(), box, sink, s, *sink.list,
                            sink.list->size()};
   w.run();
   w.finish();
@@ -328,6 +366,23 @@ __attribute__((target("avx512f"))) void walk_avx512(const Octree& tree,
 #endif
 
 }  // namespace
+
+GroupBox target_box(const Octree& tree, std::span<const std::uint32_t> idx) {
+  if (idx.empty()) return {};
+  const auto pos = tree.sorted_pos();
+  Vec3 lo = pos[idx[0]], hi = lo;
+  for (const std::uint32_t i : idx) {
+    const Vec3& p = pos[i];
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+  }
+  // The rounded midpoint lies in [lo, hi]; the half side is the larger
+  // rounded distance to either end, so |p - center| <= half holds for
+  // every p in [lo, hi] after rounding too (rounding is monotone).
+  const Vec3 c = (lo + hi) * 0.5;
+  return {c, {std::max(hi.x - c.x, c.x - lo.x), std::max(hi.y - c.y, c.y - lo.y),
+              std::max(hi.z - c.z, c.z - lo.z)}};
+}
 
 bool walk_classifier_available(WalkClassifier c) {
   switch (c) {
@@ -365,13 +420,13 @@ ChildMasks classify_children(WalkClassifier c, const NodeArrays& nodes, std::uin
   return PortableBlock::classify(nodes, first, n, box);
 }
 
-void walk_group(const Octree& tree, std::uint32_t group_node, double theta, double rcut,
-                std::span<const Vec3> offsets, WalkSink& sink, WalkClassifier c) {
+void walk_group(const Octree& tree, const GroupBox& group, double theta, double rcut,
+                std::span<const Vec3> offsets, WalkSink& sink, WalkScratch& scratch,
+                WalkClassifier c) {
   assert(!sink.quads || tree.quads().size() == tree.num_nodes());
-  const NodeArrays& a = tree.node_arrays();
   WalkBox box;
-  box.center = {a.cx[group_node], a.cy[group_node], a.cz[group_node]};
-  box.half = a.half[group_node];
+  box.center = group.center;
+  box.half = group.half;
   box.rcut2 = std::isfinite(rcut) ? rcut * rcut : std::numeric_limits<double>::infinity();
   box.theta2 = theta * theta;
   auto walk = &walk_portable;
@@ -380,7 +435,7 @@ void walk_group(const Octree& tree, std::uint32_t group_node, double theta, doub
 #endif
   for (const Vec3& off : offsets) {
     box.offset = off;
-    walk(tree, box, sink);
+    walk(tree, box, sink, scratch);
   }
 }
 

@@ -2,18 +2,22 @@
 // Block tree walk: the interaction-list builder of Barnes' modified
 // (group) traversal.
 //
-// The walk pops an opened cell and classifies all of its children (at
-// most 8, contiguous in the node arrays) in one pass into three masks:
-// accepted multipoles, leaves to open, and cells to open.  Children before
-// the first cell to open are emitted at once; the rest go on a fixed-size
-// stack as typed tokens in reverse order, so the list comes out in exact
-// depth-first pre-order -- bitwise the list of a recursive walk that
-// visits children in index order.
+// The walk runs level by level.  Each opened cell of the current level
+// has its children (at most 8, contiguous in the node arrays) classified
+// in one pass into three masks: accepted multipoles, leaves to open, and
+// cells to open.  The accepted nodes are appended to the list, the cells
+// to open to the next level's frontier and the leaves to a leaf array --
+// each append a compress of the mask's lanes (one AVX-512 instruction, or
+// a branch-free loop), with no per-child branch and no stack.  After the last level the opened leaves' particles
+// are copied, leaf by leaf.  A list is therefore the accepted nodes level
+// by level (frontier order, then child order within a block), followed by
+// the opened leaves' particles in the same order: as a multiset it is the
+// list of a recursive walk under the same predicates.
 //
 // Two classifiers share the walk: a portable scalar loop, and an AVX-512
 // pass over the 8 lanes of a child block (selected at run time when the
 // CPU has AVX-512F).  Both evaluate the same predicates in the same
-// operation order, so their masks are identical.
+// operation order, so their masks -- and lists -- are identical.
 
 #include <cstdint>
 #include <limits>
@@ -39,10 +43,21 @@ WalkClassifier walk_dispatch();
 
 const char* walk_classifier_name(WalkClassifier c);
 
-/// The group cube a walk opens against, and the acceptance parameters.
+/// An axis-aligned box: the tight box of a group's targets, which the walk
+/// opens against.  `half` is per axis and may be 0 (a one-target group).
+struct GroupBox {
+  Vec3 center;
+  Vec3 half;
+};
+
+/// The tight box of the tree-order particles `idx`: every one lies within
+/// `half` of `center` on each axis, also in rounded arithmetic.
+GroupBox target_box(const Octree& tree, std::span<const std::uint32_t> idx);
+
+/// The group box of one walk and the acceptance parameters.
 struct WalkBox {
   Vec3 center;
-  double half = 0;
+  Vec3 half;
   Vec3 offset;  ///< periodic image shift applied to the sources
   double rcut2 = std::numeric_limits<double>::infinity();  ///< prune beyond
   double theta2 = 0.25;
@@ -56,10 +71,14 @@ struct ChildMasks {
   std::uint32_t open = 0;    ///< cell not accepted: classify its children
 };
 
-/// Classify `n` <= 8 contiguous nodes starting at `first`.  Each node is
-/// pruned when its box-box distance^2 to the group exceeds rcut2, and
-/// accepted when dcom2 > 0 && size^2 < theta^2 dcom2 && box-box d2 > 0,
-/// with dcom2 the distance^2 from its shifted com to the group cube.
+/// Classify `n` <= 8 contiguous nodes starting at `first`.  With bb the
+/// box-box distance^2 of a node's (shifted) cell to the group box and
+/// dcom2 the distance^2 of its shifted com to the group box, a node is
+///   - pruned when bb > rcut2: no group target is within rcut of it;
+///   - accepted when dcom2 > 0 && size^2 < theta^2 dcom2 && bb > 0, unless
+///     dcom2 >= rcut2, when it is dropped: its monopole sits at or past
+///     rcut from every target, where the gP3M factor is exactly 0;
+///   - otherwise opened, as a leaf or as a cell.
 ChildMasks classify_children(WalkClassifier c, const NodeArrays& nodes, std::uint32_t first,
                              std::uint32_t n, const WalkBox& box);
 
@@ -77,10 +96,16 @@ struct WalkSink {
   std::uint64_t ghost_sources = 0;
 };
 
-/// Append the interaction list of group node `group_node` to `sink`: one
+/// The level frontiers and opened leaves of a walk, reused across the
+/// groups one thread walks (capacity only; no state between walks).
+struct WalkScratch {
+  std::vector<std::uint32_t> frontier, next, leaves;
+};
+
+/// Append the interaction list of the group box `group` to `sink`: one
 /// walk from the root per image offset, in order.
-void walk_group(const Octree& tree, std::uint32_t group_node, double theta, double rcut,
-                std::span<const Vec3> offsets, WalkSink& sink,
+void walk_group(const Octree& tree, const GroupBox& group, double theta, double rcut,
+                std::span<const Vec3> offsets, WalkSink& sink, WalkScratch& scratch,
                 WalkClassifier c = walk_dispatch());
 
 }  // namespace greem::tree

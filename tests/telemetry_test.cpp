@@ -574,7 +574,7 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   constexpr std::size_t kN = 600;
   auto particles = core::random_uniform_particles(kN, 1.0, 99);
 
-  std::atomic<std::uint64_t> rank_interactions{0}, rank_nodes{0};
+  std::atomic<std::uint64_t> rank_interactions{0}, rank_nodes{0}, rank_groups{0};
   parx::run_ranks(2, [&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -583,6 +583,7 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
     sim.step(0.002);
     rank_interactions += sim.last_step().pp_stats.interactions;
     rank_nodes += sim.last_step().pp_stats.nodes_visited;
+    rank_groups += sim.last_step().pp_stats.ngroups;
     // last_record() is filled collectively; every rank sees the aggregate.
     EXPECT_EQ(sim.last_record().step, 2u);
     EXPECT_EQ(sim.last_record().n_particles, kN);
@@ -622,6 +623,12 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   EXPECT_GT(rank_nodes.load(), 0u);
   EXPECT_GT(last.find("walk_mnodes_s")->num, 0.0);
 
+  // The Table I group block: the ranks' group count, <Ni> and <Nj>.
+  ASSERT_NE(last.find("groups"), nullptr);
+  EXPECT_DOUBLE_EQ(last.find("groups")->num, static_cast<double>(rank_groups.load()));
+  EXPECT_GE(last.find("mean_ni")->num, 1.0);
+  EXPECT_GT(last.find("mean_nj")->num, 0.0);
+
   // Phase breakdowns carry the Table I row names with a consistent total.
   const JVal* pp = last.find("pp");
   ASSERT_NE(pp, nullptr);
@@ -660,6 +667,8 @@ TEST(StepReport, PpGroupsCoverEveryInteractionOfASingleCycleStep) {
   cfg.step_report_path = path;
 
   auto particles = core::random_uniform_particles(800, 1.0, 7);
+  std::atomic<std::uint64_t> groups{0}, sum_ni{0}, sum_nj{0};
+  telemetry::StepRecord rank0;
   parx::run_ranks(4, [&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -667,14 +676,30 @@ TEST(StepReport, PpGroupsCoverEveryInteractionOfASingleCycleStep) {
     sim.step(0.001);
     const auto& rec = sim.last_record();
     ASSERT_EQ(rec.pp_groups.size(), 4u);
-    std::uint64_t sum = 0;
+    std::uint64_t sum = 0, rank_groups = 0;
     for (const auto& g : rec.pp_groups) {
       EXPECT_GT(g.groups, 0u);
       EXPECT_GE(g.interactions, g.groups);
       sum += g.interactions;
+      rank_groups += g.groups;
     }
     EXPECT_EQ(sum, rec.interactions);
+    EXPECT_EQ(rank_groups, rec.groups);
+    const tree::TraversalStats& st = sim.last_step().pp_stats;
+    groups += st.ngroups;
+    sum_ni += st.sum_ni;
+    sum_nj += st.sum_nj;
+    if (world.rank() == 0) rank0 = rec;
   });
+  // The Table I block is the ranks' traversal stats of the one cycle:
+  // every local is a target of exactly one group, so <Ni> = N / groups.
+  EXPECT_EQ(rank0.groups, groups.load());
+  EXPECT_EQ(sum_ni.load(), 800u);
+  EXPECT_DOUBLE_EQ(rank0.mean_ni, 800.0 / static_cast<double>(groups.load()));
+  EXPECT_DOUBLE_EQ(rank0.mean_nj,
+                   static_cast<double>(sum_nj.load()) / static_cast<double>(groups.load()));
+  EXPECT_GE(rank0.mean_ni, 1.0);
+  EXPECT_LE(rank0.mean_ni, static_cast<double>(cfg.ncrit));
   std::remove(path);
 }
 

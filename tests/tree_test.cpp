@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -34,6 +35,18 @@ std::vector<Vec3> random_positions(std::size_t n, std::uint64_t seed) {
   std::vector<Vec3> pos(n);
   for (auto& p : pos) p = {rng.uniform(), rng.uniform(), rng.uniform()};
   return pos;
+}
+
+/// The 27 periodic image offsets of the unit box.
+const std::vector<Vec3>& all_images() {
+  static const std::vector<Vec3> images = [] {
+    std::vector<Vec3> v;
+    for (int x = -1; x <= 1; ++x)
+      for (int y = -1; y <= 1; ++y)
+        for (int z = -1; z <= 1; ++z) v.emplace_back(x, y, z);
+    return v;
+  }();
+  return images;
 }
 
 TEST(Octree, ConservesMassAndCenterOfMass) {
@@ -405,11 +418,7 @@ TEST(Traversal, CutoffWalkMatchesDirectShortRange) {
   tp.eps2 = eps2;
   tp.kernel = KernelKind::kScalar;
   // Periodic: walk all 27 images.
-  std::vector<Vec3> images;
-  for (int x = -1; x <= 1; ++x)
-    for (int y = -1; y <= 1; ++y)
-      for (int z = -1; z <= 1; ++z) images.emplace_back(x, y, z);
-  tree_accelerations(tree, tp, walked, images);
+  tree_accelerations(tree, tp, walked, all_images());
 
   for (std::size_t i = 0; i < pos.size(); ++i) {
     EXPECT_NEAR(walked[i].x, direct[i].x, 1e-8);
@@ -850,10 +859,9 @@ TEST(GroupCosts, SumToTraversalStats) {
     interactions += gc.interactions;
     ghosts += gc.ghost_sources;
     EXPECT_EQ(gc.interactions, static_cast<std::uint64_t>(gc.ni) * gc.nj);
-    EXPECT_GE(gc.ni, 1u);  // ghost-only groups get no record
+    EXPECT_GE(gc.ni, 1u);  // ghost-only cells form no group
     EXPECT_GE(gc.walk_s, 0.0);
     EXPECT_GE(gc.force_s, 0.0);
-    EXPECT_GT(gc.half, 0.0);
     EXPECT_LT(gc.node, tree.num_nodes());
   }
   EXPECT_EQ(ni, stats.sum_ni);
@@ -907,43 +915,45 @@ LocalsAndGhosts corner_targets(std::size_t n, double corner, std::uint64_t seed)
   return out;
 }
 
-TEST(Traversal, DroppingGhostTargetsChangesNothingForLocals) {
-  // Targets-only evaluation walks the same groups with the same lists as
-  // the all-target walk; only the ghost rows of the kernel are gone.  With
-  // the per-target scalar kernel that is bitwise the same for every local.
+TEST(Traversal, TargetGroupsMatchDirectShortRange) {
+  // Groups of targets alone, walked against their tight boxes, lose no
+  // source: at theta = 0 every local's force is the direct short-range sum
+  // over locals and ghosts, as for the all-target walk.  At theta = 0.5
+  // both stay within the same multipole budget of it.
   const auto lg = corner_targets(3000, 0.6, 29);
   ASSERT_GT(lg.n_local, 100u);
   ASSERT_LT(lg.n_local, lg.pos.size());
+  const double rcut = 0.2, eps2 = 1e-8;
+  std::vector<Vec3> direct(lg.pos.size());
+  core::direct_short_range(lg.pos, lg.mass, direct, rcut, eps2);
+
   Octree tree(lg.pos, lg.mass);
   TraversalParams tp;
-  tp.theta = 0.5;
-  tp.rcut = 0.2;
+  tp.rcut = rcut;
   tp.ncrit = 32;
-  tp.eps2 = 1e-8;
-
+  tp.eps2 = eps2;
   tp.kernel = KernelKind::kScalar;
-  std::vector<Vec3> all(lg.pos.size()), mine(lg.n_local);
-  (void)tree_accelerations(tree, tp, all);
-  (void)tree_accelerations_targets(tree, tp, lg.n_local, mine);
-  for (std::size_t i = 0; i < lg.n_local; ++i) {
-    EXPECT_EQ(mine[i].x, all[i].x) << i;
-    EXPECT_EQ(mine[i].y, all[i].y) << i;
-    EXPECT_EQ(mine[i].z, all[i].z) << i;
-  }
-
-  // The phantom kernel may move a target between a 4-block and the i-tail
-  // (pp/kernels.hpp), which changes its last bits within the rsqrt budget:
-  // twice the per-kernel tolerance against scalar.
-  tp.kernel = KernelKind::kPhantom;
-  std::fill(all.begin(), all.end(), Vec3{});
-  std::fill(mine.begin(), mine.end(), Vec3{});
-  (void)tree_accelerations(tree, tp, all);
-  (void)tree_accelerations_targets(tree, tp, lg.n_local, mine);
-  for (std::size_t i = 0; i < lg.n_local; ++i) {
-    const double scale = std::max(1.0, all[i].norm());
-    EXPECT_NEAR(mine[i].x, all[i].x, 2 * 5e-7 * scale) << i;
-    EXPECT_NEAR(mine[i].y, all[i].y, 2 * 5e-7 * scale) << i;
-    EXPECT_NEAR(mine[i].z, all[i].z, 2 * 5e-7 * scale) << i;
+  const auto& images = all_images();
+  for (const double theta : {0.0, 0.5}) {
+    tp.theta = theta;
+    std::vector<Vec3> all(lg.pos.size()), mine(lg.n_local);
+    (void)tree_accelerations(tree, tp, all, images);
+    (void)tree_accelerations_targets(tree, tp, lg.n_local, mine, images);
+    double err_all = 0, err_mine = 0, norm = 0;
+    for (std::size_t i = 0; i < lg.n_local; ++i) {
+      if (theta == 0.0) {
+        EXPECT_NEAR(mine[i].x, direct[i].x, 1e-8) << i;
+        EXPECT_NEAR(mine[i].y, direct[i].y, 1e-8) << i;
+        EXPECT_NEAR(mine[i].z, direct[i].z, 1e-8) << i;
+      }
+      err_all += (all[i] - direct[i]).norm2();
+      err_mine += (mine[i] - direct[i]).norm2();
+      norm += direct[i].norm2();
+    }
+    const double rms_all = std::sqrt(err_all / norm), rms_mine = std::sqrt(err_mine / norm);
+    std::printf("[ target groups ] theta %.1f: rms error all-target %.3e, targets-only %.3e\n",
+                theta, rms_all, rms_mine);
+    EXPECT_LE(rms_mine, 1.5 * rms_all + 1e-12) << theta;
   }
 }
 
@@ -1027,32 +1037,48 @@ TEST(Donation, WireFormatShipsTargetsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Block walk against the recursive walk it replaced.
+// Block walk against a level-order queue walk and a recursive walk.
 
-double box_box_dist2(const Vec3& c1, double h1, const Vec3& c2, double h2) {
+double box_box_dist2(const Vec3& c1, const Vec3& h1, const Vec3& c2, double h2) {
   double d2 = 0;
   for (std::size_t a = 0; a < 3; ++a) {
-    const double gap = std::abs(c1[a] - c2[a]) - (h1 + h2);
+    const double gap = std::abs(c1[a] - c2[a]) - (h1[a] + h2);
     if (gap > 0) d2 += gap * gap;
   }
   return d2;
 }
 
-double point_box_dist2(const Vec3& p, const Vec3& c, double h) {
+double point_box_dist2(const Vec3& p, const Vec3& c, const Vec3& h) {
   double d2 = 0;
   for (std::size_t a = 0; a < 3; ++a) {
-    const double gap = std::abs(p[a] - c[a]) - h;
+    const double gap = std::abs(p[a] - c[a]) - h[a];
     if (gap > 0) d2 += gap * gap;
   }
   return d2;
 }
 
-/// The recursive group walk, kept as the reference: children in index
-/// order, so its lists are the depth-first pre-order the block walk must
-/// reproduce bitwise.
+enum class RefClass { kPruned, kDropped, kAccept, kLeaf, kOpen };
+
+/// The walk predicates of walk.hpp, one node at a time.
+RefClass reference_class(const TreeNode& node, const GroupBox& group, double theta, double rcut,
+                         const Vec3& offset) {
+  const Vec3 node_center = node.center + offset;
+  const double bb = box_box_dist2(group.center, group.half, node_center, node.half);
+  if (std::isfinite(rcut) && bb > rcut * rcut) return RefClass::kPruned;
+  const double dcom2 = point_box_dist2(node.com + offset, group.center, group.half);
+  const double size = 2.0 * node.half;
+  if (dcom2 > 0 && size * size < theta * theta * dcom2 && bb > 0)
+    return std::isfinite(rcut) && dcom2 >= rcut * rcut ? RefClass::kDropped : RefClass::kAccept;
+  return node.is_leaf() ? RefClass::kLeaf : RefClass::kOpen;
+}
+
+/// A reference group walk: the recursive walk (children in index order)
+/// or a plain FIFO queue walk whose list is accepted nodes in visit order
+/// and then the opened leaves' particles -- the level order the block
+/// walk must reproduce bitwise.
 struct ReferenceWalker {
   const Octree& tree;
-  TreeNode group;
+  GroupBox group;
   double theta = 0.5;
   double rcut = std::numeric_limits<double>::infinity();
   Vec3 offset;
@@ -1061,38 +1087,73 @@ struct ReferenceWalker {
   std::uint32_t ghost_from = std::numeric_limits<std::uint32_t>::max();
   std::uint64_t nodes_visited = 0;
   std::uint64_t ghost_sources = 0;
+  bool keep_dropped = false;  ///< list the nodes the past-cutoff rule drops
+  std::uint64_t dropped = 0;  ///< nodes that rule dropped
 
-  void walk(std::uint32_t ni) {
+  void accept(std::uint32_t ni) {
+    const TreeNode node = tree.node(ni);
+    if (quad_list)
+      quad_list->push_back({node.com + offset, node.mass, tree.quads()[ni]});
+    else
+      list->add(node.com + offset, node.mass);
+  }
+
+  void open_leaf(std::uint32_t ni) {
+    const TreeNode node = tree.node(ni);
+    for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
+      list->add(tree.sorted_pos()[i] + offset, tree.sorted_mass()[i]);
+      if (ghost_from < tree.num_particles() && tree.original_index(i) >= ghost_from)
+        ++ghost_sources;
+    }
+  }
+
+  void recursive(std::uint32_t ni) {
     const TreeNode node = tree.node(ni);
     ++nodes_visited;
     if (node.count == 0) return;
+    switch (reference_class(node, group, theta, rcut, offset)) {
+      case RefClass::kPruned:
+        return;
+      case RefClass::kDropped:
+        ++dropped;
+        if (!keep_dropped) return;
+        [[fallthrough]];
+      case RefClass::kAccept:
+        return accept(ni);
+      case RefClass::kLeaf:
+        return open_leaf(ni);
+      case RefClass::kOpen:
+        for (std::uint32_t c = 0; c < node.nchildren; ++c) recursive(node.first_child + c);
+    }
+  }
 
-    const Vec3 node_center = node.center + offset;
-    if (std::isfinite(rcut)) {
-      const double d2 = box_box_dist2(group.center, group.half, node_center, node.half);
-      if (d2 > rcut * rcut) return;
-    }
-    const Vec3 node_com = node.com + offset;
-    const double dcom2 = point_box_dist2(node_com, group.center, group.half);
-    const double size = 2.0 * node.half;
-    const bool accept = dcom2 > 0 && size * size < theta * theta * dcom2 &&
-                        box_box_dist2(group.center, group.half, node_center, node.half) > 0;
-    if (accept) {
-      if (quad_list)
-        quad_list->push_back({node_com, node.mass, tree.quads()[ni]});
-      else
-        list->add(node_com, node.mass);
+  void level_order() {
+    if (tree.node(0).count == 0) {
+      ++nodes_visited;
       return;
     }
-    if (node.is_leaf()) {
-      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
-        list->add(tree.sorted_pos()[i] + offset, tree.sorted_mass()[i]);
-        if (ghost_from < tree.num_particles() && tree.original_index(i) >= ghost_from)
-          ++ghost_sources;
+    std::deque<std::uint32_t> queue{0};
+    std::vector<std::uint32_t> leaves;
+    while (!queue.empty()) {
+      const std::uint32_t ni = queue.front();
+      queue.pop_front();
+      ++nodes_visited;
+      const TreeNode node = tree.node(ni);
+      switch (reference_class(node, group, theta, rcut, offset)) {
+        case RefClass::kPruned:
+        case RefClass::kDropped:
+          break;
+        case RefClass::kAccept:
+          accept(ni);
+          break;
+        case RefClass::kLeaf:
+          leaves.push_back(ni);
+          break;
+        case RefClass::kOpen:
+          for (std::uint32_t c = 0; c < node.nchildren; ++c) queue.push_back(node.first_child + c);
       }
-      return;
     }
-    for (std::uint32_t c = 0; c < node.nchildren; ++c) walk(node.first_child + c);
+    for (const std::uint32_t leaf : leaves) open_leaf(leaf);
   }
 };
 
@@ -1101,16 +1162,34 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-bool same_bits(const std::vector<pp::QuadSource>& a, const std::vector<pp::QuadSource>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const double wa[10] = {a[k].com.x, a[k].com.y, a[k].com.z, a[k].mass, a[k].quad[0],
-                           a[k].quad[1], a[k].quad[2], a[k].quad[3], a[k].quad[4], a[k].quad[5]};
-    const double wb[10] = {b[k].com.x, b[k].com.y, b[k].com.z, b[k].mass, b[k].quad[0],
-                           b[k].quad[1], b[k].quad[2], b[k].quad[3], b[k].quad[4], b[k].quad[5]};
-    if (std::memcmp(wa, wb, sizeof wa) != 0) return false;
-  }
-  return true;
+using Entry = std::array<double, 10>;  ///< com/position, mass, quadrupole
+
+std::vector<Entry> entries(const pp::InteractionList& list) {
+  std::vector<Entry> out(list.size());
+  for (std::size_t k = 0; k < list.size(); ++k)
+    out[k] = {list.x[k], list.y[k], list.z[k], list.m[k]};
+  return out;
+}
+
+std::vector<Entry> entries(const std::vector<pp::QuadSource>& q) {
+  std::vector<Entry> out(q.size());
+  for (std::size_t k = 0; k < q.size(); ++k)
+    out[k] = {q[k].com.x,  q[k].com.y,  q[k].com.z,  q[k].mass,    q[k].quad[0],
+              q[k].quad[1], q[k].quad[2], q[k].quad[3], q[k].quad[4], q[k].quad[5]};
+  return out;
+}
+
+bool same_bits(const std::vector<Entry>& a, const std::vector<Entry>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Entry)) == 0);
+}
+
+/// Entries sorted by their bit patterns: equal multisets compare equal.
+std::vector<Entry> as_multiset(std::vector<Entry> e) {
+  std::sort(e.begin(), e.end(), [](const Entry& a, const Entry& b) {
+    return std::memcmp(a.data(), b.data(), sizeof(Entry)) < 0;
+  });
+  return e;
 }
 
 std::vector<WalkClassifier> runnable_classifiers() {
@@ -1119,64 +1198,77 @@ std::vector<WalkClassifier> runnable_classifiers() {
   return out;
 }
 
-const std::vector<Vec3>& all_images() {
-  static const std::vector<Vec3> images = [] {
-    std::vector<Vec3> v;
-    for (int x = -1; x <= 1; ++x)
-      for (int y = -1; y <= 1; ++y)
-        for (int z = -1; z <= 1; ++z) v.emplace_back(x, y, z);
-    return v;
-  }();
-  return images;
+/// The tree-order indices of the targets (original index < n_targets) in
+/// group node `g`.
+std::vector<std::uint32_t> group_targets(const Octree& tree, std::uint32_t g,
+                                         std::size_t n_targets) {
+  std::vector<std::uint32_t> out;
+  const TreeNode node = tree.node(g);
+  for (std::uint32_t i = node.first; i < node.first + node.count; ++i)
+    if (tree.original_index(i) < n_targets) out.push_back(i);
+  return out;
 }
 
 struct WalkTotals {
   std::uint64_t nodes_visited = 0, ghost_sources = 0, entries = 0;
 };
 
-/// Walk every group of `tree` with the reference and with the block walk
-/// under each runnable classifier; lists (monopole and, when the tree has
-/// quadrupoles, quadrupole) and counters must agree exactly.  Returns the
-/// reference totals over the groups that own a target.
+/// Walk every target group of `tree` (targets: original index <
+/// ghost_from) with the two reference walks and with the block walk under
+/// each runnable classifier.  The block walk's lists (monopole and, when
+/// the tree has quadrupoles, quadrupole) must be bitwise the level-order
+/// reference's, and as multisets the recursive reference's; the counters
+/// must agree exactly.  Returns the reference totals.
 WalkTotals expect_walks_agree(const Octree& tree, double theta, double rcut,
                               std::span<const Vec3> offsets, std::uint32_t ghost_from,
                               std::uint32_t ncrit, const std::string& what) {
   WalkTotals totals;
-  std::vector<std::uint32_t> groups = tree.groups(ncrit);
-  if (groups.empty()) groups.push_back(0);  // the empty tree's root
+  const std::vector<std::uint32_t> groups = tree.groups(ncrit, ghost_from);
   const bool with_quads = !tree.quads().empty();
-  for (const std::uint32_t g : groups) {
+  WalkScratch scratch;
+  // The empty tree has no group; its root is walked with an empty box.
+  const std::size_t walks = std::max<std::size_t>(groups.size(), tree.num_particles() == 0);
+  for (std::size_t gi = 0; gi < walks; ++gi) {
+    const GroupBox box =
+        groups.empty() ? GroupBox{} : target_box(tree, group_targets(tree, groups[gi], ghost_from));
     for (const bool quad : {false, true}) {
       if (quad && !with_quads) continue;
-      pp::InteractionList ref_list;
-      std::vector<pp::QuadSource> ref_quads;
-      ReferenceWalker ref{tree, tree.node(g), theta, rcut, {}, &ref_list,
-                          quad ? &ref_quads : nullptr, ghost_from};
+      pp::InteractionList level_list, rec_list;
+      std::vector<pp::QuadSource> level_quads, rec_quads;
+      ReferenceWalker level{tree, box, theta, rcut, {}, &level_list,
+                            quad ? &level_quads : nullptr, ghost_from};
+      ReferenceWalker rec{tree, box, theta, rcut, {}, &rec_list,
+                          quad ? &rec_quads : nullptr, ghost_from};
       for (const Vec3& off : offsets) {
-        ref.offset = off;
-        ref.walk(0);
+        level.offset = rec.offset = off;
+        level.level_order();
+        rec.recursive(0);
       }
-      const auto members = tree.order().subspan(tree.node(g).first, tree.node(g).count);
-      if (!quad && std::any_of(members.begin(), members.end(),
-                               [&](std::uint32_t o) { return o < ghost_from; })) {
-        totals.nodes_visited += ref.nodes_visited;
-        totals.ghost_sources += ref.ghost_sources;
-        totals.entries += ref_list.size();
+      const std::string where_ref = what + " group " + std::to_string(gi) + (quad ? " quad" : "");
+      EXPECT_TRUE(same_bits(as_multiset(entries(level_list)), as_multiset(entries(rec_list))))
+          << where_ref;
+      EXPECT_TRUE(same_bits(as_multiset(entries(level_quads)), as_multiset(entries(rec_quads))))
+          << where_ref;
+      EXPECT_EQ(level.nodes_visited, rec.nodes_visited) << where_ref;
+      EXPECT_EQ(level.ghost_sources, rec.ghost_sources) << where_ref;
+      if (!quad) {
+        totals.nodes_visited += level.nodes_visited;
+        totals.ghost_sources += level.ghost_sources;
+        totals.entries += level_list.size();
       }
       for (const WalkClassifier c : runnable_classifiers()) {
         pp::InteractionList list;
         std::vector<pp::QuadSource> quads;
         WalkSink sink{&list, quad ? &quads : nullptr, ghost_from};
-        walk_group(tree, g, theta, rcut, offsets, sink, c);
-        const std::string where = what + " group " + std::to_string(g) + " classifier " +
-                                  walk_classifier_name(c) + (quad ? " quad" : "");
-        EXPECT_TRUE(same_bits(list.x, ref_list.x)) << where;
-        EXPECT_TRUE(same_bits(list.y, ref_list.y)) << where;
-        EXPECT_TRUE(same_bits(list.z, ref_list.z)) << where;
-        EXPECT_TRUE(same_bits(list.m, ref_list.m)) << where;
-        EXPECT_TRUE(same_bits(quads, ref_quads)) << where;
-        EXPECT_EQ(sink.nodes_visited, ref.nodes_visited) << where;
-        EXPECT_EQ(sink.ghost_sources, ref.ghost_sources) << where;
+        walk_group(tree, box, theta, rcut, offsets, sink, scratch, c);
+        const std::string where = where_ref + " classifier " + walk_classifier_name(c);
+        EXPECT_TRUE(same_bits(list.x, level_list.x)) << where;
+        EXPECT_TRUE(same_bits(list.y, level_list.y)) << where;
+        EXPECT_TRUE(same_bits(list.z, level_list.z)) << where;
+        EXPECT_TRUE(same_bits(list.m, level_list.m)) << where;
+        EXPECT_TRUE(same_bits(entries(quads), entries(level_quads))) << where;
+        EXPECT_EQ(sink.nodes_visited, level.nodes_visited) << where;
+        EXPECT_EQ(sink.ghost_sources, level.ghost_sources) << where;
       }
     }
   }
@@ -1203,8 +1295,9 @@ TEST(BlockWalk, ListsAreBitwiseTheRecursiveWalks) {
   // Particles past index ghost_from stand in for imported ghosts.
   const auto ghost_from = static_cast<std::uint32_t>(2 * n / 3);
 
+  // Leaves of up to 20 particles take the leaf copy past one 8-lane block.
   for (const auto& [ic, pos] : ics)
-    for (const std::uint32_t leaf_capacity : {1u, 8u}) {
+    for (const std::uint32_t leaf_capacity : {1u, 8u, 20u}) {
       Octree tree(pos, mass, {leaf_capacity, 21, /*with_quadrupole=*/true});
       for (const double theta : {0.3, 0.5, 0.8})
         for (const double rcut : {0.15, std::numeric_limits<double>::infinity()})
@@ -1217,8 +1310,8 @@ TEST(BlockWalk, ListsAreBitwiseTheRecursiveWalks) {
             const WalkTotals ref = expect_walks_agree(tree, theta, rcut, offsets, ghost_from,
                                                       32, what);
 
-            // The traversal entry point runs the same walk: its counters
-            // are the reference totals over the groups with a target.
+            // The traversal entry point runs the same walk over the same
+            // groups: its counters are the reference totals.
             TraversalParams tp;
             tp.theta = theta;
             tp.rcut = rcut;
@@ -1234,6 +1327,48 @@ TEST(BlockWalk, ListsAreBitwiseTheRecursiveWalks) {
             EXPECT_GT(ref.ghost_sources, 0u) << what;
           }
     }
+}
+
+TEST(BlockWalk, DropsOnlyAcceptedNodesPastTheCutoff) {
+  // Under a finite cutoff some accepted node has its com past rcut from
+  // the group box and is dropped.  Its monopole carries no force there, so
+  // the list with it gives the same accelerations under the scalar cutoff
+  // kernel, up to summation order.
+  const auto pos = random_positions(3000, 56);
+  const std::vector<double> mass(pos.size(), 1.0 / 3000);
+  const Octree tree(pos, mass);
+  const double theta = 0.8, rcut = 0.1;
+  const Vec3 home{0, 0, 0};
+  WalkScratch scratch;
+  std::size_t dropped = 0;
+  for (const std::uint32_t g : tree.groups(16)) {
+    const auto idx = group_targets(tree, g, pos.size());
+    const GroupBox box = target_box(tree, idx);
+    pp::InteractionList list, with_dropped;
+    WalkSink sink{&list};
+    walk_group(tree, box, theta, rcut, {&home, 1}, sink, scratch);
+    // The same walk with the drop rule switched off.
+    ReferenceWalker keeper{tree, box, theta, rcut, home, &with_dropped};
+    keeper.keep_dropped = true;
+    keeper.recursive(0);
+    ASSERT_EQ(list.size() + keeper.dropped, with_dropped.size());
+    dropped += keeper.dropped;
+    if (keeper.dropped == 0) continue;
+    std::vector<Vec3> targets;
+    gather_targets(tree, idx, targets);
+    std::vector<Vec3> a(targets.size()), b(targets.size());
+    pp::pp_kernel_scalar(targets, a, list, rcut, 1e-8);
+    pp::pp_kernel_scalar(targets, b, with_dropped, rcut, 1e-8);
+    // Summation order differs (level order against depth-first, with the
+    // dropped terms between), but each dropped term is exactly 0.
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      const double tol = 1e-12 * std::max(1.0, b[k].norm());
+      EXPECT_NEAR(a[k].x, b[k].x, tol) << g;
+      EXPECT_NEAR(a[k].y, b[k].y, tol) << g;
+      EXPECT_NEAR(a[k].z, b[k].z, tol) << g;
+    }
+  }
+  EXPECT_GT(dropped, 0u);
 }
 
 TEST(BlockWalk, DegenerateTreesMatchTheRecursiveWalk) {
@@ -1260,11 +1395,106 @@ TEST(BlockWalk, DegenerateTreesMatchTheRecursiveWalk) {
         }
 
   pp::InteractionList list;
-  TraversalStats stats;
-  TraversalParams tp;
-  build_interaction_list(empty, 0, tp, home, list, stats);
+  WalkSink sink{&list};
+  WalkScratch scratch;
+  build_interaction_list(empty, {}, TraversalParams{}, {&home, 1}, sink, scratch);
   EXPECT_EQ(list.size(), 0u);
-  EXPECT_EQ(stats.nodes_visited, 1u);
+  EXPECT_EQ(sink.nodes_visited, 1u);
+}
+
+TEST(TargetGroups, PartitionTheTargetsAndStopAtNcrit) {
+  // Groups are maximal cells with <= ncrit targets (or leaves with more):
+  // each target sits in exactly one group, every group holds a target,
+  // and a group's parent holds more than ncrit targets.
+  const auto lg = corner_targets(4000, 0.55, 57);
+  for (const std::uint32_t leaf_capacity : {1u, 8u, 64u}) {
+    const Octree tree(lg.pos, lg.mass, {leaf_capacity, 21});
+    const NodeArrays& a = tree.node_arrays();
+    std::vector<std::uint32_t> parent(tree.num_nodes(), 0);
+    for (std::uint32_t i = 0; i < tree.num_nodes(); ++i)
+      for (std::uint32_t c = 0; c < a.nchildren[i]; ++c) parent[a.first_child[i] + c] = i;
+    auto targets_in = [&](std::uint32_t ni) {
+      return group_targets(tree, ni, lg.n_local).size();
+    };
+    for (const std::uint32_t ncrit : {1u, 16u, 100u}) {
+      const auto groups = tree.groups(ncrit, lg.n_local);
+      std::vector<int> seen(lg.n_local, 0);
+      std::uint32_t prev_end = 0;
+      for (const std::uint32_t g : groups) {
+        const TreeNode node = tree.node(g);
+        EXPECT_GE(node.first, prev_end) << "groups in tree order, disjoint";
+        prev_end = node.first + node.count;
+        const std::size_t t = targets_in(g);
+        EXPECT_GE(t, 1u) << "a ghost-only cell formed group " << g;
+        if (!node.is_leaf()) {
+          EXPECT_LE(t, ncrit) << g;
+        }
+        if (g != 0) {
+          EXPECT_GT(targets_in(parent[g]), ncrit) << "group " << g << " not maximal";
+        }
+        for (const std::uint32_t i : group_targets(tree, g, lg.n_local))
+          ++seen[tree.original_index(i)];
+      }
+      for (std::size_t i = 0; i < lg.n_local; ++i) EXPECT_EQ(seen[i], 1) << i;
+    }
+    EXPECT_TRUE(tree.groups(16, 0).empty()) << "no targets, no groups";
+    // Without a target bound every particle is a target.
+    EXPECT_EQ(tree.groups(16), tree.groups(16, lg.pos.size()));
+  }
+}
+
+TEST(TargetGroups, BoxHoldsEveryTarget) {
+  const auto lg = corner_targets(3000, 0.6, 58);
+  const Octree tree(lg.pos, lg.mass);
+  for (const std::uint32_t g : tree.groups(32, lg.n_local)) {
+    const auto idx = group_targets(tree, g, lg.n_local);
+    const GroupBox box = target_box(tree, idx);
+    const TreeNode cell = tree.node(g);
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      EXPECT_GE(box.half[axis], 0.0);
+      EXPECT_LE(box.half[axis], cell.half) << "tight box larger than its cell";
+      for (const std::uint32_t i : idx)
+        EXPECT_LE(std::abs(tree.sorted_pos()[i][axis] - box.center[axis]), box.half[axis])
+            << "group " << g << " target " << i << " axis " << axis;
+    }
+  }
+}
+
+TEST(TargetGroups, OneTargetGroupWalksCorrectly) {
+  // One target among ghosts: its group is the root, with a zero-extent
+  // box.  The walk agrees with the references, and the force matches
+  // direct summation within the opening-angle budget.
+  auto pos = random_positions(2000, 59);
+  pos[0] = {0.37, 0.52, 0.61};
+  const std::vector<double> mass(pos.size(), 1.0 / 2000);
+  const Octree tree(pos, mass, {8, 21, /*with_quadrupole=*/true});
+  const auto groups = tree.groups(16, 1);
+  ASSERT_EQ(groups, std::vector<std::uint32_t>{0});
+  const GroupBox box = target_box(tree, group_targets(tree, 0, 1));
+  EXPECT_EQ(box.half.x, 0.0);
+  EXPECT_EQ(box.half.y, 0.0);
+  EXPECT_EQ(box.half.z, 0.0);
+  EXPECT_EQ(box.center.x, pos[0].x);
+
+  const Vec3 home{0, 0, 0};
+  for (const double rcut : {0.2, std::numeric_limits<double>::infinity()})
+    expect_walks_agree(tree, 0.5, rcut, {&home, 1}, 1, 16, "one target");
+
+  TraversalParams tp;
+  tp.theta = 0.3;
+  tp.eps2 = 1e-8;
+  tp.kernel = KernelKind::kNewton;
+  std::vector<Vec3> acc(1);
+  const auto stats = tree_accelerations_targets(tree, tp, 1, acc);
+  EXPECT_EQ(stats.ngroups, 1u);
+  EXPECT_EQ(stats.sum_ni, 1u);
+  Vec3 direct{};
+  for (std::size_t j = 1; j < pos.size(); ++j) {
+    const Vec3 d = pos[j] - pos[0];
+    const double r2 = d.norm2() + tp.eps2;
+    direct += d * (mass[j] / (r2 * std::sqrt(r2)));
+  }
+  EXPECT_LT((acc[0] - direct).norm(), 1e-2 * direct.norm());
 }
 
 TEST(BlockWalk, QuadrupolesAreStoredOnlyWhenRequested) {
@@ -1314,7 +1544,11 @@ TEST(BlockWalk, ClassifiersAgreeOnRandomChildBlocks) {
     const auto first = static_cast<std::uint32_t>(rng.uniform(0, nodes - 8));
     WalkBox box;
     box.center = {grid(0, 1), grid(0, 1), grid(0, 1)};
-    box.half = std::ldexp(1.0, -static_cast<int>(rng.uniform(2, 6)));
+    // Per-axis halves of a tight group box, some of zero extent.
+    auto side = [&] {
+      return rng.uniform() < 0.15 ? 0.0 : std::ldexp(1.0, -static_cast<int>(rng.uniform(2, 6)));
+    };
+    box.half = {side(), side(), side()};
     box.offset = {std::round(rng.uniform(-1.4, 1.4)), std::round(rng.uniform(-1.4, 1.4)),
                   std::round(rng.uniform(-1.4, 1.4))};
     box.rcut2 = trial % 3 == 0 ? std::numeric_limits<double>::infinity()
