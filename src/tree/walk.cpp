@@ -18,10 +18,12 @@
 namespace greem::tree {
 namespace {
 
-/// Grow `v` so that 8 more entries fit after its first `len`: a block
-/// appends at most 8 node indices, stored as 8 full lanes.
-[[gnu::always_inline]] inline void make_room(std::vector<std::uint32_t>& v, std::size_t len) {
-  if (v.size() < len + 8) v.resize(std::max(len + 8, 2 * v.size()));
+/// Grow `v` geometrically to at least `n` entries.  The walk's arrays run
+/// ahead of their lengths: blocks and leaves store whole 8-lane vectors
+/// past their last entry.
+template <class T>
+[[gnu::always_inline]] inline void make_room(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(std::max(n, 2 * v.size()));
 }
 
 /// The portable classifier: one child at a time, the predicates of the
@@ -213,49 +215,32 @@ struct Avx512Block {
                              _mm512_maskz_compress_epi32(static_cast<__mmask16>(mask), idx));
   }
 
-  /// PortableBlock::copy_leaf 8 particles at a time: three masked loads of
-  /// the interleaved positions, split into x, y and z by two-source
-  /// permutes, stored as full vectors.
+  /// PortableBlock::copy_leaf 8 particles at a time: each coordinate is
+  /// one masked stride-3 gather from the interleaved positions, stored as
+  /// a full vector.
   __attribute__((target("avx512f"))) static std::uint32_t copy_leaf(
       const Octree& t, std::uint32_t lo, std::uint32_t cnt, const Vec3& off,
       pp::InteractionList& list, std::size_t at, std::uint32_t ghost_from) {
     static_assert(sizeof(Vec3) == 3 * sizeof(double));
-    const Vec3* pos = t.sorted_pos().data() + lo;
+    const double* pos = reinterpret_cast<const double*>(t.sorted_pos().data() + lo);
     const double* mass = t.sorted_mass().data() + lo;
     const std::uint32_t* orig = t.order().data() + lo;
-    // Element e of the 24 interleaved doubles: lane e of v0, e - 8 of v1
-    // (index e in a v0:v1 permute), e - 16 of v2 (index e - 8 against v2).
-    const __m512i x01 = _mm512_set_epi64(0, 0, 15, 12, 9, 6, 3, 0);
-    const __m512i x2 = _mm512_set_epi64(13, 10, 5, 4, 3, 2, 1, 0);
-    const __m512i y01 = _mm512_set_epi64(0, 0, 0, 13, 10, 7, 4, 1);
-    const __m512i y2 = _mm512_set_epi64(14, 11, 8, 4, 3, 2, 1, 0);
-    const __m512i z01 = _mm512_set_epi64(0, 0, 0, 14, 11, 8, 5, 2);
-    const __m512i z2 = _mm512_set_epi64(15, 12, 9, 4, 3, 2, 1, 0);
+    const __m256i stride = _mm256_set_epi32(21, 18, 15, 12, 9, 6, 3, 0);
+    const __m512d zero = _mm512_setzero_pd();
     const __m512d ox = _mm512_set1_pd(off.x), oy = _mm512_set1_pd(off.y),
                   oz = _mm512_set1_pd(off.z);
     const __m512i gf = _mm512_set1_epi32(static_cast<int>(ghost_from));
     std::uint32_t ghosts = 0;
-    const auto lanes = [](std::uint32_t n) {
-      return static_cast<__mmask8>(n >= 8 ? 0xffu : (1u << n) - 1);
-    };
     for (std::uint32_t k = 0; k < cnt; k += 8) {
-      const std::uint32_t c = std::min(cnt - k, 8u);
-      const std::uint32_t n3 = 3 * c;
-      // The positions' bytes as 24 doubles; a vector past the last
-      // particle loads no lane, from an address kept inside the array.
-      const char* p = reinterpret_cast<const char*>(pos + k);
-      const __m512d v0 = _mm512_maskz_loadu_pd(lanes(n3), p);
-      const __m512d v1 = _mm512_maskz_loadu_pd(lanes(n3 > 8 ? n3 - 8 : 0), n3 > 8 ? p + 64 : p);
-      const __m512d v2 =
-          _mm512_maskz_loadu_pd(lanes(n3 > 16 ? n3 - 16 : 0), n3 > 16 ? p + 128 : p);
-      const __m512d x = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, x01, v1), x2, v2);
-      const __m512d y = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, y01, v1), y2, v2);
-      const __m512d z = _mm512_permutex2var_pd(_mm512_permutex2var_pd(v0, z01, v1), z2, v2);
+      const auto m = static_cast<__mmask8>(cnt - k >= 8 ? 0xffu : (1u << (cnt - k)) - 1);
+      const double* p = pos + 3 * std::size_t{k};
       const std::size_t to = at + k;
-      _mm512_storeu_pd(list.x.data() + to, _mm512_add_pd(x, ox));
-      _mm512_storeu_pd(list.y.data() + to, _mm512_add_pd(y, oy));
-      _mm512_storeu_pd(list.z.data() + to, _mm512_add_pd(z, oz));
-      const __mmask8 m = lanes(c);
+      _mm512_storeu_pd(list.x.data() + to,
+                       _mm512_add_pd(_mm512_mask_i32gather_pd(zero, m, stride, p, 8), ox));
+      _mm512_storeu_pd(list.y.data() + to,
+                       _mm512_add_pd(_mm512_mask_i32gather_pd(zero, m, stride, p + 1, 8), oy));
+      _mm512_storeu_pd(list.z.data() + to,
+                       _mm512_add_pd(_mm512_mask_i32gather_pd(zero, m, stride, p + 2, 8), oz));
       _mm512_storeu_pd(list.m.data() + to, _mm512_maskz_loadu_pd(m, mass + k));
       const __m512i o = _mm512_maskz_loadu_epi32(m, orig + k);
       ghosts += static_cast<std::uint32_t>(
@@ -282,18 +267,17 @@ struct LevelWalk {
   std::size_t len;  ///< entries written; the list is sized ahead of them
   std::size_t next_len = 0, leaves_len = 0;
 
-  /// The list columns are sized ahead of `len` (blocks and leaves store
-  /// whole vectors past their entries), growing geometrically to at least
-  /// `n`; finish() trims them to `len`.
+  /// The list columns run ahead of `len`, all four the size of `list.x`;
+  /// finish() trims them to `len`.
   [[gnu::always_inline]] void room(std::size_t n) {
-    if (n > list.size()) resize_list(std::max(n, 2 * list.size()));
+    if (list.x.size() >= n) return;
+    make_room(list.x, n);
+    for (std::vector<double>* col : {&list.y, &list.z, &list.m}) col->resize(list.x.size());
   }
 
-  void resize_list(std::size_t n) {
-    for (std::vector<double>* col : {&list.x, &list.y, &list.z, &list.m}) col->resize(n);
+  void finish() {
+    for (std::vector<double>* col : {&list.x, &list.y, &list.z, &list.m}) col->resize(len);
   }
-
-  void finish() { resize_list(len); }
 
   /// Classify one child block and append its three classes.
   [[gnu::always_inline]] void block(std::uint32_t first, std::uint32_t n) {
@@ -312,10 +296,10 @@ struct LevelWalk {
       Block::store_accepted(a, first, m.accept, box.offset, list, len);
       len += static_cast<std::size_t>(std::popcount(m.accept));
     }
-    make_room(s.next, next_len);
+    make_room(s.next, next_len + 8);
     Block::append(first, m.open, s.next.data() + next_len);
     next_len += static_cast<std::size_t>(std::popcount(m.open));
-    make_room(s.leaves, leaves_len);
+    make_room(s.leaves, leaves_len + 8);
     Block::append(first, m.leaf, s.leaves.data() + leaves_len);
     leaves_len += static_cast<std::size_t>(std::popcount(m.leaf));
   }

@@ -8,11 +8,12 @@
 // cells to open.  The accepted nodes are appended to the list, the cells
 // to open to the next level's frontier and the leaves to a leaf array --
 // each append a compress of the mask's lanes (one AVX-512 instruction, or
-// a branch-free loop), with no per-child branch and no stack.  After the last level the opened leaves' particles
-// are copied, leaf by leaf.  A list is therefore the accepted nodes level
-// by level (frontier order, then child order within a block), followed by
-// the opened leaves' particles in the same order: as a multiset it is the
-// list of a recursive walk under the same predicates.
+// a branch-free loop), with no per-child branch and no stack.  After the
+// last level the opened leaves' particles are copied, leaf by leaf (8 per
+// AVX-512 pass, by stride-3 gathers).  A list is therefore the accepted
+// nodes level by level (frontier order, then child order within a block),
+// followed by the opened leaves' particles in the same order: as a
+// multiset it is the list of a recursive walk under the same predicates.
 //
 // Two classifiers share the walk: a portable scalar loop, and an AVX-512
 // pass over the 8 lanes of a child block (selected at run time when the
