@@ -48,10 +48,7 @@ struct ScalingPoint {
   // Table-I-style phase shares of the last step (phase totals are the max
   // over ranks, the paper's convention; shares are of their sum).
   double pp_share = 0, pm_share = 0, dd_share = 0;
-  // Load-balance v2 trend lines (docs/load-balance.md).
-  double pp_imbalance = 0;         ///< max/mean traversal+force seconds
-  double predicted_imbalance = 0;  ///< max/mean published costs
-  std::uint64_t donated_groups = 0, donated_interactions = 0;
+  double pp_imbalance = 0;  ///< max/mean traversal+force seconds
 };
 
 ScalingPoint run(std::array<int, 3> dims, const std::vector<core::Particle>& particles) {
@@ -90,9 +87,6 @@ ScalingPoint run(std::array<int, 3> dims, const std::vector<core::Particle>& par
                             sim.last_step().pp.get("force calculation");
     const double pp_max = world.allreduce_max(pp_local);
     const double pp_mean = world.allreduce_sum(pp_local) / static_cast<double>(p);
-    std::uint64_t dn[2] = {sim.last_step().donated_groups,
-                           sim.last_step().donated_interactions};
-    world.allreduce_sum(std::span<std::uint64_t>(dn, 2));
     if (world.rank() == 0) {
       std::lock_guard lock(mu);
       out.max_interactions = maxi;
@@ -106,9 +100,6 @@ ScalingPoint run(std::array<int, 3> dims, const std::vector<core::Particle>& par
         out.dd_share = dd_total / denom;
       }
       out.pp_imbalance = pp_mean > 0 ? pp_max / pp_mean : 0.0;
-      out.predicted_imbalance = sim.last_step().predicted_imbalance;
-      out.donated_groups = dn[0];
-      out.donated_interactions = dn[1];
     }
   });
   return out;
@@ -127,9 +118,6 @@ void json_scaling_point(telemetry::JsonWriter& jw, const ScalingPoint& pt, doubl
   jw.field("pm_share", pt.pm_share);
   jw.field("dd_share", pt.dd_share);
   jw.field("pp_imbalance", pt.pp_imbalance);
-  jw.field("lb_predicted_imbalance", pt.predicted_imbalance);
-  jw.field("lb_donated_groups", pt.donated_groups);
-  jw.field("lb_donated_interactions", pt.donated_interactions);
   jw.end_object();
 }
 
@@ -266,7 +254,7 @@ int main() {
 
   TextTable t;
   t.header({"ranks", "max inter/rank", "ideal", "parallel eff", "balance max/mean",
-            "FFT (s)", "donated"});
+            "FFT (s)"});
   double base = 0;
   int base_ranks = 0;
   std::vector<ScalingPoint> rank_pts;
@@ -290,8 +278,7 @@ int main() {
     rank_eff.push_back(ideal / pt.max_interactions);
     t.row({TextTable::num((long long)pt.ranks), TextTable::num(pt.max_interactions, 4),
            TextTable::num(ideal, 4), TextTable::num(ideal / pt.max_interactions, 3),
-           TextTable::num(pt.balance, 3), TextTable::num(pt.fft_seconds, 3),
-           TextTable::num((long long)pt.donated_groups)});
+           TextTable::num(pt.balance, 3), TextTable::num(pt.fft_seconds, 3)});
   }
   t.print(std::cout);
 
@@ -300,12 +287,11 @@ int main() {
   // node); here the per-rank share stays constant while the rank grid
   // grows to a few hundred simulated ranks.  The interesting trend lines
   // are the busiest rank's interactions (flat = ideal), the PP time
-  // imbalance with v2 + donation active, and the Table-I phase shares.
+  // imbalance under load-balance v2, and the Table-I phase shares.
   constexpr std::size_t kWeakPerRank = 2048;
   std::printf("\nWeak scaling (N = %zu per rank).\n\n", kWeakPerRank);
   TextTable wt;
-  wt.header({"ranks", "N", "max inter/rank", "balance", "pp imb", "donated",
-             "pp/pm/dd shares"});
+  wt.header({"ranks", "N", "max inter/rank", "balance", "pp imb", "pp/pm/dd shares"});
   std::vector<ScalingPoint> weak_pts;
   for (const auto dims : std::vector<std::array<int, 3>>{
            {2, 2, 2}, {4, 2, 2}, {4, 4, 2}, {4, 4, 4}, {8, 4, 4}, {8, 8, 4}}) {
@@ -319,8 +305,7 @@ int main() {
                   pt.dd_share);
     wt.row({TextTable::num((long long)pt.ranks), TextTable::num((long long)pt.n_particles),
             TextTable::num(pt.max_interactions, 4), TextTable::num(pt.balance, 3),
-            TextTable::num(pt.pp_imbalance, 3),
-            TextTable::num((long long)pt.donated_groups), shares});
+            TextTable::num(pt.pp_imbalance, 3), shares});
   }
   wt.print(std::cout);
 

@@ -222,18 +222,15 @@ double sim_steps_seconds(const core::ParallelSimConfig& cfg,
 }
 
 /// One probe run of `nsteps` steps: the PP load imbalance (max/mean over
-/// ranks of the last step's traversal+force seconds) and the task-pool
-/// busy imbalance (max/mean per-slot busy time over the probe's steps).
-/// Works without telemetry -- the timing breakdowns are plain StepReport
-/// data.
+/// ranks of the last step's traversal+force seconds), its deterministic
+/// counterpart (max/mean over ranks of the last step's interactions, the
+/// StepRecord's work_imbalance) and the task-pool busy imbalance (max/mean
+/// per-slot busy time over the probe's steps).  Works without telemetry --
+/// the timing breakdowns and traversal stats are plain StepReport data.
 struct StepProbe {
   double pp_imbalance = 0;
+  double work_imbalance = 0;
   double pool_imbalance = 0;
-  // Load-balance v2 activity of the last step (global sums / published
-  // prediction); zero when donation is off.
-  double predicted_imbalance = 0;
-  std::uint64_t donated_groups = 0;
-  std::uint64_t donated_interactions = 0;
 };
 
 /// Median of 5 samples after one discarded warmup run: probes report a
@@ -272,16 +269,16 @@ StepProbe steps_probe(const core::ParallelSimConfig& cfg,
     const double pp_max = world.allreduce_max(pp_local);
     const double pp_mean =
         world.allreduce_sum(pp_local) / static_cast<double>(world.size());
-    std::uint64_t dn[2] = {sim.last_step().donated_groups,
-                           sim.last_step().donated_interactions};
-    world.allreduce_sum(std::span<std::uint64_t>(dn, 2));
+    const std::uint64_t inter_local = sim.last_step().pp_stats.interactions;
+    const std::uint64_t inter_max = world.allreduce_max(inter_local);
+    const std::uint64_t inter_sum = world.allreduce_sum(inter_local);
     if (world.rank() == 0) {
       std::lock_guard lock(mu);
       out.pp_imbalance = pp_mean > 0 ? pp_max / pp_mean : 0.0;
+      out.work_imbalance = inter_sum > 0 ? static_cast<double>(inter_max) * world.size() /
+                                               static_cast<double>(inter_sum)
+                                         : 0.0;
       out.pool_imbalance = TaskPool::global().stats().imbalance();
-      out.predicted_imbalance = sim.last_step().predicted_imbalance;
-      out.donated_groups = dn[0];
-      out.donated_interactions = dn[1];
     }
   });
   return out;
@@ -418,12 +415,10 @@ int main(int argc, char** argv) {
   struct SweepPoint {
     std::size_t n = 0, n_mesh = 0;
     double no_plan_s = 0, rate0_s = 0;
-    double pp_imbalance = 0, pool_imbalance = 0;  ///< from the default leg
-    /// Load-balance A/B: the same point with v1 rank-cost sampling and
-    /// donation off (the seed behavior) vs the default v2 leg above.
-    double pp_imbalance_v1 = 0;
-    double predicted_imbalance = 0;
-    std::uint64_t donated_groups = 0, donated_interactions = 0;
+    StepProbe v2;  ///< the default leg
+    /// Load-balance A/B: the same point with v1 rank-cost sampling (the
+    /// seed behavior) vs the default v2 leg above.
+    StepProbe v1;
   };
   std::vector<SweepPoint> sweep;
   if (!opt.large_n.empty() && opt.faults.empty() && opt.watchdog_s <= 0) {
@@ -447,18 +442,12 @@ int main(int argc, char** argv) {
       (void)sim_steps_seconds(scfg, pts, kRanks, 1, dt, false);
       p.no_plan_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, false);
       p.rate0_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, true);
-      const auto v2 = steps_probe(scfg, pts, kRanks, kSweepSteps, dt);
-      p.pp_imbalance = v2.pp_imbalance;
-      p.pool_imbalance = v2.pool_imbalance;
-      p.predicted_imbalance = v2.predicted_imbalance;
-      p.donated_groups = v2.donated_groups;
-      p.donated_interactions = v2.donated_interactions;
-      // Load-balance v1 baseline leg (the seed's scalar rank cost, no
-      // donation) for the imbalance A/B the perf gate reads.
+      p.v2 = steps_probe(scfg, pts, kRanks, kSweepSteps, dt);
+      // Load-balance v1 baseline leg (the seed's scalar rank cost) for the
+      // imbalance A/B the perf gate reads.
       auto v1cfg = scfg;
       v1cfg.lb_mode = core::LoadBalanceMode::kRankCost;
-      v1cfg.donation.enabled = false;
-      p.pp_imbalance_v1 = steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt).pp_imbalance;
+      p.v1 = steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt);
       sweep.push_back(p);
     }
   }
@@ -610,12 +599,11 @@ int main(int argc, char** argv) {
         jw.field("rate0_seconds", p.rate0_s);
         jw.field("rate0_overhead_fraction",
                  p.no_plan_s > 0 ? p.rate0_s / p.no_plan_s - 1.0 : 0.0);
-        jw.field("pp_imbalance", p.pp_imbalance);
-        jw.field("pp_imbalance_v1", p.pp_imbalance_v1);
-        jw.field("pool_imbalance", p.pool_imbalance);
-        jw.field("lb_predicted_imbalance", p.predicted_imbalance);
-        jw.field("lb_donated_groups", p.donated_groups);
-        jw.field("lb_donated_interactions", p.donated_interactions);
+        jw.field("pp_imbalance", p.v2.pp_imbalance);
+        jw.field("pp_imbalance_v1", p.v1.pp_imbalance);
+        jw.field("work_imbalance", p.v2.work_imbalance);
+        jw.field("work_imbalance_v1", p.v1.work_imbalance);
+        jw.field("pool_imbalance", p.v2.pool_imbalance);
         jw.end_object();
       }
       jw.end_array();

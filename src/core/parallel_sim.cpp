@@ -19,7 +19,6 @@
 #include "telemetry/live_endpoint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
-#include "tree/donation.hpp"
 #include "tree/ghost.hpp"
 #include "tree/octree.hpp"
 #include "util/parallel_for.hpp"
@@ -212,11 +211,7 @@ void ParallelSimulation::pp_force_cycle() {
   tree::Octree octree(pos, mass, {config_.leaf_capacity, 21});
   report_.pp.add("tree construction", sw.seconds());
 
-  // "tree traversal" + "force calculation": groups walk, kernel.  When a
-  // donation plan is active (published costs from the previous cycle put
-  // this rank above the trigger), large groups defer their kernel to the
-  // donation exchange below.  The plan is a pure function of the
-  // allgathered cost vector, so every rank agrees on it without talking.
+  // "tree traversal" + "force calculation": groups walk, kernel.
   tree::TraversalParams tp;
   tp.theta = config_.theta;
   tp.rcut = config_.rcut();
@@ -224,34 +219,13 @@ void ParallelSimulation::pp_force_cycle() {
   tp.eps2 = config_.eps * config_.eps;
   tp.kernel = config_.kernel;
 
-  const bool donation_on = config_.donation.enabled && world_.size() > 1 &&
-                           config_.kernel != tree::KernelKind::kNewtonQuad &&
-                           rank_pred_.size() == static_cast<std::size_t>(world_.size());
-  domain::DonationPlan plan;
-  if (donation_on) plan = domain::plan_donation(rank_pred_, config_.donation);
-  std::uint64_t defer_min = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t my_budget = plan.active() ? plan.donor_budget(world_.rank()) : 0;
-  if (my_budget > 0) {
-    // Defer groups big enough to matter: at least the shippable minimum,
-    // and no finer than ~1/256th of the export budget so the deferred set
-    // (whose interaction lists are held in memory) stays a small multiple
-    // of what will actually ship.  Both inputs are deterministic.
-    defer_min = std::max<std::uint64_t>(
-        std::max<std::uint64_t>(1, config_.donation.min_transfer_interactions),
-        my_budget / 256);
-  }
-
   std::vector<Vec3> acc(n_local, Vec3{});
   tree::TraversalTimes times;
-  std::vector<tree::DeferredGroup> deferred;
   auto stats = tree::tree_accelerations_targets(octree, tp, n_local, acc, {}, &times,
-                                                &report_.pp_group_costs, defer_min,
-                                                plan.active() ? &deferred : nullptr);
+                                                &report_.pp_group_costs);
   report_.pp.add("tree traversal", times.traverse_s);
   report_.pp.add("force calculation", times.force_s);
   report_.pp_stats.merge(stats);
-
-  if (plan.active()) donation_cycle(octree, tp, deferred, plan, acc);
 
   // Scatter the per-group cost onto the group's local members: each local
   // particle adds its share of its group's measured cost to the sampling
@@ -274,162 +248,8 @@ void ParallelSimulation::pp_force_cycle() {
                          ? static_cast<double>(stats.interactions)
                          : times.traverse_s + times.force_s;
 
-  if (config_.donation.enabled) publish_rank_costs();
-
   for (std::size_t i = 0; i < n_local; ++i) particles_[i].acc_s = acc[i];
   if (ep) report_.traffic_pp += ep->delta();
-}
-
-void ParallelSimulation::donation_cycle(const tree::Octree& octree,
-                                        const tree::TraversalParams& tp,
-                                        std::vector<tree::DeferredGroup>& deferred,
-                                        const domain::DonationPlan& plan,
-                                        std::span<Vec3> acc) {
-  telemetry::Span span("sim/donation");
-  Stopwatch sw;
-
-  // Donor: hand deferred groups (heaviest first, gidx breaking ties) to
-  // this rank's transfers in plan order; each transfer takes groups until
-  // its interaction budget is spent.  Deterministic: the deferred set, the
-  // order, and the plan are all pool-size invariant.
-  const auto my_transfers = plan.transfers_from(world_.rank());
-  std::vector<std::size_t> order(deferred.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (deferred[a].interactions != deferred[b].interactions)
-      return deferred[a].interactions > deferred[b].interactions;
-    return deferred[a].gidx < deferred[b].gidx;
-  });
-  std::vector<std::vector<std::size_t>> assigned(static_cast<std::size_t>(world_.size()));
-  std::vector<char> shipped(deferred.size(), 0);
-  std::size_t ti = 0;
-  std::int64_t budget =
-      my_transfers.empty() ? 0 : static_cast<std::int64_t>(my_transfers[0].interactions);
-  for (std::size_t idx : order) {
-    if (ti >= my_transfers.size()) break;
-    assigned[static_cast<std::size_t>(my_transfers[ti].donee)].push_back(idx);
-    shipped[idx] = 1;
-    report_.donated_groups += 1;
-    report_.donated_interactions += deferred[idx].interactions;
-    budget -= static_cast<std::int64_t>(deferred[idx].interactions);
-    if (budget <= 0) {
-      ++ti;
-      budget = ti < my_transfers.size()
-                   ? static_cast<std::int64_t>(my_transfers[ti].interactions)
-                   : 0;
-    }
-  }
-  if constexpr (telemetry::enabled()) {
-    auto& reg = telemetry::Registry::global();
-    std::uint64_t my_groups = 0, my_inter = 0;
-    for (std::size_t i = 0; i < deferred.size(); ++i)
-      if (shipped[i]) {
-        ++my_groups;
-        my_inter += deferred[i].interactions;
-      }
-    if (my_groups) {
-      reg.counter("lb/donated_groups").add(my_groups);
-      reg.counter("lb/donated_interactions").add(my_inter);
-    }
-  }
-  report_.donation_transfers.insert(report_.donation_transfers.end(), plan.transfers.begin(),
-                                    plan.transfers.end());
-
-  // Ship requests (collective: every rank participates, most with empty
-  // payloads).
-  std::vector<std::vector<double>> req(static_cast<std::size_t>(world_.size()));
-  for (int r = 0; r < world_.size(); ++r)
-    if (!assigned[static_cast<std::size_t>(r)].empty())
-      req[static_cast<std::size_t>(r)] =
-          tree::pack_donation(octree, deferred, assigned[static_cast<std::size_t>(r)]);
-  auto inbox = world_.alltoallv(std::move(req));
-  report_.pp.add("communication", sw.seconds());
-
-  // Donee: evaluate inbound groups with the exact kernel dispatch the
-  // donor's traversal would have used; the seconds land in this rank's
-  // "force calculation" row (that is the point: the work moved here).
-  sw.restart();
-  double eval_s = 0;
-  std::vector<std::vector<double>> replies(static_cast<std::size_t>(world_.size()));
-  for (std::size_t r = 0; r < inbox.size(); ++r)
-    if (!inbox[r].empty()) replies[r] = tree::evaluate_donation(inbox[r], tp, &eval_s);
-  report_.pp.add("force calculation", eval_s);
-
-  sw.restart();
-  auto back = world_.alltoallv(std::move(replies));
-  report_.pp.add("communication", sw.seconds());
-
-  // Donor: fold returned accelerations into the local particles (groups
-  // own disjoint particle ranges; only targets shipped) and patch the cost
-  // record with the donee-measured kernel seconds.
-  sw.restart();
-  for (std::size_t r = 0; r < back.size(); ++r) {
-    if (back[r].empty()) continue;
-    for (auto& res : tree::unpack_donation_reply(back[r])) {
-      auto it = std::lower_bound(deferred.begin(), deferred.end(), res.gidx,
-                                 [](const tree::DeferredGroup& d, std::uint32_t g) {
-                                   return d.gidx < g;
-                                 });
-      const tree::DeferredGroup& d = *it;
-      for (std::size_t k = 0; k < d.targets.size(); ++k)
-        acc[octree.original_index(d.targets[k])] += res.acc[k];
-      report_.pp_group_costs[res.gidx].force_s = res.force_s;
-    }
-  }
-
-  // Leftovers: deferred groups the plan did not cover are evaluated
-  // locally, in parallel (disjoint scatter, like the traversal).
-  std::vector<std::size_t> leftovers;
-  for (std::size_t i = 0; i < deferred.size(); ++i)
-    if (!shipped[i]) leftovers.push_back(i);
-  if (!leftovers.empty()) {
-    struct Slot {
-      double force_s = 0;
-      std::vector<Vec3> tpos, group_acc;
-    };
-    std::vector<Slot> slots(max_parallel_slots());
-    parallel_for_dynamic(0, leftovers.size(), 1,
-                         [&](std::size_t lo, std::size_t hi, unsigned slot) {
-      Slot& sc = slots[slot];
-      Stopwatch gsw;
-      for (std::size_t k = lo; k < hi; ++k) {
-        tree::DeferredGroup& d = deferred[leftovers[k]];
-        gsw.restart();
-        tree::gather_targets(octree, d.targets, sc.tpos);
-        sc.group_acc.assign(d.targets.size(), Vec3{});
-        tree::evaluate_group_kernel(sc.tpos, d.list, tp, sc.group_acc);
-        for (std::size_t i = 0; i < d.targets.size(); ++i)
-          acc[octree.original_index(d.targets[i])] += sc.group_acc[i];
-        const double fs = gsw.seconds();
-        sc.force_s += fs;
-        report_.pp_group_costs[d.gidx].force_s = fs;
-      }
-    });
-    double leftover_s = 0;
-    for (const Slot& s : slots) leftover_s += s.force_s;
-    report_.pp.add("force calculation", leftover_s);
-  }
-}
-
-void ParallelSimulation::publish_rank_costs() {
-  // Deterministic cost unit: summed group interactions (never wall time),
-  // so the plan -- and therefore which collective exchanges run -- is
-  // identical across thread counts and reruns.
-  std::uint64_t mine = 0;
-  for (const auto& gc : report_.pp_group_costs) mine += gc.interactions;
-  rank_pred_ = world_.allgatherv(std::span<const std::uint64_t>(&mine, 1));
-
-  std::uint64_t total = 0, maxc = 0;
-  for (std::uint64_t c : rank_pred_) {
-    total += c;
-    maxc = std::max(maxc, c);
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(rank_pred_.size());
-  report_.predicted_imbalance = mean > 0 ? static_cast<double>(maxc) / mean : 0.0;
-  if constexpr (telemetry::enabled())
-    telemetry::Registry::global()
-        .histogram("lb/predicted_imbalance")
-        .record(report_.predicted_imbalance);
 }
 
 void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
@@ -575,11 +395,6 @@ void ParallelSimulation::restore_checkpoint(const std::string& ckpt_path) {
   decomp_ = domain::Decomposition::unflatten(gs.dims, gs.decomp_flat);
   smoother_.set_history(gs.smoother_history);
   report_ = StepReport{};
-  // Published donation costs are not checkpointed: the first post-restore
-  // cycle runs without donation (lb_w rode the particle payload, so the
-  // *cuts* still reproduce exactly; only work placement differs, and
-  // placement never changes result bits).
-  rank_pred_.clear();
   sentinel_baseline();
   parx::set_fault_context(step_counter_, parx::FaultPhase::kAny);
 }
@@ -616,6 +431,11 @@ void ParallelSimulation::write_step_record() {
   rec.groups = gstats.ngroups;
   rec.mean_ni = gstats.mean_ni();
   rec.mean_nj = gstats.mean_nj();
+  const std::uint64_t max_interactions = world_.allreduce_max(report_.pp_stats.interactions);
+  rec.work_imbalance =
+      rec.interactions > 0 ? static_cast<double>(max_interactions) * world_.size() /
+                                 static_cast<double>(rec.interactions)
+                           : 0;
   rec.ghosts_imported =
       world_.allreduce_sum(static_cast<std::uint64_t>(report_.n_ghost_imported));
 
@@ -642,15 +462,6 @@ void ParallelSimulation::write_step_record() {
   tp_prev_retransmits_ = retx;
   tp_prev_drops_ = drops;
   tp_prev_corrupt_ = corrupt;
-
-  // Load-balance v2 activity: donation volumes are global sums (each donor
-  // counted its own exports); the predicted imbalance is already identical
-  // on every rank (computed from the allgathered cost vector).
-  std::uint64_t don[2] = {report_.donated_groups, report_.donated_interactions};
-  world_.allreduce_sum(std::span<std::uint64_t>(don, 2));
-  rec.lb_donated_groups = don[0];
-  rec.lb_donated_interactions = don[1];
-  rec.lb_predicted_imbalance = report_.predicted_imbalance;
 
   // Per-group PP cost attribution, folded to one summary row per rank:
   // each rank contributes its slot of a zero-elsewhere table and the sum
@@ -729,8 +540,7 @@ std::uint64_t config_fingerprint(const ParallelSimConfig& config) {
   h.mix(static_cast<int>(config.kernel));
   h.mix(static_cast<int>(config.cost_metric));
   // lb_mode changes the sampling weights and therefore the cuts and the
-  // dynamics; donation does not (it only relocates identical arithmetic)
-  // and stays out.
+  // dynamics.
   h.mix(static_cast<int>(config.lb_mode));
   h.mix(config.sampling.target_samples).mix(config.sampling.seed);
   h.mix(config.metric.comoving);

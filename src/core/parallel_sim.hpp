@@ -25,7 +25,6 @@
 
 #include "core/integrator.hpp"
 #include "core/particle.hpp"
-#include "domain/donation.hpp"
 #include "domain/multisection.hpp"
 #include "domain/sampling.hpp"
 #include "parx/comm.hpp"
@@ -94,14 +93,6 @@ struct ParallelSimConfig {
   int nsub = 2;
   CostMetric cost_metric = CostMetric::kWallTime;
   LoadBalanceMode lb_mode = LoadBalanceMode::kGroupCost;
-
-  /// Inter-rank work donation for tail groups (docs/load-balance.md).
-  /// Excluded from config_fingerprint: donation relocates kernel
-  /// evaluations without changing any arithmetic, so ON and OFF produce
-  /// bitwise-identical snapshots and checkpoints move freely between
-  /// settings.  Must be set identically on every rank (the donation
-  /// exchange is collective).  Inactive under kNewtonQuad.
-  domain::DonationConfig donation;
 
   /// Invariant sentinel; excluded from config_fingerprint (it observes the
   /// dynamics, it does not change them).  Must be set identically on every
@@ -199,15 +190,6 @@ class ParallelSimulation {
     /// seconds, interactions, ghost imports per group) -- rank-local, in
     /// tree.groups(ncrit, n_local) order; the load-balance v2 input.
     std::vector<tree::GroupCost> pp_group_costs;
-    /// Work-donation activity, accumulated over the step's PP cycles
-    /// (donor-side counts; every rank sees the same plan, so the transfer
-    /// list is identical everywhere).
-    std::uint64_t donated_groups = 0;
-    std::uint64_t donated_interactions = 0;
-    std::vector<domain::DonationTransfer> donation_transfers;
-    /// max/mean of the published per-rank predicted costs that fed the
-    /// last donation plan (0 until costs have been published).
-    double predicted_imbalance = 0;
     /// Global traffic per phase bucket, accumulated from ledger epochs.
     /// Observed on rank 0 only (the ledger is global); empty elsewhere
     /// and when step reporting is off.
@@ -227,16 +209,6 @@ class ParallelSimulation {
   /// exchange the ghosts, build the tree over locals then ghosts in source
   /// rank order, walk the groups and compute acc_s.
   void pp_force_cycle();
-  /// Collective donation exchange inside pp_force_cycle: ship the deferred
-  /// groups assigned by `plan`, evaluate inbound requests, gather
-  /// accelerations back, and evaluate unassigned leftovers locally.
-  void donation_cycle(const tree::Octree& octree, const tree::TraversalParams& tp,
-                      std::vector<tree::DeferredGroup>& deferred,
-                      const domain::DonationPlan& plan, std::span<Vec3> acc);
-  /// Collective: publish this rank's deterministic PP cost (summed group
-  /// interactions) for the next cycle's donation plan; updates
-  /// report_.predicted_imbalance.
-  void publish_rank_costs();
 
   /// The final substep's PP cycle followed by the pipelined PM cycle
   /// (acc_l at the current positions).
@@ -263,12 +235,6 @@ class ParallelSimulation {
   double clock_;
   double pending_long_kick_ = 0;
   double last_force_cost_ = -1;  ///< <0: use particle count as proxy
-  /// Published per-rank predicted PP costs (interaction counts) from the
-  /// previous PP cycle; input to the donation plan.  Empty until the first
-  /// cycle publishes, and deliberately NOT checkpointed: a restored run's
-  /// first cycle simply runs without donation (placement may differ from
-  /// the uninterrupted run, the result bits never do).
-  std::vector<std::uint64_t> rank_pred_;
   /// Domain decompositions run so far: the constructor's plus one per
   /// step.  Seeds each decomposition's sampling; checkpointed as
   /// `substep`.

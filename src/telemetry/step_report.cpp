@@ -43,6 +43,7 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("groups", r.groups);
   w.field("mean_ni", r.mean_ni);
   w.field("mean_nj", r.mean_nj);
+  w.field("work_imbalance", r.work_imbalance);
   w.field("ghosts_imported", r.ghosts_imported);
   w.key("pool").begin_object();
   w.field("loops", r.pool_loops);
@@ -64,13 +65,6 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
     w.field("retransmits", r.retransmits);
     w.field("drops", r.transport_drops);
     w.field("corrupt_detected", r.corrupt_detected);
-    w.end_object();
-  }
-  if (r.lb_predicted_imbalance > 0 || r.lb_donated_groups > 0) {
-    w.key("lb").begin_object();
-    w.field("predicted_imbalance", r.lb_predicted_imbalance);
-    w.field("donated_groups", r.lb_donated_groups);
-    w.field("donated_interactions", r.lb_donated_interactions);
     w.end_object();
   }
   if (!r.pp_groups.empty()) {

@@ -56,6 +56,9 @@ struct StepRecord {
   std::uint64_t groups = 0;
   double mean_ni = 0;
   double mean_nj = 0;
+  /// Deterministic PP load balance: max over ranks of the step's
+  /// interactions divided by their mean (1 = perfectly balanced).
+  double work_imbalance = 0;
 
   std::uint64_t ghosts_imported = 0;  ///< global boundary-particle imports
 
@@ -94,15 +97,6 @@ struct StepRecord {
     double max_group_s = 0;  ///< costliest single group (walk + force)
   };
   std::vector<RankGroups> pp_groups;  ///< indexed by rank
-
-  // Load-balance v2 (docs/load-balance.md): predicted imbalance of the
-  // published per-rank interaction counts that fed this step's donation
-  // plan, and the donation volume actually shipped (global sums over all
-  // PP cycles of the step).  All zero when donation is off or never
-  // triggered.
-  double lb_predicted_imbalance = 0;       ///< max/mean of published costs
-  std::uint64_t lb_donated_groups = 0;     ///< groups exported rank-to-rank
-  std::uint64_t lb_donated_interactions = 0;  ///< their summed Ni*Nj
 };
 
 /// Append `r` to `os` as one compact JSON line (JSONL).

@@ -1,6 +1,5 @@
 #include "tree/traversal.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -12,12 +11,30 @@
 namespace greem::tree {
 namespace {
 
+// One group's monopole kernel under the configured dispatch (pad4 for
+// Phantom); kNewtonQuad runs the Newton part and the caller adds the node
+// quadrupoles.
+void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
+                           const TraversalParams& params, std::span<Vec3> group_acc) {
+  switch (params.kernel) {
+    case KernelKind::kScalar:
+      pp_kernel_scalar(targets, group_acc, list, params.rcut, params.eps2);
+      break;
+    case KernelKind::kPhantom:
+      list.pad4();
+      pp_kernel_phantom(targets, group_acc, list, params.rcut, params.eps2);
+      break;
+    case KernelKind::kNewton:
+    case KernelKind::kNewtonQuad:  // the node quadrupoles are added by the caller
+      pp_kernel_newton(targets, group_acc, list, params.eps2);
+      break;
+  }
+}
+
 TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
                              std::size_t n_targets, std::span<Vec3> acc,
                              std::span<const Vec3> image_offsets, TraversalTimes* times,
-                             std::vector<GroupCost>* group_costs,
-                             std::uint64_t defer_min_interactions,
-                             std::vector<DeferredGroup>* deferred) {
+                             std::vector<GroupCost>* group_costs) {
   static const Vec3 kHome{0, 0, 0};
   if (image_offsets.empty()) image_offsets = {&kHome, 1};
 
@@ -27,7 +44,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   telemetry::Span span("tree/traversal_force");
   TraversalStats stats;
   if (group_costs) group_costs->clear();
-  if (deferred) deferred->clear();
   if (tree.num_particles() == 0) return stats;
 
   // Targets are the rank's own particles (original index < n_targets);
@@ -36,9 +52,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   // n_targets).
   const std::vector<std::uint32_t> group_nodes = tree.groups(params.ncrit, n_targets);
   const bool quad = params.kernel == KernelKind::kNewtonQuad;
-  // Quadrupole lists carry node moments that the donation wire format does
-  // not ship; donation is simply inactive under kNewtonQuad.
-  const bool may_defer = deferred && !quad;
   if (group_costs) group_costs->assign(group_nodes.size(), GroupCost{});
 
   // Groups own disjoint particle ranges, so the group loop parallelizes
@@ -59,7 +72,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     pp::InteractionList list;
     std::vector<pp::QuadSource> quad_nodes;
     WalkScratch walk;
-    std::vector<DeferredGroup> deferred;
   };
   std::vector<SlotScratch> scratch(max_parallel_slots());
 
@@ -109,17 +121,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
         gc->walk_s = walk_s;
       }
 
-      // Donation deferral: capture the finished interaction list instead of
-      // evaluating.  The predicate uses only this group's deterministic
-      // interaction count, so the deferred set is pool-size invariant;
-      // force_s stays 0 in the cost record until the donor patches it.
-      if (may_defer && ni * nj >= defer_min_interactions) {
-        sc.deferred.push_back(
-            {static_cast<std::uint32_t>(gidx), sc.tidx, ni * nj, std::move(list)});
-        list.clear();
-        continue;
-      }
-
       sw.restart();
       gather_targets(tree, sc.tidx, sc.tpos);
       sc.group_acc.assign(ni, Vec3{});
@@ -142,13 +143,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     stats.merge(sc.stats);
     traverse_s += sc.traverse_s;
     force_s += sc.force_s;
-    if (deferred)
-      for (DeferredGroup& d : sc.deferred) deferred->push_back(std::move(d));
   }
-  // Canonical order regardless of which slot deferred which group.
-  if (deferred)
-    std::sort(deferred->begin(), deferred->end(),
-              [](const DeferredGroup& a, const DeferredGroup& b) { return a.gidx < b.gidx; });
 
   if (times) {
     times->traverse_s += traverse_s;
@@ -195,39 +190,18 @@ void gather_targets(const Octree& tree, std::span<const std::uint32_t> idx,
   for (std::size_t k = 0; k < idx.size(); ++k) out[k] = pos[idx[k]];
 }
 
-void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
-                           const TraversalParams& params, std::span<Vec3> group_acc) {
-  switch (params.kernel) {
-    case KernelKind::kScalar:
-      pp_kernel_scalar(targets, group_acc, list, params.rcut, params.eps2);
-      break;
-    case KernelKind::kPhantom:
-      list.pad4();
-      pp_kernel_phantom(targets, group_acc, list, params.rcut, params.eps2);
-      break;
-    case KernelKind::kNewton:
-    case KernelKind::kNewtonQuad:  // the node quadrupoles are added by the caller
-      pp_kernel_newton(targets, group_acc, list, params.eps2);
-      break;
-  }
-}
-
 TraversalStats tree_accelerations(const Octree& tree, const TraversalParams& params,
                                   std::span<Vec3> acc, std::span<const Vec3> image_offsets,
                                   TraversalTimes* times) {
-  return run_traversal(tree, params, tree.num_particles(), acc, image_offsets, times, nullptr,
-                       std::numeric_limits<std::uint64_t>::max(), nullptr);
+  return run_traversal(tree, params, tree.num_particles(), acc, image_offsets, times, nullptr);
 }
 
 TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalParams& params,
                                           std::size_t n_targets, std::span<Vec3> acc,
                                           std::span<const Vec3> image_offsets,
                                           TraversalTimes* times,
-                                          std::vector<GroupCost>* group_costs,
-                                          std::uint64_t defer_min_interactions,
-                                          std::vector<DeferredGroup>* deferred) {
-  return run_traversal(tree, params, n_targets, acc, image_offsets, times, group_costs,
-                       defer_min_interactions, deferred);
+                                          std::vector<GroupCost>* group_costs) {
+  return run_traversal(tree, params, n_targets, acc, image_offsets, times, group_costs);
 }
 
 void build_interaction_list(const Octree& tree, std::span<const std::uint32_t> targets,

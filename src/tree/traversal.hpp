@@ -80,20 +80,6 @@ struct GroupCost {
   double force_s = 0;  ///< kernel evaluation seconds
 };
 
-/// A group whose kernel evaluation was deferred for inter-rank work
-/// donation: the walk already ran (its interaction list is captured here,
-/// un-padded), but no forces were computed.  The donor ships the group's
-/// targets plus this list to a donee, or evaluates it locally if the
-/// donation plan leaves it unassigned.  Deferral decisions depend only on
-/// each group's own deterministic interaction count, so the deferred set is
-/// identical for every pool size.
-struct DeferredGroup {
-  std::uint32_t gidx = 0;  ///< group index (its GroupCost slot)
-  std::vector<std::uint32_t> targets;  ///< tree-order indices of its targets
-  std::uint64_t interactions = 0;      ///< targets.size() * nj
-  pp::InteractionList list;            ///< captured interaction list (no pad4)
-};
-
 /// Compute accelerations of all tree particles, accumulated into `acc`
 /// indexed by the *caller's original* particle indexing.
 ///
@@ -112,32 +98,16 @@ TraversalStats tree_accelerations(const Octree& tree, const TraversalParams& par
 /// count only target interactions.  When `group_costs` is non-null it is
 /// filled with one record per group (deterministic content modulo the
 /// timings).
-///
-/// When `deferred` is non-null, groups whose ni * nj is at least
-/// `defer_min_interactions` skip kernel evaluation; their interaction
-/// lists are returned in `deferred` (sorted by gidx) for the donation
-/// phase, and their GroupCost force_s stays 0 until the caller patches it.
-/// Deferral is skipped for kNewtonQuad (quadrupole lists do not ship).
 TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalParams& params,
                                           std::size_t n_targets, std::span<Vec3> acc,
                                           std::span<const Vec3> image_offsets = {},
                                           TraversalTimes* times = nullptr,
-                                          std::vector<GroupCost>* group_costs = nullptr,
-                                          std::uint64_t defer_min_interactions =
-                                              std::numeric_limits<std::uint64_t>::max(),
-                                          std::vector<DeferredGroup>* deferred = nullptr);
+                                          std::vector<GroupCost>* group_costs = nullptr);
 
 /// Copy the tree-order positions of `idx` into `out` (a group's targets,
 /// compacted for the kernel).
 void gather_targets(const Octree& tree, std::span<const std::uint32_t> idx,
                     std::vector<Vec3>& out);
-
-/// Evaluate one group's monopole kernel as the traversal does (same
-/// dispatch, same pad4-for-phantom rule; kNewtonQuad runs the Newton part
-/// and leaves the node quadrupoles to the caller).  `group_acc` must be
-/// sized to targets.size() and zeroed; `list` may be padded in place.
-void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
-                           const TraversalParams& params, std::span<Vec3> group_acc);
 
 /// Build the interaction list of the group whose targets are the
 /// tree-order particles `targets`: the walk of their tight box

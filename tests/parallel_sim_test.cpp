@@ -223,117 +223,59 @@ TEST(ParallelSim, DefaultConfigFingerprintIsPinned) {
   // ParallelSimConfig or to the digest that would stop existing
   // checkpoints from restoring fail here first.
   EXPECT_EQ(config_fingerprint(ParallelSimConfig{}), 0x5e73ab49e5f125d8ULL);
+  // The sampling mode (v1 vs v2) changes the cuts and hence the dynamics,
+  // so a checkpoint written under one must not restore under the other.
+  ParallelSimConfig cfg_v1;
+  cfg_v1.lb_mode = LoadBalanceMode::kRankCost;
+  EXPECT_NE(config_fingerprint(ParallelSimConfig{}), config_fingerprint(cfg_v1));
 }
 
-// ------------------------------------------------------------- donation --
+// --------------------------------------------- thread-count determinism --
 
 namespace {
 
-struct DonationRun {
-  std::vector<Particle> particles;                      // sorted by id
-  std::vector<domain::DonationTransfer> transfers;      // rank 0's view, all steps
-  std::uint64_t donated_groups = 0;                     // global sum, all steps
-};
-
-/// Run a clustered IC on 8 ranks with an aggressive donation trigger so
-/// tail-group export actually fires, and collect everything a determinism
-/// check needs.
-DonationRun donation_run(const std::vector<Particle>& initial, bool donation_enabled) {
-  DonationRun out;
+/// Run a clustered IC on 8 ranks for 3 full steps under the deterministic
+/// cost metric and return the final particles, sorted by id.
+std::vector<Particle> clustered_8rank_run(const std::vector<Particle>& initial) {
+  std::vector<Particle> out;
   std::mutex mu;
   parx::run_ranks(8, [&](parx::Comm& world) {
     std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
     auto cfg = test_config({2, 2, 2});
     cfg.cost_metric = CostMetric::kInteractions;  // deterministic schedule
     cfg.sampling.target_samples = 4000;
-    cfg.donation.enabled = donation_enabled;
-    cfg.donation.trigger = 1.01;  // donate on any predicted tail
-    cfg.donation.min_transfer_interactions = 64;
     ParallelSimulation sim(world, cfg, std::move(local), 0.0);
-    for (int s = 1; s <= 3; ++s) {
-      sim.step(s * 0.002);
-      std::uint64_t mine = sim.last_step().donated_groups;
-      world.allreduce_sum(std::span<std::uint64_t>(&mine, 1));
-      if (world.rank() == 0) {
-        std::lock_guard lock(mu);
-        const auto& rep = sim.last_step();
-        out.transfers.insert(out.transfers.end(), rep.donation_transfers.begin(),
-                             rep.donation_transfers.end());
-        out.donated_groups += mine;
-      }
-    }
+    for (int s = 1; s <= 3; ++s) sim.step(s * 0.002);
     sim.synchronize();
     std::lock_guard lock(mu);
     const auto loc = sim.local();
-    out.particles.insert(out.particles.end(), loc.begin(), loc.end());
+    out.insert(out.end(), loc.begin(), loc.end());
   });
-  std::sort(out.particles.begin(), out.particles.end(),
+  std::sort(out.begin(), out.end(),
             [](const Particle& a, const Particle& b) { return a.id < b.id; });
   return out;
 }
 
 }  // namespace
 
-TEST(ParallelSim, DonationIsBitwiseDeterministicAcrossThreadCounts) {
-  // Work donation relocates group evaluations to other ranks; under the
-  // interaction-count cost metric the donor->donee assignment and every
-  // accumulated acceleration must be identical whatever the intra-rank
-  // thread count is.
+TEST(ParallelSim, IsBitwiseDeterministicAcrossThreadCounts) {
+  // Under the interaction-count cost metric every full step -- the
+  // decomposition, the ghost exchange, the group walk and the PM cycle --
+  // must give bitwise the same particles whatever the intra-rank thread
+  // count is.
   auto initial = with_velocities(clustered_particles(3000, 1.0, 2, 0.8, 0.03, 61), 62);
   const std::size_t hw = num_threads();
   set_num_threads(1);
-  const auto serial = donation_run(initial, true);
+  const auto serial = clustered_8rank_run(initial);
   set_num_threads(4);
-  const auto threaded = donation_run(initial, true);
+  const auto threaded = clustered_8rank_run(initial);
   set_num_threads(hw);
 
-  // The clustered IC with an aggressive trigger must actually donate,
-  // otherwise this test proves nothing.
-  EXPECT_GT(serial.donated_groups, 0u) << "donation never fired; test is vacuous";
-
-  // Identical donor->donee plans...
-  ASSERT_EQ(serial.transfers.size(), threaded.transfers.size());
-  for (std::size_t i = 0; i < serial.transfers.size(); ++i) {
-    EXPECT_EQ(serial.transfers[i].donor, threaded.transfers[i].donor) << i;
-    EXPECT_EQ(serial.transfers[i].donee, threaded.transfers[i].donee) << i;
-    EXPECT_EQ(serial.transfers[i].interactions, threaded.transfers[i].interactions) << i;
-  }
-  EXPECT_EQ(serial.donated_groups, threaded.donated_groups);
-
-  // ...and bitwise-identical dynamics.
-  ASSERT_EQ(serial.particles.size(), threaded.particles.size());
-  for (std::size_t i = 0; i < serial.particles.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&serial.particles[i], &threaded.particles[i], sizeof(Particle)), 0)
+  ASSERT_EQ(serial.size(), threaded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&serial[i], &threaded[i], sizeof(Particle)), 0)
         << "thread counts diverged at particle " << i;
   }
-}
-
-TEST(ParallelSim, DonationOnAndOffAreBitwiseIdentical) {
-  // Donation only moves WHERE a group's far-field sum runs, never what it
-  // computes: with the deterministic cost metric, enabled vs disabled runs
-  // must agree bitwise even though donation actually fires.
-  auto initial = with_velocities(clustered_particles(3000, 1.0, 2, 0.8, 0.03, 71), 72);
-  const auto on = donation_run(initial, true);
-  const auto off = donation_run(initial, false);
-  EXPECT_GT(on.donated_groups, 0u) << "donation never fired; test is vacuous";
-  EXPECT_EQ(off.donated_groups, 0u);
-  ASSERT_EQ(on.particles.size(), off.particles.size());
-  for (std::size_t i = 0; i < on.particles.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&on.particles[i], &off.particles[i], sizeof(Particle)), 0)
-        << "donation ON diverged from OFF at particle " << i;
-  }
-
-  // Donation is scheduling, not physics: it stays out of the checkpoint
-  // fingerprint.  The sampling mode (v1 vs v2) changes the cuts and hence
-  // the dynamics, so it must be IN the fingerprint.
-  auto cfg_on = test_config({2, 2, 2});
-  auto cfg_off = cfg_on;
-  cfg_on.donation.enabled = true;
-  cfg_off.donation.enabled = false;
-  EXPECT_EQ(config_fingerprint(cfg_on), config_fingerprint(cfg_off));
-  auto cfg_v1 = cfg_on;
-  cfg_v1.lb_mode = LoadBalanceMode::kRankCost;
-  EXPECT_NE(config_fingerprint(cfg_on), config_fingerprint(cfg_v1));
 }
 
 // ------------------------------------------------ decomposition cadence --

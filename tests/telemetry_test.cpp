@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -628,6 +629,8 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   EXPECT_DOUBLE_EQ(last.find("groups")->num, static_cast<double>(rank_groups.load()));
   EXPECT_GE(last.find("mean_ni")->num, 1.0);
   EXPECT_GT(last.find("mean_nj")->num, 0.0);
+  ASSERT_NE(last.find("work_imbalance"), nullptr);
+  EXPECT_GE(last.find("work_imbalance")->num, 1.0);
 
   // Phase breakdowns carry the Table I row names with a consistent total.
   const JVal* pp = last.find("pp");
@@ -676,15 +679,20 @@ TEST(StepReport, PpGroupsCoverEveryInteractionOfASingleCycleStep) {
     sim.step(0.001);
     const auto& rec = sim.last_record();
     ASSERT_EQ(rec.pp_groups.size(), 4u);
-    std::uint64_t sum = 0, rank_groups = 0;
+    std::uint64_t sum = 0, max_rank = 0, rank_groups = 0;
     for (const auto& g : rec.pp_groups) {
       EXPECT_GT(g.groups, 0u);
       EXPECT_GE(g.interactions, g.groups);
       sum += g.interactions;
+      max_rank = std::max(max_rank, g.interactions);
       rank_groups += g.groups;
     }
     EXPECT_EQ(sum, rec.interactions);
     EXPECT_EQ(rank_groups, rec.groups);
+    // work_imbalance is max/mean of the same per-rank interactions.
+    EXPECT_DOUBLE_EQ(rec.work_imbalance,
+                     static_cast<double>(max_rank) * 4.0 / static_cast<double>(sum));
+    EXPECT_GE(rec.work_imbalance, 1.0);
     const tree::TraversalStats& st = sim.last_step().pp_stats;
     groups += st.ngroups;
     sum_ni += st.sum_ni;

@@ -17,7 +17,6 @@
 #include "core/direct_force.hpp"
 #include "core/particle.hpp"
 #include "core/tree_force.hpp"
-#include "tree/donation.hpp"
 #include "tree/ghost.hpp"
 #include "tree/octree.hpp"
 #include "tree/traversal.hpp"
@@ -978,62 +977,6 @@ TEST(Traversal, GhostOnlyGroupsAreNotWalked) {
   EXPECT_EQ(s_mine.sum_ni, lg.n_local);
   EXPECT_EQ(costs.size(), s_mine.ngroups);
   for (const auto& gc : costs) EXPECT_GE(gc.ni, 1u);
-}
-
-TEST(Donation, WireFormatShipsTargetsOnly) {
-  // Defer every group, ship them all: the request holds each group's
-  // targets and list, 1 + sum(3 + 3 ni + 4 nj) doubles with ni counting
-  // locals only; the reply holds one acceleration per target.  Replaying
-  // the stream reproduces local evaluation bitwise.
-  const auto lg = corner_targets(2000, 0.5, 43);
-  Octree tree(lg.pos, lg.mass);
-  TraversalParams tp;
-  tp.theta = 0.5;
-  tp.rcut = 0.2;
-  tp.ncrit = 32;
-  tp.eps2 = 1e-8;
-  tp.kernel = KernelKind::kPhantom;
-
-  std::vector<Vec3> direct(lg.n_local);
-  (void)tree_accelerations_targets(tree, tp, lg.n_local, direct);
-
-  std::vector<Vec3> acc(lg.n_local);
-  std::vector<GroupCost> costs;
-  std::vector<DeferredGroup> deferred;
-  (void)tree_accelerations_targets(tree, tp, lg.n_local, acc, {}, nullptr, &costs, 1, &deferred);
-  ASSERT_EQ(deferred.size(), costs.size());
-
-  std::size_t want_request = 1, want_reply = 1, shipped_targets = 0;
-  std::vector<std::size_t> which(deferred.size());
-  for (std::size_t i = 0; i < deferred.size(); ++i) {
-    which[i] = i;
-    const DeferredGroup& d = deferred[i];
-    const GroupCost& gc = costs[d.gidx];
-    ASSERT_EQ(d.targets.size(), gc.ni);
-    ASSERT_EQ(d.list.size(), gc.nj);
-    for (const std::uint32_t k : d.targets) EXPECT_LT(tree.original_index(k), lg.n_local);
-    want_request += 3 + 3 * gc.ni + 4 * gc.nj;
-    want_reply += 3 + 3 * gc.ni;
-    shipped_targets += gc.ni;
-  }
-  EXPECT_EQ(shipped_targets, lg.n_local);
-
-  const auto request = pack_donation(tree, deferred, which);
-  EXPECT_EQ(request.size(), want_request);
-  const auto reply = evaluate_donation(request, tp, nullptr);
-  EXPECT_EQ(reply.size(), want_reply);
-
-  for (const auto& res : unpack_donation_reply(reply)) {
-    const DeferredGroup& d = deferred[res.gidx];
-    ASSERT_EQ(res.acc.size(), d.targets.size());
-    for (std::size_t k = 0; k < d.targets.size(); ++k)
-      acc[tree.original_index(d.targets[k])] += res.acc[k];
-  }
-  for (std::size_t i = 0; i < lg.n_local; ++i) {
-    EXPECT_EQ(acc[i].x, direct[i].x) << i;
-    EXPECT_EQ(acc[i].y, direct[i].y) << i;
-    EXPECT_EQ(acc[i].z, direct[i].z) << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
