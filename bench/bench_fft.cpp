@@ -1,7 +1,7 @@
 // FFT substrate benchmark (the PM bottleneck the paper's conclusion calls
 // out: "The current bottleneck is FFT").  Serial 3-D transforms across
-// sizes, and the slab-parallel transform across rank counts -- showing the
-// 1-D decomposition's parallelism ceiling at n ranks.
+// sizes, and the slab-parallel convolution across rank counts -- showing
+// the 1-D decomposition's parallelism ceiling at n ranks.
 
 #include <benchmark/benchmark.h>
 
@@ -46,10 +46,10 @@ void BM_Fft3dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft3dForward)->Arg(16)->Arg(32)->Arg(64);
 
-/// Slab-parallel transform: rank count sweep at fixed mesh.  On a single
-/// host more ranks cannot speed this up; the benchmark records the
-/// transpose traffic instead (the alltoallv volume that dominates at
-/// scale).
+/// Slab-parallel real-to-complex convolution (forward, multiply, inverse;
+/// two transposes): rank count sweep at fixed mesh.  On a single host more
+/// ranks cannot speed this up; the benchmark records the transpose traffic
+/// instead (the alltoallv volume that dominates at scale).
 void BM_SlabFft(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const std::size_t n = 32;
@@ -60,9 +60,10 @@ void BM_SlabFft(benchmark::State& state) {
     rt.run([&](parx::Comm& world) {
       fft::SlabFft slab(world, n);
       Rng rng(static_cast<std::uint64_t>(world.rank()) + 3);
-      std::vector<fft::Complex> data(slab.slab_cells());
-      for (auto& v : data) v = {rng.normal(), 0.0};
-      slab.forward(data);
+      std::vector<double> data(slab.slab_cells());
+      for (auto& v : data) v = rng.normal();
+      const std::vector<double> green(slab.green_cells(), 0.5);
+      slab.convolve(data, green);
       benchmark::DoNotOptimize(data.data());
     });
     bytes += static_cast<double>(rt.ledger().totals().bytes);

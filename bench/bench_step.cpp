@@ -161,11 +161,45 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return opt.steps > 0;
 }
 
+/// The process-wide transport counters the probes' CI gates read: unlike
+/// their wall-time ratios, these are exact on any host.  A rate-0 plan
+/// must frame every logical message and fire nothing; no plan must frame
+/// none.
+struct TransportCounts {
+  std::uint64_t messages = 0;  ///< logical messages (the runtimes' ledgers)
+  std::uint64_t frames_sent = 0, retransmits = 0, drops_injected = 0, corrupt_detected = 0;
+
+  /// The global counters now (`messages` comes from the runtimes).
+  static TransportCounts now() {
+    auto& reg = telemetry::Registry::global();
+    return {0, reg.counter("parx/frames_sent").value(), reg.counter("parx/retransmits").value(),
+            reg.counter("parx/drops_injected").value(),
+            reg.counter("parx/corrupt_detected").value()};
+  }
+
+  /// The counters' growth since `before`, over an interval that sent
+  /// `logical` messages.
+  TransportCounts since(const TransportCounts& before, std::uint64_t logical) const {
+    return {logical, frames_sent - before.frames_sent, retransmits - before.retransmits,
+            drops_injected - before.drops_injected, corrupt_detected - before.corrupt_detected};
+  }
+};
+
+void write_counts(telemetry::JsonWriter& jw, const std::string& prefix, const TransportCounts& c) {
+  jw.field(prefix + "messages", c.messages);
+  jw.field(prefix + "frames_sent", c.frames_sent);
+  jw.field(prefix + "retransmits", c.retransmits);
+  jw.field(prefix + "drops_injected", c.drops_injected);
+  jw.field(prefix + "corrupt_detected", c.corrupt_detected);
+}
+
 /// Wall seconds of `rounds` alltoallv rounds on a fresh 8-rank runtime
 /// with the given fault plan -- the perfect-link overhead probe: an empty
 /// plan exercises the raw mailbox path, a rate-0 link plan the full
-/// framed/CRC'd/acked transport with no fault ever firing.
-double alltoallv_rounds_seconds(int rounds, const parx::FaultPlan& plan) {
+/// framed/CRC'd/acked transport with no fault ever firing.  Adds the
+/// run's logical messages to `*messages` when given.
+double alltoallv_rounds_seconds(int rounds, const parx::FaultPlan& plan,
+                                std::uint64_t* messages = nullptr) {
   parx::Runtime rt(8);
   if (!plan.empty()) rt.set_fault_plan(plan);
   Stopwatch sw;
@@ -179,17 +213,21 @@ double alltoallv_rounds_seconds(int rounds, const parx::FaultPlan& plan) {
     for (int r = 0; r < rounds; ++r) (void)world.alltoallv(payload);
     parx::set_fault_context(parx::kNoFaultStep, parx::FaultPhase::kAny);
   });
-  return sw.seconds();
+  const double seconds = sw.seconds();
+  if (messages) *messages += rt.ledger().totals().messages;
+  return seconds;
 }
 
 /// Wall seconds of `nsteps` real simulation steps (stopwatch starts after
 /// construction, so domain bootstrap is excluded) on a fresh runtime --
 /// the step-time overhead probe behind the "<2% with no fault plan"
 /// acceptance number.  `rate0` additionally installs a rate-0 link plan,
-/// routing every message through the fully-armed framed transport.
+/// routing every message through the fully-armed framed transport.  Adds
+/// the run's logical messages (set-up included) to `*messages` when given.
 double sim_steps_seconds(const core::ParallelSimConfig& cfg,
                          const std::vector<core::Particle>& particles, int nranks,
-                         int nsteps, double dt, bool rate0) {
+                         int nsteps, double dt, bool rate0,
+                         std::uint64_t* messages = nullptr) {
   parx::Runtime rt(nranks);
   if (rate0) {
     parx::FaultSpec idle;
@@ -218,6 +256,7 @@ double sim_steps_seconds(const core::ParallelSimConfig& cfg,
       seconds = sw.seconds();
     }
   });
+  if (messages) *messages += rt.ledger().totals().messages;
   return seconds;
 }
 
@@ -528,14 +567,19 @@ int main(int argc, char** argv) {
       idle.kind = parx::FaultKind::kLinkDrop;
       idle.rate = 0.0;
       idle.times = parx::kUnlimited;
-      const double reliable = median5_seconds(
-          [&] { return alltoallv_rounds_seconds(kRounds, parx::FaultPlan().at(idle)); });
+      const TransportCounts before = TransportCounts::now();
+      std::uint64_t messages = 0;
+      const double reliable = median5_seconds([&] {
+        return alltoallv_rounds_seconds(kRounds, parx::FaultPlan().at(idle), &messages);
+      });
+      const TransportCounts framed = TransportCounts::now().since(before, messages);
       jw.key("overhead_microbench").begin_object();
       jw.field("alltoallv_rounds", kRounds);
       jw.field("repeats", 5);
       jw.field("raw_seconds", raw);
       jw.field("reliable_seconds", reliable);
       jw.field("reliable_overhead_fraction", raw > 0 ? reliable / raw - 1.0 : 0.0);
+      write_counts(jw, "reliable_", framed);
       jw.end_object();
     }
     if (opt.faults.empty() && opt.watchdog_s <= 0) {
@@ -543,15 +587,24 @@ int main(int argc, char** argv) {
       // steps with no plan installed, measured as two independent
       // median-of-5 sets (their spread is the noise floor -- the disabled
       // transport costs one pointer test per message), plus a rate-0 plan
-      // set bounding the fully-armed transport on the same workload.
+      // set bounding the fully-armed transport on the same workload.  The
+      // transport counters of both legs are what CI gates: no plan frames
+      // nothing, a rate-0 plan frames every message and fires nothing.
       constexpr int kProbeSteps = 2;
+      std::uint64_t no_plan_messages = 0, rate0_messages = 0;
       auto no_plan = [&] {
-        return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, false);
+        return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, false,
+                                 &no_plan_messages);
       };
+      TransportCounts before = TransportCounts::now();
       const double a = median5_seconds(no_plan);
       const double b = median5_seconds(no_plan);
-      const double r0 = median5_seconds(
-          [&] { return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, true); });
+      const TransportCounts no_plan_counts = TransportCounts::now().since(before, no_plan_messages);
+      before = TransportCounts::now();
+      const double r0 = median5_seconds([&] {
+        return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, true, &rate0_messages);
+      });
+      const TransportCounts rate0_counts = TransportCounts::now().since(before, rate0_messages);
       jw.key("step_overhead_probe").begin_object();
       jw.field("steps", kProbeSteps);
       jw.field("repeats", 5);
@@ -562,27 +615,38 @@ int main(int argc, char** argv) {
                std::max(a, b) > 0 ? std::abs(a - b) / std::max(a, b) : 0.0);
       jw.field("rate0_overhead_fraction",
                std::min(a, b) > 0 ? r0 / std::min(a, b) - 1.0 : 0.0);
+      write_counts(jw, "no_plan_", no_plan_counts);
+      write_counts(jw, "rate0_", rate0_counts);
       jw.end_object();
     }
     jw.end_object();
     if (opt.faults.empty() && opt.watchdog_s <= 0) {
       // Flight-recorder overhead probe: the same no-plan workload with the
-      // recorder armed (the default) vs disarmed, median of 5 each -- the
-      // always-on recording budget is "a few relaxed stores per event", and
-      // this is the number the CI perf gate holds it to.
+      // recorder armed (the default) vs disarmed, median of 5 each.  The
+      // always-on recording budget is "a few relaxed stores per event", so
+      // its cost scales with the events recorded per step: that count (six
+      // armed runs, set-up included, over their steps) is what the CI perf
+      // gate bounds, with the disarmed runs recording none.
       constexpr int kProbeSteps = 2;
+      constexpr int kRuns = 6;  // median5_seconds: a warmup and five samples
       auto no_plan = [&] {
         return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, false);
       };
+      const std::uint64_t e0 = telemetry::flight_event_count();
       const double armed = median5_seconds(no_plan);
+      const std::uint64_t e1 = telemetry::flight_event_count();
       telemetry::set_flight_recorder_enabled(false);
       const double disarmed = median5_seconds(no_plan);
       telemetry::set_flight_recorder_enabled(true);
+      const std::uint64_t e2 = telemetry::flight_event_count();
       jw.key("flight_recorder").begin_object();
       jw.field("enabled", telemetry::enabled());
       jw.field("events_recorded", telemetry::flight_event_count());
       jw.field("probe_steps", kProbeSteps);
       jw.field("repeats", 5);
+      jw.field("armed_events_per_step",
+               static_cast<double>(e1 - e0) / static_cast<double>(kRuns * kProbeSteps));
+      jw.field("disarmed_events", e2 - e1);
       jw.field("armed_seconds", armed);
       jw.field("disarmed_seconds", disarmed);
       jw.field("overhead_fraction", disarmed > 0 ? armed / disarmed - 1.0 : 0.0);

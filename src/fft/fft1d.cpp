@@ -1,5 +1,6 @@
 #include "fft/fft1d.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <numbers>
 #include <stdexcept>
@@ -26,7 +27,7 @@ Fft1d::Fft1d(std::size_t n) : n_(n) {
     twiddle_fwd_[k] = {std::cos(ang), std::sin(ang)};
     twiddle_inv_[k] = std::conj(twiddle_fwd_[k]);
   }
-  scratch_.resize(n);
+  scratch_.resize(n / 2);
 }
 
 void Fft1d::transform(Complex* data, bool inverse) const {
@@ -60,18 +61,45 @@ void Fft1d::forward(Complex* data) const { transform(data, false); }
 
 void Fft1d::inverse(Complex* data) const { transform(data, true); }
 
-void Fft1d::forward_strided(Complex* data, std::size_t stride) const {
-  if (stride == 1) return forward(data);
-  for (std::size_t i = 0; i < n_; ++i) scratch_[i] = data[i * stride];
-  transform(scratch_.data(), false);
-  for (std::size_t i = 0; i < n_; ++i) data[i * stride] = scratch_[i];
+void Fft1d::forward_columns(Complex* data, std::size_t cols, std::size_t stride) const {
+  transform_columns(data, cols, stride, false);
 }
 
-void Fft1d::inverse_strided(Complex* data, std::size_t stride) const {
-  if (stride == 1) return inverse(data);
-  for (std::size_t i = 0; i < n_; ++i) scratch_[i] = data[i * stride];
-  transform(scratch_.data(), true);
-  for (std::size_t i = 0; i < n_; ++i) data[i * stride] = scratch_[i];
+void Fft1d::inverse_columns(Complex* data, std::size_t cols, std::size_t stride) const {
+  transform_columns(data, cols, stride, true);
+}
+
+void Fft1d::transform_columns(Complex* data, std::size_t cols, std::size_t stride,
+                              bool inverse) const {
+  assert(stride >= cols);
+  const auto& tw = inverse ? twiddle_inv_ : twiddle_fwd_;
+  auto row = [&](std::size_t i) { return data + i * stride; };
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j = bitrev_[i];
+    if (i < j) std::swap_ranges(row(i), row(i) + cols, row(j));
+  }
+  for (std::size_t len = 2; len <= n_; len <<= 1) {
+    const std::size_t half = len >> 1;
+    const std::size_t step = n_ / len;
+    for (std::size_t base = 0; base < n_; base += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex w = tw[k * step];
+        Complex* a = row(base + k);
+        Complex* b = row(base + k + half);
+        for (std::size_t c = 0; c < cols; ++c) {
+          const Complex u = a[c];
+          const Complex v = b[c] * w;
+          a[c] = u + v;
+          b[c] = u - v;
+        }
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i)
+      for (std::size_t c = 0; c < cols; ++c) row(i)[c] *= inv_n;
+  }
 }
 
 Fft1d* Fft1d::half_plan() const {
@@ -87,17 +115,19 @@ void Fft1d::forward_r2c(const double* in, Complex* out) const {
   }
   const std::size_t h = n / 2;
   // Pack even/odd samples into one half-length complex line.
-  std::vector<Complex> z(h);
+  Complex* z = scratch_.data();
   for (std::size_t j = 0; j < h; ++j) z[j] = {in[2 * j], in[2 * j + 1]};
-  half_plan()->forward(z.data());
-  // Unpack: X[k] = E[k] + W^k O[k], E/O from the Hermitian split of Z.
-  for (std::size_t k = 0; k <= h; ++k) {
-    const Complex zk = k < h ? z[k] : z[0];
-    const Complex zc = std::conj(z[(h - k) % h]);
+  half_plan()->forward(z);
+  // Unpack: X[k] = E[k] + W^k O[k], E/O from the Hermitian split of Z,
+  // pairing Z[k] with Z[h - k] (and k = 0, h both with Z[0]).
+  auto unpack = [&](std::size_t k, const Complex zk, const Complex zc) {
     const Complex even = 0.5 * (zk + zc);
     const Complex odd = Complex(0.0, -0.5) * (zk - zc);
     out[k] = even + twiddle_fwd_[k] * odd;
-  }
+  };
+  unpack(0, z[0], std::conj(z[0]));
+  for (std::size_t k = 1; k < h; ++k) unpack(k, z[k], std::conj(z[h - k]));
+  unpack(h, z[0], std::conj(z[0]));
 }
 
 void Fft1d::inverse_c2r(const Complex* in, double* out) const {
@@ -109,7 +139,7 @@ void Fft1d::inverse_c2r(const Complex* in, double* out) const {
   const std::size_t h = n / 2;
   // Rebuild the packed half-length spectrum: Z[k] = E[k] + i O[k] with
   // E[k] = (X[k] + conj(X[h-k]))/2, O[k] = W^{-k} (X[k] - conj(X[h-k]))/2.
-  std::vector<Complex> z(h);
+  Complex* z = scratch_.data();
   for (std::size_t k = 0; k < h; ++k) {
     const Complex xk = in[k];
     const Complex xc = std::conj(in[h - k]);
@@ -119,7 +149,7 @@ void Fft1d::inverse_c2r(const Complex* in, double* out) const {
   }
   // The half-length inverse (1/h) reconstructs the packed samples exactly:
   // IFFT_h(E)[j] = x[2j] and IFFT_h(O)[j] = x[2j+1] by definition of E, O.
-  half_plan()->inverse(z.data());
+  half_plan()->inverse(z);
   for (std::size_t j = 0; j < h; ++j) {
     out[2 * j] = z[j].real();
     out[2 * j + 1] = z[j].imag();

@@ -13,7 +13,8 @@ namespace greem::fft {
 
 using Complex = std::complex<double>;
 
-/// Plan for length-n transforms (n a power of two, n >= 1).
+/// Plan for length-n transforms (n a power of two, n >= 1).  One plan
+/// serves one thread at a time: the r2c/c2r paths pack into its scratch.
 class Fft1d {
  public:
   explicit Fft1d(std::size_t n);
@@ -26,9 +27,13 @@ class Fft1d {
   /// In-place inverse DFT including the 1/n normalization.
   void inverse(Complex* data) const;
 
-  /// Strided forward/inverse: element i lives at data[i*stride].
-  void forward_strided(Complex* data, std::size_t stride) const;
-  void inverse_strided(Complex* data, std::size_t stride) const;
+  /// Forward/inverse of `cols` lines at once: element i of line c lives at
+  /// data[i*stride + c] (stride >= cols).  The butterflies run with the
+  /// inner loop over the lines, so no line is copied out; each line sees
+  /// the operations of forward()/inverse() in the same order, so the
+  /// results are bitwise theirs.
+  void forward_columns(Complex* data, std::size_t cols, std::size_t stride) const;
+  void inverse_columns(Complex* data, std::size_t cols, std::size_t stride) const;
 
   /// Real-to-complex forward transform of a length-n real line (n >= 2):
   /// writes the n/2+1 non-redundant spectrum coefficients (the rest follow
@@ -42,13 +47,15 @@ class Fft1d {
 
  private:
   void transform(Complex* data, bool inverse) const;
+  void transform_columns(Complex* data, std::size_t cols, std::size_t stride,
+                         bool inverse) const;
 
   std::size_t n_;
   int log2n_;
   std::vector<std::size_t> bitrev_;
   std::vector<Complex> twiddle_fwd_;  // exp(-2πi k/n), k < n/2
   std::vector<Complex> twiddle_inv_;
-  mutable std::vector<Complex> scratch_;  // for strided transforms
+  mutable std::vector<Complex> scratch_;  // r2c/c2r packing, n/2 long
   /// Half-length plan for the r2c/c2r path (lazy, only for n >= 2).
   mutable std::unique_ptr<Fft1d> half_;
   Fft1d* half_plan() const;

@@ -9,21 +9,23 @@ Fft3d::Fft3d(std::size_t n) : n_(n), line_(n) {}
 void Fft3d::transform(std::vector<Complex>& data, bool inverse) const {
   assert(data.size() == cells());
   const std::size_t n = n_;
-  auto line = [&](Complex* p, std::size_t stride) {
+  // `cols` lines at once, element i of line c at p[i*stride + c].
+  auto lines = [&](Complex* p, std::size_t cols, std::size_t stride) {
     if (inverse)
-      line_.inverse_strided(p, stride);
+      line_.inverse_columns(p, cols, stride);
     else
-      line_.forward_strided(p, stride);
+      line_.forward_columns(p, cols, stride);
   };
   // x lines (contiguous)
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y) line(&data[index(0, y, z)], 1);
-  // y lines (stride n)
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t x = 0; x < n; ++x) line(&data[index(x, 0, z)], n);
-  // z lines (stride n^2)
-  for (std::size_t y = 0; y < n; ++y)
-    for (std::size_t x = 0; x < n; ++x) line(&data[index(x, y, 0)], n * n);
+  for (std::size_t row = 0; row < n * n; ++row) {
+    if (inverse)
+      line_.inverse(&data[row * n]);
+    else
+      line_.forward(&data[row * n]);
+  }
+  // y lines: the n columns of each z plane; z lines: the n^2 of the mesh.
+  for (std::size_t z = 0; z < n; ++z) lines(&data[index(0, 0, z)], n, n);
+  lines(data.data(), n * n, n * n);
 }
 
 void Fft3d::forward(std::vector<Complex>& data) const { transform(data, false); }
@@ -55,21 +57,17 @@ std::vector<Complex> Fft3dR2C::forward(const std::vector<double>& real) const {
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t y = 0; y < n; ++y)
       line_.forward_r2c(&real[(z * n + y) * n], &out[index(0, y, z)]);
-  // y and z: complex strided lines over the reduced domain.
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t x = 0; x < h; ++x) line_.forward_strided(&out[index(x, 0, z)], h);
-  for (std::size_t y = 0; y < n; ++y)
-    for (std::size_t x = 0; x < h; ++x) line_.forward_strided(&out[index(x, y, 0)], h * n);
+  // y and z: complex lines over the reduced domain, all columns at once.
+  for (std::size_t z = 0; z < n; ++z) line_.forward_columns(&out[index(0, 0, z)], h, h);
+  line_.forward_columns(out.data(), h * n, h * n);
   return out;
 }
 
 std::vector<double> Fft3dR2C::inverse(std::vector<Complex> spec) const {
   assert(spec.size() == spectrum_size());
   const std::size_t n = n_, h = hx();
-  for (std::size_t y = 0; y < n; ++y)
-    for (std::size_t x = 0; x < h; ++x) line_.inverse_strided(&spec[index(x, y, 0)], h * n);
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t x = 0; x < h; ++x) line_.inverse_strided(&spec[index(x, 0, z)], h);
+  line_.inverse_columns(spec.data(), h * n, h * n);
+  for (std::size_t z = 0; z < n; ++z) line_.inverse_columns(&spec[index(0, 0, z)], h, h);
   std::vector<double> out(n * n * n);
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t y = 0; y < n; ++y)

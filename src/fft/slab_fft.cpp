@@ -1,5 +1,6 @@
 #include "fft/slab_fft.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -22,121 +23,67 @@ SlabFft::SlabFft(parx::Comm comm, std::size_t n) : comm_(comm), n_(n), line_(n) 
     throw std::invalid_argument("SlabFft: more ranks than planes (1-D slab limit)");
 }
 
-void SlabFft::plane_transform(std::vector<Complex>& slab, bool inverse) {
-  const std::size_t n = n_;
-  const Range z = local_z();
-  for (std::size_t zi = 0; zi < z.count; ++zi) {
-    Complex* plane = &slab[zi * n * n];
-    for (std::size_t y = 0; y < n; ++y) {
-      if (inverse)
-        line_.inverse(plane + y * n);
-      else
-        line_.forward(plane + y * n);
-    }
-    for (std::size_t x = 0; x < n; ++x) {
-      if (inverse)
-        line_.inverse_strided(plane + x, n);
-      else
-        line_.forward_strided(plane + x, n);
-    }
+void SlabFft::convolve(std::vector<double>& slab, const std::vector<double>& green) {
+  assert(slab.size() == slab_cells() && green.size() == green_cells());
+  const std::size_t n = n_, h = n / 2 + 1;
+  const auto p = static_cast<std::size_t>(comm_.size());
+  const Range zr = local_z(), xr = local_kx();
+
+  // x (real to h columns) and y on my planes: planes[((z - z0)*n + y)*h + kx].
+  std::vector<Complex> planes(zr.count * n * h);
+  for (std::size_t zi = 0; zi < zr.count; ++zi) {
+    Complex* plane = &planes[zi * n * h];
+    for (std::size_t y = 0; y < n; ++y) line_.forward_r2c(&slab[(zi * n + y) * n], plane + y * h);
+    line_.forward_columns(plane, h, h);
   }
-}
 
-void SlabFft::transpose_to_xchunks(const std::vector<Complex>& slab,
-                                   std::vector<Complex>& chunks) {
-  const std::size_t n = n_;
-  const int p = comm_.size();
-  const Range zr = local_z();
-  const Range xr = split_range(n, p, comm_.rank());
-
-  // Pack: block sent to rank d covers (x in d's chunk, all y, my z planes),
-  // iterated z-major, then y, then x.
-  std::vector<std::vector<Complex>> send(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    const Range xd = split_range(n, p, d);
-    auto& buf = send[static_cast<std::size_t>(d)];
+  // Transpose: rank d gets its kx columns of my planes, z-major, then y.
+  // Every source's block is then one run of the chunk layout
+  // chunk[(z*n + y)*cx + (kx - kx0)], which holds all z.
+  std::vector<std::vector<Complex>> send(p);
+  for (std::size_t d = 0; d < p; ++d) {
+    const Range xd = kx_range(static_cast<int>(d));
+    auto& buf = send[d];
     buf.reserve(zr.count * n * xd.count);
-    for (std::size_t zi = 0; zi < zr.count; ++zi)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = xd.begin; x < xd.end(); ++x)
-          buf.push_back(slab[(zi * n + y) * n + x]);
-  }
-  auto recv = comm_.alltoallv(std::move(send));
-
-  // Unpack into z-fastest layout: chunks[((x - x0)*n + y)*n + z].
-  chunks.assign(xr.count * n * n, Complex{});
-  for (int s = 0; s < p; ++s) {
-    const Range zs = split_range(n, p, s);
-    const auto& buf = recv[static_cast<std::size_t>(s)];
-    std::size_t i = 0;
-    for (std::size_t z = zs.begin; z < zs.end(); ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t xi = 0; xi < xr.count; ++xi)
-          chunks[(xi * n + y) * n + z] = buf[i++];
-  }
-}
-
-void SlabFft::transpose_to_slabs(const std::vector<Complex>& chunks,
-                                 std::vector<Complex>& slab) {
-  const std::size_t n = n_;
-  const int p = comm_.size();
-  const Range zr = local_z();
-  const Range xr = split_range(n, p, comm_.rank());
-
-  std::vector<std::vector<Complex>> send(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    const Range zd = split_range(n, p, d);
-    auto& buf = send[static_cast<std::size_t>(d)];
-    buf.reserve(zd.count * n * xr.count);
-    for (std::size_t z = zd.begin; z < zd.end(); ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t xi = 0; xi < xr.count; ++xi)
-          buf.push_back(chunks[(xi * n + y) * n + z]);
-  }
-  auto recv = comm_.alltoallv(std::move(send));
-
-  slab.assign(zr.count * n * n, Complex{});
-  for (int s = 0; s < p; ++s) {
-    const Range xs = split_range(n, p, s);
-    const auto& buf = recv[static_cast<std::size_t>(s)];
-    std::size_t i = 0;
-    for (std::size_t z = zr.begin; z < zr.end(); ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = xs.begin; x < xs.end(); ++x)
-          slab[((z - zr.begin) * n + y) * n + x] = buf[i++];
-  }
-}
-
-void SlabFft::z_transform(std::vector<Complex>& chunks, bool inverse) {
-  const std::size_t n = n_;
-  const Range xr = split_range(n, comm_.size(), comm_.rank());
-  for (std::size_t xi = 0; xi < xr.count; ++xi) {
-    for (std::size_t y = 0; y < n; ++y) {
-      Complex* zline = &chunks[(xi * n + y) * n];
-      if (inverse)
-        line_.inverse(zline);
-      else
-        line_.forward(zline);
+    for (std::size_t row = 0; row < zr.count * n; ++row) {
+      const Complex* src = &planes[row * h + xd.begin];
+      buf.insert(buf.end(), src, src + xd.count);
     }
   }
-}
+  auto recv = comm_.alltoallv(std::move(send));
+  const std::size_t cx = xr.count;
+  std::vector<Complex> chunk(n * n * cx);
+  for (std::size_t s = 0; s < p; ++s) {
+    const auto& buf = recv[s];
+    assert(buf.size() == z_range(static_cast<int>(s)).count * n * cx);
+    std::copy(buf.begin(), buf.end(), chunk.begin() + z_range(static_cast<int>(s)).begin * n * cx);
+  }
 
-void SlabFft::forward(std::vector<Complex>& slab) {
-  assert(slab.size() == slab_cells());
-  plane_transform(slab, false);
-  std::vector<Complex> chunks;
-  transpose_to_xchunks(slab, chunks);
-  z_transform(chunks, false);
-  transpose_to_slabs(chunks, slab);
-}
+  // z: the n*cx lines of the chunk at once; the multiplier; z back.
+  line_.forward_columns(chunk.data(), n * cx, n * cx);
+  for (std::size_t i = 0; i < chunk.size(); ++i) chunk[i] *= green[i];
+  line_.inverse_columns(chunk.data(), n * cx, n * cx);
 
-void SlabFft::inverse(std::vector<Complex>& slab) {
-  assert(slab.size() == slab_cells());
-  std::vector<Complex> chunks;
-  transpose_to_xchunks(slab, chunks);
-  z_transform(chunks, true);
-  transpose_to_slabs(chunks, slab);
-  plane_transform(slab, true);
+  // Transpose back: rank d gets its planes of my kx columns.
+  send.assign(p, {});
+  for (std::size_t d = 0; d < p; ++d) {
+    const Range zd = z_range(static_cast<int>(d));
+    send[d].assign(chunk.begin() + zd.begin * n * cx, chunk.begin() + zd.end() * n * cx);
+  }
+  recv = comm_.alltoallv(std::move(send));
+  for (std::size_t s = 0; s < p; ++s) {
+    const Range xs = kx_range(static_cast<int>(s));
+    const Complex* src = recv[s].data();
+    for (std::size_t row = 0; row < zr.count * n; ++row, src += xs.count)
+      std::copy(src, src + xs.count, &planes[row * h + xs.begin]);
+  }
+
+  // y back, then complex to real along x.
+  for (std::size_t zi = 0; zi < zr.count; ++zi) {
+    Complex* plane = &planes[zi * n * h];
+    line_.inverse_columns(plane, h, h);
+    for (std::size_t y = 0; y < n; ++y) line_.inverse_c2r(plane + y * h, &slab[(zi * n + y) * n]);
+  }
 }
 
 }  // namespace greem::fft

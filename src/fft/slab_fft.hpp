@@ -1,12 +1,16 @@
 #pragma once
-// 1-D slab-decomposed parallel 3-D FFT over parx (the role FFTW 3.3 MPI
-// plays in the paper).  Each rank owns a contiguous set of z-planes; the z
-// transform is reached by an all-to-all transpose into an x-chunk layout
-// and a transpose back, so both input and output live in the z-slab layout.
+// 1-D slab-decomposed parallel real-to-complex FFT convolution over parx
+// (the role FFTW 3.3 MPI plays in the paper).  Each rank owns a contiguous
+// set of z-planes of the real mesh.  The forward half runs the x
+// (real-to-complex, n/2+1 columns) and y transforms on those planes, one
+// all-to-all transpose hands each rank a chunk of kx columns over all z,
+// and the z transform runs there.  The Green multiplier is applied in that
+// transposed layout, so a convolution transposes once each way.
 //
 // As in the paper, the parallelism of this transform is limited to at most
-// n ranks (one plane each) — the very limitation that motivates the relay
-// mesh method when the job has far more ranks than planes.
+// n ranks (one plane each) -- the very limitation that motivates the relay
+// mesh method when the job has far more ranks than planes.  With more than
+// n/2+1 ranks the last ranks hold no kx column and idle through the z pass.
 
 #include <complex>
 #include <cstddef>
@@ -33,7 +37,11 @@ class SlabFft {
   SlabFft(parx::Comm comm, std::size_t n);
 
   std::size_t n() const { return n_; }
-  Range local_z() const { return split_range(n_, comm_.size(), comm_.rank()); }
+  /// This rank's z-planes of the real mesh.
+  Range local_z() const { return z_range(comm_.rank()); }
+  /// This rank's kx columns of the half spectrum (kx = 0..n/2); empty on
+  /// ranks past n/2+1.
+  Range local_kx() const { return kx_range(comm_.rank()); }
 
   std::size_t slab_cells() const { return local_z().count * n_ * n_; }
 
@@ -42,17 +50,20 @@ class SlabFft {
     return ((z - local_z().begin) * n_ + y) * n_ + x;
   }
 
-  /// In-place forward transform of this rank's slab (collective).
-  void forward(std::vector<Complex>& slab);
+  /// Size of this rank's multiplier table: all kz and ky, its kx columns,
+  /// laid out (kz*n + ky)*local_kx().count + (kx - local_kx().begin).
+  std::size_t green_cells() const { return n_ * n_ * local_kx().count; }
 
-  /// In-place inverse transform including 1/n^3 (collective).
-  void inverse(std::vector<Complex>& slab);
+  /// Collective, in place: slab <- IFFT(FFT(slab) * green), with the 1/n^3
+  /// of the inverse.  `slab` is this rank's real planes (slab_cells()),
+  /// `green` its real multiplier table (green_cells()).  Bitwise equal to
+  /// Fft3dR2C::forward, a multiply in the half spectrum and
+  /// Fft3dR2C::inverse on the gathered mesh.
+  void convolve(std::vector<double>& slab, const std::vector<double>& green);
 
  private:
-  void transpose_to_xchunks(const std::vector<Complex>& slab, std::vector<Complex>& chunks);
-  void transpose_to_slabs(const std::vector<Complex>& chunks, std::vector<Complex>& slab);
-  void plane_transform(std::vector<Complex>& slab, bool inverse);
-  void z_transform(std::vector<Complex>& chunks, bool inverse);
+  Range z_range(int r) const { return split_range(n_, comm_.size(), r); }
+  Range kx_range(int r) const { return split_range(n_ / 2 + 1, comm_.size(), r); }
 
   parx::Comm comm_;
   std::size_t n_;

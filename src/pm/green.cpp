@@ -148,36 +148,26 @@ double GreenMemo::operator()(long kx, long ky, long kz) {
   return v;
 }
 
-namespace {
-
-/// Table over z in [z_begin, z_end), all y and x in [0, nx), laid out
-/// ((z - z_begin)*n + y)*nx + x.  nx = n/2 + 1 gives the half spectrum:
-/// there fft::wavenumber(x, n) = x.
-std::vector<double> fill_table(const GreenParams& p, std::size_t z_begin, std::size_t z_end,
-                               std::size_t nx) {
-  const std::size_t n = p.n_mesh;
+std::vector<double> build_green_table_r2c(const GreenParams& p, std::size_t x_begin,
+                                          std::size_t x_end) {
+  const std::size_t n = p.n_mesh, nx = x_end - x_begin;
+  assert(x_begin <= x_end && x_end <= n / 2 + 1);
   GreenMemo green(p);
-  std::vector<double> table((z_end - z_begin) * n * nx);
-  for (std::size_t z = z_begin; z < z_end; ++z) {
+  std::vector<double> table(n * n * nx);
+  // In the half spectrum fft::wavenumber(x, n) = x.
+  for (std::size_t z = 0; z < n; ++z) {
     const long kz = fft::wavenumber(z, n);
     for (std::size_t y = 0; y < n; ++y) {
       const long ky = fft::wavenumber(y, n);
-      for (std::size_t x = 0; x < nx; ++x)
-        table[((z - z_begin) * n + y) * nx + x] = green(fft::wavenumber(x, n), ky, kz);
+      for (std::size_t x = x_begin; x < x_end; ++x)
+        table[(z * n + y) * nx + (x - x_begin)] = green(static_cast<long>(x), ky, kz);
     }
   }
   return table;
 }
 
-}  // namespace
-
 std::vector<double> build_green_table_r2c(const GreenParams& p) {
-  return fill_table(p, 0, p.n_mesh, p.n_mesh / 2 + 1);
-}
-
-std::vector<double> build_green_table(const GreenParams& p, std::size_t z_begin,
-                                      std::size_t z_end) {
-  return fill_table(p, z_begin, z_end, p.n_mesh);
+  return build_green_table_r2c(p, 0, p.n_mesh / 2 + 1);
 }
 
 }  // namespace greem::pm

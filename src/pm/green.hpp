@@ -82,15 +82,16 @@ class GreenMemo {
   std::uint64_t evaluations_ = 0;
 };
 
-/// Precomputed multiplier table for the z-plane range [z_begin, z_end) of
-/// an n^3 mesh in slab layout (z-major, ((z - z_begin)*n + y)*n + x).
-/// Pass z_begin = 0, z_end = n for the full mesh.
-std::vector<double> build_green_table(const GreenParams& p, std::size_t z_begin,
-                                      std::size_t z_end);
+/// Half-spectrum multiplier table for the kx columns [x_begin, x_end)
+/// (x_end <= n/2+1; all ky and kz), laid out (z*n + y)*(x_end - x_begin) +
+/// (x - x_begin): the kx-chunk layout fft::SlabFft::convolve multiplies
+/// in.  The multiplier is real and even in k, so the half spectrum
+/// suffices; only the symmetry classes the chunk touches are evaluated.
+std::vector<double> build_green_table_r2c(const GreenParams& p, std::size_t x_begin,
+                                          std::size_t x_end);
 
-/// As above but in the half-spectrum (r2c) layout of fft::Fft3dR2C:
-/// (z*n + y)*(n/2+1) + x with x = 0..n/2 (the multiplier is real and even
-/// in k, so the half spectrum suffices).
+/// The whole half spectrum, x = 0..n/2: fft::Fft3dR2C's layout
+/// (z*n + y)*(n/2+1) + x.
 std::vector<double> build_green_table_r2c(const GreenParams& p);
 
 }  // namespace greem::pm

@@ -1,6 +1,5 @@
 #include "pm/parallel_pm.hpp"
 
-#include "fft/fft3d.hpp"
 #include "pm/gradient.hpp"
 #include "telemetry/trace.hpp"
 #include "util/parallel_for.hpp"
@@ -12,8 +11,8 @@ ParallelPm::ParallelPm(parx::Comm& world, ParallelPmParams params) : params_(par
   converter_ = std::make_unique<MeshConverter>(world, params_.conversion);
   if (converter_->is_fft_rank()) {
     slab_fft_.emplace(converter_->fft_comm(), params_.n_mesh);
-    const fft::Range zr = converter_->my_slab();
-    green_slab_ = build_green_table(params_.green_params(), zr.begin, zr.end());
+    const fft::Range kx = slab_fft_->local_kx();
+    green_chunk_ = build_green_table_r2c(params_.green_params(), kx.begin, kx.end());
   }
 }
 
@@ -44,16 +43,11 @@ void ParallelPm::accelerations(std::span<const Vec3> pos, std::span<const double
   // slabs
   std::vector<double> slab = converter_->gather_density(rho, t);
 
-  // (3) slab FFT, Green's function convolution, inverse FFT
+  // (3) real-to-complex slab FFT, Green's function, inverse FFT
   sw.restart();
   if (converter_->is_fft_rank()) {
     telemetry::Span span("pm/fft");
-    std::vector<fft::Complex> cslab(slab.size());
-    for (std::size_t i = 0; i < slab.size(); ++i) cslab[i] = {slab[i], 0.0};
-    slab_fft_->forward(cslab);
-    for (std::size_t i = 0; i < cslab.size(); ++i) cslab[i] *= green_slab_[i];
-    slab_fft_->inverse(cslab);
-    for (std::size_t i = 0; i < slab.size(); ++i) slab[i] = cslab[i].real();
+    slab_fft_->convolve(slab, green_chunk_);
   }
   if (t) t->add("FFT", sw.seconds());
 

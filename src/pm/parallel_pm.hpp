@@ -58,7 +58,7 @@ class ParallelPm {
   ParallelPmParams params_;
   std::unique_ptr<MeshConverter> converter_;
   std::optional<fft::SlabFft> slab_fft_;  // FFT ranks only
-  std::vector<double> green_slab_;        // FFT ranks only
+  std::vector<double> green_chunk_;       // FFT ranks: own kx columns
   CellRegion force_region_, density_region_, potential_region_;
 };
 

@@ -125,6 +125,18 @@ std::vector<std::vector<double>> MeshConverter::forward_pack(parx::Comm& comm,
   return send;
 }
 
+namespace {
+
+/// The wrapped x cells of `r`, one per unwrapped x: the mesh rows below
+/// are then indexed without a division per cell.
+std::vector<std::size_t> wrapped_x(const CellRegion& r, std::size_t n) {
+  std::vector<std::size_t> gx(r.n[0]);
+  for (std::size_t i = 0; i < gx.size(); ++i) gx[i] = wrap_cell(r.lo[0] + static_cast<long>(i), n);
+  return gx;
+}
+
+}  // namespace
+
 std::vector<double> MeshConverter::forward_unpack(parx::Comm& comm,
                                                   const std::vector<CellRegion>& regions,
                                                   const std::vector<std::vector<double>>& recv) {
@@ -142,16 +154,14 @@ std::vector<double> MeshConverter::forward_unpack(parx::Comm& comm,
     const auto& buf = recv[s];
     if (buf.empty()) continue;
     const CellRegion& r = regions[s];
+    const std::vector<std::size_t> gx = wrapped_x(r, n);
     std::size_t i = 0;
     for (long z = r.lo[2]; z < r.hi(2); ++z) {
       const std::size_t gz = wrap_cell(z, n);
-      if (plane_owner(gz) != comm.rank()) continue;
+      if (gz < zr.begin || gz >= zr.end()) continue;
       for (long y = r.lo[1]; y < r.hi(1); ++y) {
-        const std::size_t gy = wrap_cell(y, n);
-        for (long x = r.lo[0]; x < r.hi(0); ++x) {
-          const std::size_t gx = wrap_cell(x, n);
-          slab[((gz - zr.begin) * n + gy) * n + gx] += buf[i++];
-        }
+        double* row = &slab[((gz - zr.begin) * n + wrap_cell(y, n)) * n];
+        for (const std::size_t x : gx) row[x] += buf[i++];
       }
     }
     assert(i == buf.size());
@@ -174,16 +184,14 @@ std::vector<std::vector<double>> MeshConverter::backward_pack(parx::Comm& comm,
     const fft::Range zr = fft::split_range(n, n_fft, comm.rank());
     for (std::size_t d = 0; d < p; ++d) {
       const CellRegion& r = regions[d];
+      const std::vector<std::size_t> gx = wrapped_x(r, n);
       auto& buf = send[d];
       for (long z = r.lo[2]; z < r.hi(2); ++z) {
         const std::size_t gz = wrap_cell(z, n);
-        if (plane_owner(gz) != comm.rank()) continue;
+        if (gz < zr.begin || gz >= zr.end()) continue;
         for (long y = r.lo[1]; y < r.hi(1); ++y) {
-          const std::size_t gy = wrap_cell(y, n);
-          for (long x = r.lo[0]; x < r.hi(0); ++x) {
-            const std::size_t gx = wrap_cell(x, n);
-            buf.push_back(slab_phi[((gz - zr.begin) * n + gy) * n + gx]);
-          }
+          const double* row = &slab_phi[((gz - zr.begin) * n + wrap_cell(y, n)) * n];
+          for (const std::size_t x : gx) buf.push_back(row[x]);
         }
       }
     }

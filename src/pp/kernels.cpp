@@ -1,5 +1,7 @@
 #include "pp/kernels.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -7,30 +9,29 @@
 
 namespace greem::pp {
 
-void InteractionList::clear() {
-  x.clear();
-  y.clear();
-  z.clear();
-  m.clear();
-}
-
 void InteractionList::add(const Vec3& pos, double mass) {
-  x.push_back(pos.x);
-  y.push_back(pos.y);
-  z.push_back(pos.z);
-  m.push_back(mass);
+  grow(len_ + 1);
+  x[len_] = pos.x;
+  y[len_] = pos.y;
+  z[len_] = pos.z;
+  m[len_] = mass;
+  ++len_;
 }
 
-void InteractionList::reserve(std::size_t n) {
-  x.reserve(n);
-  y.reserve(n);
-  z.reserve(n);
-  m.reserve(n);
+void InteractionList::grow(std::size_t n) {
+  if (x.size() >= n) return;
+  const std::size_t cap = std::max(n, 2 * x.size());
+  for (std::vector<double>* col : {&x, &y, &z, &m}) col->resize(cap);
+}
+
+void InteractionList::set_size(std::size_t n) {
+  assert(n <= x.size());
+  len_ = n;
 }
 
 void InteractionList::pad4() {
   // Far-away massless sources: xi clamps to the cutoff edge, g = 0, m = 0.
-  while (x.size() % 4 != 0) add({1.0e9, 1.0e9, 1.0e9}, 0.0);
+  while (len_ % 4 != 0) add({1.0e9, 1.0e9, 1.0e9}, 0.0);
 }
 
 void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,

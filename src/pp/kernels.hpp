@@ -37,16 +37,27 @@ inline constexpr int kFlopsPerNewtonInteraction = 38;
 double approx_rsqrt(double x);
 
 /// Sources of an interaction list, stored SoA so the batched kernel streams
-/// them.  pad4() appends far-away zero-mass entries until the length is a
-/// multiple of 4 (padding is force-neutral).
+/// them.  The four columns are storage: entries [0, size()) are the list
+/// and the columns may run longer, so a list that is cleared and refilled
+/// (one per tree-walk group) reuses them without zero-filling what it
+/// writes next.  pad4() appends far-away zero-mass entries until the length
+/// is a multiple of 4 (padding is force-neutral).
 struct InteractionList {
   std::vector<double> x, y, z, m;
 
-  std::size_t size() const { return x.size(); }
-  void clear();
+  std::size_t size() const { return len_; }
+  void clear() { len_ = 0; }
   void add(const Vec3& pos, double mass);
-  void reserve(std::size_t n);
+  /// Grow every column to at least n entries (at least doubling), keeping
+  /// the entries below size().
+  void grow(std::size_t n);
+  /// Set the length to n <= x.size(); the caller has written entries
+  /// [size(), n).
+  void set_size(std::size_t n);
   void pad4();
+
+ private:
+  std::size_t len_ = 0;
 };
 
 /// Scalar reference kernel with exact arithmetic (1/sqrt), gP3M cutoff.

@@ -267,17 +267,12 @@ struct LevelWalk {
   std::size_t len;  ///< entries written; the list is sized ahead of them
   std::size_t next_len = 0, leaves_len = 0;
 
-  /// The list columns run ahead of `len`, all four the size of `list.x`;
-  /// finish() trims them to `len`.
+  /// The list's columns run ahead of `len`; finish() sets its length.
   [[gnu::always_inline]] void room(std::size_t n) {
-    if (list.x.size() >= n) return;
-    make_room(list.x, n);
-    for (std::vector<double>* col : {&list.y, &list.z, &list.m}) col->resize(list.x.size());
+    if (list.x.size() < n) list.grow(n);
   }
 
-  void finish() {
-    for (std::vector<double>* col : {&list.x, &list.y, &list.z, &list.m}) col->resize(len);
-  }
+  void finish() { list.set_size(len); }
 
   /// Classify one child block and append its three classes.
   [[gnu::always_inline]] void block(std::uint32_t first, std::uint32_t n) {

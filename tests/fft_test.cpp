@@ -1,9 +1,13 @@
 // FFT substrate tests: 1-D against a direct DFT, 3-D roundtrips and
-// analytic modes, and the slab-parallel transform against the serial one.
+// analytic modes, and the slab-parallel convolution against the serial
+// real-to-complex transform.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 
 #include "fft/fft1d.hpp"
@@ -81,22 +85,38 @@ TEST(NextPow2, RoundsUpAndThrowsWhenNothingFits) {
   EXPECT_THROW(next_pow2(static_cast<std::size_t>(-1L)), std::overflow_error);
 }
 
-TEST(Fft1d, StridedMatchesContiguous) {
-  const std::size_t n = 32, stride = 5;
-  Rng rng(3);
-  std::vector<Complex> packed(n), strided(n * stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    packed[i] = {rng.normal(), rng.normal()};
-    strided[i * stride] = packed[i];
-  }
+class ColumnSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ColumnSizes, ColumnsAreBitwiseTheLineTransforms) {
+  const std::size_t n = GetParam(), cols = 5, stride = 7;
+  Rng rng(n + 11);
+  std::vector<Complex> block(n * stride);
+  for (auto& v : block) v = {rng.normal(), rng.normal()};
   Fft1d plan(n);
-  plan.forward(packed.data());
-  plan.forward_strided(strided.data(), stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(strided[i * stride].real(), packed[i].real(), 1e-10);
-    EXPECT_NEAR(strided[i * stride].imag(), packed[i].imag(), 1e-10);
+  for (const bool inverse : {false, true}) {
+    std::vector<Complex> got = block;
+    if (inverse)
+      plan.inverse_columns(got.data(), cols, stride);
+    else
+      plan.forward_columns(got.data(), cols, stride);
+    std::size_t mismatches = 0;
+    for (std::size_t c = 0; c < stride; ++c) {
+      std::vector<Complex> line(n);
+      for (std::size_t i = 0; i < n; ++i) line[i] = block[i * stride + c];
+      if (c < cols) {  // the padding columns past `cols` stay untouched
+        if (inverse)
+          plan.inverse(line.data());
+        else
+          plan.forward(line.data());
+      }
+      for (std::size_t i = 0; i < n; ++i)
+        mismatches += std::memcmp(&line[i], &got[i * stride + c], sizeof(Complex)) != 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n = " << n << (inverse ? " inverse" : " forward");
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Lengths, ColumnSizes, ::testing::Values<std::size_t>(2, 8, 64));
 
 TEST(Fft3d, SingleModeTransformsToDelta) {
   const std::size_t n = 16;
@@ -168,49 +188,93 @@ TEST(SplitRange, CoversWithoutOverlap) {
   }
 }
 
+/// A real field and a real multiplier over the half spectrum, random in
+/// sign and size: every layout slip shows in the convolution.
+struct ConvolveCase {
+  std::vector<double> field, green;
+};
+
+ConvolveCase convolve_case(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  ConvolveCase c;
+  c.field.resize(n * n * n);
+  c.green.resize(n * n * (n / 2 + 1));
+  for (auto& v : c.field) v = rng.normal();
+  for (auto& v : c.green) v = rng.normal();
+  return c;
+}
+
 class SlabFftRanks : public ::testing::TestWithParam<int> {};
 
-TEST_P(SlabFftRanks, MatchesSerialTransform) {
+TEST_P(SlabFftRanks, ConvolveIsBitwiseTheSerialR2CTransform) {
   const int p = GetParam();
-  const std::size_t n = 16;
+  const std::size_t n = 16, h = n / 2 + 1;
+  const ConvolveCase in = convolve_case(n, 77);
 
-  // Serial reference.
-  Fft3d serial(n);
-  Rng rng(77);
-  std::vector<Complex> field(n * n * n);
-  for (auto& v : field) v = {rng.normal(), rng.normal()};
-  auto ref = field;
-  serial.forward(ref);
+  // Serial reference: forward, multiply in the half spectrum, inverse.
+  Fft3dR2C serial(n);
+  auto spec = serial.forward(in.field);
+  for (std::size_t i = 0; i < spec.size(); ++i) spec[i] *= in.green[i];
+  const std::vector<double> ref = serial.inverse(std::move(spec));
 
+  std::vector<std::size_t> columns(static_cast<std::size_t>(p));
   parx::run_ranks(p, [&](parx::Comm& c) {
     SlabFft slab(c, n);
-    const Range zr = slab.local_z();
-    std::vector<Complex> mine(zr.count * n * n);
+    const Range zr = slab.local_z(), xr = slab.local_kx();
+    columns[static_cast<std::size_t>(c.rank())] = xr.count;
+    std::vector<double> mine(slab.slab_cells());
+    for (std::size_t z = zr.begin; z < zr.end(); ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x) mine[slab.index(x, y, z)] = in.field[(z * n + y) * n + x];
+    std::vector<double> green(slab.green_cells());
+    for (std::size_t z = 0; z < n; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = xr.begin; x < xr.end(); ++x)
+          green[(z * n + y) * xr.count + (x - xr.begin)] = in.green[(z * n + y) * h + x];
+
+    slab.convolve(mine, green);
+    std::size_t mismatches = 0;
     for (std::size_t z = zr.begin; z < zr.end(); ++z)
       for (std::size_t y = 0; y < n; ++y)
         for (std::size_t x = 0; x < n; ++x)
-          mine[slab.index(x, y, z)] = field[serial.index(x, y, z)];
-
-    auto orig = mine;
-    slab.forward(mine);
-    for (std::size_t z = zr.begin; z < zr.end(); ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = 0; x < n; ++x) {
-          EXPECT_NEAR(mine[slab.index(x, y, z)].real(), ref[serial.index(x, y, z)].real(),
-                      1e-8);
-          EXPECT_NEAR(mine[slab.index(x, y, z)].imag(), ref[serial.index(x, y, z)].imag(),
-                      1e-8);
-        }
-
-    slab.inverse(mine);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_NEAR(mine[i].real(), orig[i].real(), 1e-10);
-      EXPECT_NEAR(mine[i].imag(), orig[i].imag(), 1e-10);
-    }
+          mismatches += std::bit_cast<std::uint64_t>(mine[slab.index(x, y, z)]) !=
+                        std::bit_cast<std::uint64_t>(ref[(z * n + y) * n + x]);
+    EXPECT_EQ(mismatches, 0u) << "rank " << c.rank() << " of " << p;
   });
+  // Every kx column is on exactly one rank; past n/2+1 ranks some hold none.
+  std::size_t total = 0, idle = 0;
+  for (const std::size_t cx : columns) {
+    total += cx;
+    idle += cx == 0;
+  }
+  EXPECT_EQ(total, h);
+  EXPECT_EQ(idle, static_cast<std::size_t>(p) > h ? static_cast<std::size_t>(p) - h : 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SlabFftRanks, ::testing::Values(1, 2, 3, 5, 8, 16));
+
+TEST(SlabFft, ConvolveTransposesTwiceWithTheHalfSpectrum) {
+  // Two alltoallv per convolution, each moving the half spectrum once:
+  // p(p-1) messages and n*n*(n/2+1) complex values less the self blocks.
+  const std::size_t n = 64, h = n / 2 + 1;
+  const int p = 8;
+  const ConvolveCase in = convolve_case(n, 5);
+  parx::Runtime rt(p);
+  rt.run([&](parx::Comm& c) {
+    SlabFft slab(c, n);
+    const Range zr = slab.local_z();
+    std::vector<double> mine(in.field.begin() + static_cast<std::ptrdiff_t>(zr.begin * n * n),
+                             in.field.begin() + static_cast<std::ptrdiff_t>(zr.end() * n * n));
+    std::vector<double> green(slab.green_cells(), 1.0);
+    slab.convolve(mine, green);
+  });
+  std::size_t self = 0;
+  for (int r = 0; r < p; ++r) self += split_range(n, p, r).count * n * split_range(h, p, r).count;
+  const parx::TrafficTotals t = rt.ledger().totals();
+  EXPECT_EQ(t.messages, 2u * p * (p - 1));
+  EXPECT_EQ(t.bytes, 2 * (n * n * h - self) * sizeof(Complex));
+  EXPECT_EQ(t.bytes, 3'784'704u);
+}
 
 TEST(SlabFft, RejectsMoreRanksThanPlanes) {
   parx::run_ranks(5, [&](parx::Comm& c) {

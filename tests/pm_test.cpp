@@ -16,9 +16,11 @@
 #include "core/direct_force.hpp"
 #include "ewald/ewald.hpp"
 #include "fft/fft3d.hpp"
+#include "parx/runtime.hpp"
 #include "pm/assign.hpp"
 #include "pm/gradient.hpp"
 #include "pm/green.hpp"
+#include "pm/parallel_pm.hpp"
 #include "pm/pm_solver.hpp"
 #include "pp/cutoff.hpp"
 #include "telemetry/telemetry.hpp"
@@ -255,6 +257,18 @@ std::vector<GreenParams> green_property_configs() {
   return out;
 }
 
+/// The full-spectrum table, ((z*n + y)*n + x), filled through one memo
+/// like the production half-spectrum tables.
+std::vector<double> full_green_table(const GreenParams& gp) {
+  const std::size_t n = gp.n_mesh;
+  GreenMemo green(gp);
+  std::vector<double> t(n * n * n);
+  for (std::size_t i = 0; i < t.size(); ++i)
+    t[i] = green(fft::wavenumber(i % n, n), fft::wavenumber(i / n % n, n),
+                 fft::wavenumber(i / (n * n), n));
+  return t;
+}
+
 /// True when every nonzero component of the mode is the Nyquist n/2: the
 /// 4-point FD is zero on such a mode.
 bool fd_blind(long kx, long ky, long kz, std::size_t n) {
@@ -279,7 +293,7 @@ TEST(Green, FdBlindNyquistModesAreExactlyZero) {
 TEST(Green, TableIsBitwiseInvariantUnderCubicSymmetry) {
   for (const GreenParams& gp : green_property_configs()) {
     const std::size_t n = gp.n_mesh;
-    const std::vector<double> t = build_green_table(gp, 0, n);
+    const std::vector<double> t = full_green_table(gp);
     auto bits = [&](const std::array<std::size_t, 3>& i) {
       return std::bit_cast<std::uint64_t>(t[(i[2] * n + i[1]) * n + i[0]]);
     };
@@ -320,7 +334,7 @@ TEST(Green, TableMatchesPerModeAliasSum) {
   // 1e-12 relative of the interval the reference spans over its images.
   for (const GreenParams& gp : green_property_configs()) {
     const std::size_t n = gp.n_mesh;
-    const std::vector<double> t = build_green_table(gp, 0, n);
+    const std::vector<double> t = full_green_table(gp);
     auto class_of = [](long kx, long ky, long kz) {
       std::array<long, 3> c = {std::abs(kx), std::abs(ky), std::abs(kz)};
       std::sort(c.begin(), c.end());
@@ -353,22 +367,11 @@ TEST(Green, TableMatchesPerModeAliasSum) {
   }
 }
 
-TEST(Green, SlabAndHalfSpectrumTablesAreBitwiseViewsOfTheFullTable) {
+TEST(Green, KxChunkAndHalfSpectrumTablesAreBitwiseViewsOfTheFullTable) {
   for (const GreenParams& gp : green_property_configs()) {
-    const std::size_t n = gp.n_mesh;
-    const std::vector<double> full = build_green_table(gp, 0, n);
-    // Uneven split, including a one-plane slab and the Nyquist plane alone.
-    std::vector<double> joined;
-    const std::size_t cuts[] = {0, 3, n / 2, n / 2 + 1, n};
-    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
-      const std::vector<double> slab = build_green_table(gp, cuts[i], cuts[i + 1]);
-      ASSERT_EQ(slab.size(), (cuts[i + 1] - cuts[i]) * n * n);
-      joined.insert(joined.end(), slab.begin(), slab.end());
-    }
-    EXPECT_EQ(std::memcmp(joined.data(), full.data(), full.size() * sizeof(double)), 0);
-
+    const std::size_t n = gp.n_mesh, h = n / 2 + 1;
+    const std::vector<double> full = full_green_table(gp);
     const std::vector<double> half = build_green_table_r2c(gp);
-    const std::size_t h = n / 2 + 1;
     ASSERT_EQ(half.size(), h * n * n);
     std::size_t mismatches = 0;
     for (std::size_t z = 0; z < n; ++z)
@@ -376,6 +379,19 @@ TEST(Green, SlabAndHalfSpectrumTablesAreBitwiseViewsOfTheFullTable) {
         for (std::size_t x = 0; x < h; ++x)
           mismatches += std::bit_cast<std::uint64_t>(half[(z * n + y) * h + x]) !=
                         std::bit_cast<std::uint64_t>(full[(z * n + y) * n + x]);
+    // Uneven kx chunks, including an empty one, a one-column chunk and
+    // the Nyquist column alone, in the (z*n + y)*count + (x - begin) layout.
+    const std::size_t cuts[] = {0, 3, 3, n / 2 - 1, n / 2, h};
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      const std::size_t lo = cuts[i], cx = cuts[i + 1] - lo;
+      const std::vector<double> chunk = build_green_table_r2c(gp, lo, cuts[i + 1]);
+      ASSERT_EQ(chunk.size(), n * n * cx);
+      for (std::size_t z = 0; z < n; ++z)
+        for (std::size_t y = 0; y < n; ++y)
+          for (std::size_t x = 0; x < cx; ++x)
+            mismatches += std::bit_cast<std::uint64_t>(chunk[(z * n + y) * cx + x]) !=
+                          std::bit_cast<std::uint64_t>(half[(z * n + y) * h + lo + x]);
+    }
     EXPECT_EQ(mismatches, 0u);
   }
 }
@@ -394,9 +410,27 @@ TEST(Green, FullTableCostsOneEvaluationPerSymmetryClass) {
     auto& reg = telemetry::Registry::global();
     const std::uint64_t tables = reg.counter("pm/green_tables").value();
     const std::uint64_t evals = reg.counter("pm/green_evals").value();
-    build_green_table(gp, 0, n);
+    build_green_table_r2c(gp);
     EXPECT_EQ(reg.counter("pm/green_tables").value() - tables, 1u);
     EXPECT_LE(reg.counter("pm/green_evals").value() - evals, kClasses);
+  }
+}
+
+TEST(Green, ParallelPmEvaluatesOnlyItsKxChunksClasses) {
+  // 8 FFT ranks at 64^3 split the 33 kx columns 5, 4, ..., 4.  A chunk of
+  // w columns touches the classes with a component in it: C(35, 3) -
+  // C(35 - w, 3), 2,485 for w = 5 and 2,050 for w = 4.
+  if constexpr (telemetry::enabled()) {
+    auto& reg = telemetry::Registry::global();
+    const std::uint64_t tables = reg.counter("pm/green_tables").value();
+    const std::uint64_t evals = reg.counter("pm/green_evals").value();
+    parx::run_ranks(8, [](parx::Comm& world) {
+      ParallelPmParams params;
+      params.n_mesh = 64;
+      ParallelPm pm(world, params);
+    });
+    EXPECT_EQ(reg.counter("pm/green_tables").value() - tables, 8u);
+    EXPECT_EQ(reg.counter("pm/green_evals").value() - evals, 16'835u);
   }
 }
 

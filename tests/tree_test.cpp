@@ -1100,11 +1100,6 @@ struct ReferenceWalker {
   }
 };
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
 using Entry = std::array<double, 10>;  ///< com/position, mass, quadrupole
 
 std::vector<Entry> entries(const pp::InteractionList& list) {
@@ -1205,10 +1200,7 @@ WalkTotals expect_walks_agree(const Octree& tree, double theta, double rcut,
         WalkSink sink{&list, quad ? &quads : nullptr, ghost_from};
         walk_group(tree, box, theta, rcut, offsets, sink, scratch, c);
         const std::string where = where_ref + " classifier " + walk_classifier_name(c);
-        EXPECT_TRUE(same_bits(list.x, level_list.x)) << where;
-        EXPECT_TRUE(same_bits(list.y, level_list.y)) << where;
-        EXPECT_TRUE(same_bits(list.z, level_list.z)) << where;
-        EXPECT_TRUE(same_bits(list.m, level_list.m)) << where;
+        EXPECT_TRUE(same_bits(entries(list), entries(level_list))) << where;
         EXPECT_TRUE(same_bits(entries(quads), entries(level_quads))) << where;
         EXPECT_EQ(sink.nodes_visited, level.nodes_visited) << where;
         EXPECT_EQ(sink.ghost_sources, level.ghost_sources) << where;
