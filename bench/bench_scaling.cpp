@@ -62,9 +62,6 @@ ScalingPoint run(std::array<int, 3> dims, const std::vector<core::Particle>& par
   cfg.ncrit = 100;
   cfg.eps = 1e-3;
   cfg.sampling.target_samples = 20000;
-  // Deterministic cost weighting so the campaign's trend lines are
-  // reproducible run to run (same contract as the bitwise CI paths).
-  cfg.cost_metric = core::CostMetric::kInteractions;
 
   ScalingPoint out;
   out.ranks = p;
@@ -287,7 +284,7 @@ int main() {
   // node); here the per-rank share stays constant while the rank grid
   // grows to a few hundred simulated ranks.  The interesting trend lines
   // are the busiest rank's interactions (flat = ideal), the PP time
-  // imbalance under load-balance v2, and the Table-I phase shares.
+  // imbalance under the sampling method, and the Table-I phase shares.
   constexpr std::size_t kWeakPerRank = 2048;
   std::printf("\nWeak scaling (N = %zu per rank).\n\n", kWeakPerRank);
   TextTable wt;

@@ -48,7 +48,7 @@
 //                         as a snapshot for byte-wise comparison
 //   --large-n LIST        comma-separated particle counts (e.g.
 //                         "1000000,10000000"); for each N, run a short
-//                         no-plan / rate-0-plan / load-balance v2-vs-v1
+//                         no-plan / rate-0-plan / load-balance probe
 //                         sweep and emit a "large_n_sweep" entry (the CI
 //                         perf gate reads these)
 //
@@ -364,9 +364,6 @@ int main(int argc, char** argv) {
   cfg.eps = 1e-3;
   cfg.sampling.target_samples = 10000;
   cfg.step_report_path = jsonl_path;
-  // Deterministic cost weighting: restarted/recovered runs reproduce the
-  // original bitwise, which is what --final-state comparisons check.
-  cfg.cost_metric = core::CostMetric::kInteractions;
   cfg.restore_from = opt.restore_from;
 
   parx::Runtime rt(kRanks);
@@ -447,17 +444,14 @@ int main(int argc, char** argv) {
   }
 
   // Large-N campaign: for each requested N, a short sweep over {no plan,
-  // rate-0 plan} plus the load-balance legs on a mesh scaled to the
+  // rate-0 plan} plus the load-balance probe on a mesh scaled to the
   // particle count.  Single run per configuration -- at these sizes the
   // runs are long enough that scheduler noise is a small relative error,
   // and the CI perf gate reads the ratios, not the absolute times.
   struct SweepPoint {
     std::size_t n = 0, n_mesh = 0;
     double no_plan_s = 0, rate0_s = 0;
-    StepProbe v2;  ///< the default leg
-    /// Load-balance A/B: the same point with v1 rank-cost sampling (the
-    /// seed behavior) vs the default v2 leg above.
-    StepProbe v1;
+    StepProbe probe;
   };
   std::vector<SweepPoint> sweep;
   if (!opt.large_n.empty() && opt.faults.empty() && opt.watchdog_s <= 0) {
@@ -481,12 +475,7 @@ int main(int argc, char** argv) {
       (void)sim_steps_seconds(scfg, pts, kRanks, 1, dt, false);
       p.no_plan_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, false);
       p.rate0_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, true);
-      p.v2 = steps_probe(scfg, pts, kRanks, kSweepSteps, dt);
-      // Load-balance v1 baseline leg (the seed's scalar rank cost) for the
-      // imbalance A/B the perf gate reads.
-      auto v1cfg = scfg;
-      v1cfg.lb_mode = core::LoadBalanceMode::kRankCost;
-      p.v1 = steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt);
+      p.probe = steps_probe(scfg, pts, kRanks, kSweepSteps, dt);
       sweep.push_back(p);
     }
   }
@@ -663,11 +652,9 @@ int main(int argc, char** argv) {
         jw.field("rate0_seconds", p.rate0_s);
         jw.field("rate0_overhead_fraction",
                  p.no_plan_s > 0 ? p.rate0_s / p.no_plan_s - 1.0 : 0.0);
-        jw.field("pp_imbalance", p.v2.pp_imbalance);
-        jw.field("pp_imbalance_v1", p.v1.pp_imbalance);
-        jw.field("work_imbalance", p.v2.work_imbalance);
-        jw.field("work_imbalance_v1", p.v1.work_imbalance);
-        jw.field("pool_imbalance", p.v2.pool_imbalance);
+        jw.field("pp_imbalance", p.probe.pp_imbalance);
+        jw.field("work_imbalance", p.probe.work_imbalance);
+        jw.field("pool_imbalance", p.probe.pool_imbalance);
         jw.end_object();
       }
       jw.end_array();

@@ -9,10 +9,10 @@
 #include <sstream>
 
 #include "ckpt/atomic_file.hpp"
-#include "ckpt/hash.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace greem::ckpt {
@@ -21,7 +21,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kShardMagic[8] = {'G', 'R', 'E', 'E', 'M', 'C', 'K', '1'};
-constexpr std::uint32_t kShardVersion = 1;
+constexpr std::uint32_t kShardVersion = 2;  // version 1 (40-byte header) is refused
 constexpr char kDirPrefix[] = "ckpt_";
 
 /// Fixed shard header following the magic; kept padding-free so the file
@@ -33,9 +33,8 @@ struct ShardHeader {
   std::uint64_t payload_bytes = 0;
   std::uint32_t payload_crc32 = 0;
   std::uint32_t reserved = 0;
-  double rank_cost = 0;
 };
-static_assert(sizeof(ShardHeader) == 40);
+static_assert(sizeof(ShardHeader) == 32);
 
 std::string ckpt_dir_name(std::uint64_t step) {
   char buf[32];
@@ -75,7 +74,6 @@ struct ShardRecord {
   std::uint64_t bytes;
   std::uint32_t crc;
   std::uint32_t ok;
-  double rank_cost;
 };
 
 void prune_old(const std::string& dir, std::size_t keep_last) {
@@ -122,8 +120,7 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
   h.rank = static_cast<std::uint32_t>(rank);
   h.n_items = shard.n_items;
   h.payload_bytes = shard.payload.size();
-  h.payload_crc32 = crc32(shard.payload);
-  h.rank_cost = shard.rank_cost;
+  h.payload_crc32 = util::crc32(shard.payload);
   {
     AtomicFileWriter w(shard_path);
     w.write(kShardMagic, sizeof(kShardMagic));
@@ -134,7 +131,7 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
 
   // Gather shard records; the gatherv also orders every shard commit
   // before rank 0 writes the manifest.
-  ShardRecord rec{h.n_items, h.payload_bytes, h.payload_crc32, ok ? 1u : 0u, h.rank_cost};
+  ShardRecord rec{h.n_items, h.payload_bytes, h.payload_crc32, ok ? 1u : 0u};
   auto records = world.gatherv(std::span<const ShardRecord>(&rec, 1), 0);
 
   bool commit_ok = ok;
@@ -144,8 +141,7 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
     for (std::size_t r = 0; r < records.size(); ++r) {
       commit_ok = commit_ok && records[r].ok != 0;
       m.shards.push_back({static_cast<int>(r), shard_file_name(static_cast<int>(r)),
-                          records[r].n_items, records[r].bytes, records[r].crc,
-                          records[r].rank_cost});
+                          records[r].n_items, records[r].bytes, records[r].crc});
     }
     const auto meta = telemetry::RunMeta::collect("ckpt", "");
     m.git_sha = meta.git_sha;
@@ -240,12 +236,11 @@ Restored read_checkpoint(parx::Comm& world, const std::string& ckpt_path) {
       out.payload.resize(h.payload_bytes);
       if (!in.read(reinterpret_cast<char*>(out.payload.data()),
                    static_cast<std::streamsize>(out.payload.size())) ||
-          crc32(out.payload) != info.crc32) {
+          util::crc32(out.payload) != info.crc32) {
         ok = false;
         err = "ckpt: shard payload CRC mismatch: " + path;
       } else {
         out.n_items = h.n_items;
-        out.rank_cost = h.rank_cost;
       }
     }
   }

@@ -43,7 +43,6 @@ class CkptError : public std::runtime_error {
 struct RankShard {
   std::span<const std::byte> payload;  ///< packed trivially-copyable items
   std::uint64_t n_items = 0;
-  double rank_cost = 0;  ///< per-rank state riding along (force cost)
 };
 
 struct WriteStats {
@@ -75,7 +74,6 @@ struct Restored {
   Manifest manifest;
   std::vector<std::byte> payload;  ///< this rank's shard payload
   std::uint64_t n_items = 0;
-  double rank_cost = 0;
 };
 
 /// Collective: load the checkpoint at `ckpt_path` (each rank reads its own

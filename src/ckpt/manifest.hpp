@@ -26,7 +26,6 @@ struct ShardInfo {
   std::uint64_t n_items = 0;    ///< particles in the shard
   std::uint64_t bytes = 0;      ///< payload bytes (excluding the shard header)
   std::uint32_t crc32 = 0;      ///< CRC32 of the payload
-  double rank_cost = 0;         ///< per-rank force cost fed back into sampling
 };
 
 /// Simulation state that is global (identical on every rank).

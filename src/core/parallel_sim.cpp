@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/hash.hpp"
 #include "domain/exchange.hpp"
 #include "parx/fault.hpp"
 #include "pp/kernels.hpp"
@@ -21,6 +20,7 @@
 #include "telemetry/trace.hpp"
 #include "tree/ghost.hpp"
 #include "tree/octree.hpp"
+#include "util/hash.hpp"
 #include "util/parallel_for.hpp"
 #include "util/task_pool.hpp"
 
@@ -143,26 +143,15 @@ void ParallelSimulation::domain_cycle(std::uint64_t substep_id) {
   if (reporting() && world_.rank() == 0) ep.emplace(world_.ledger().begin_phase("dd"));
   Stopwatch sw;
   auto pos = positions_of(particles_);
-  domain::Decomposition fresh;
-  if (config_.lb_mode == LoadBalanceMode::kGroupCost) {
-    // Load-balance v2: per-particle weights from the scattered GroupCost
-    // attribution of the PP cycles since the previous decomposition, which
-    // start summing afresh here.  Before the first cycle every lb_w is 0
-    // and the weighted path degenerates to uniform-density sampling (same
-    // collective sequence either way).
-    std::vector<double> w(particles_.size());
-    for (std::size_t i = 0; i < particles_.size(); ++i)
-      w[i] = std::exchange(particles_[i].lb_w, 0.0);
-    fresh = domain::sample_and_decompose_weighted(world_, config_.dims, pos, w,
-                                                  config_.sampling, substep_id);
-  } else {
-    // v1: one scalar cost per rank, the measured force cost (particle
-    // count before the first measurement exists).
-    const double cost =
-        last_force_cost_ >= 0 ? last_force_cost_ : static_cast<double>(particles_.size());
-    fresh = domain::sample_and_decompose(world_, config_.dims, pos, cost,
-                                         config_.sampling, substep_id);
-  }
+  // Per-particle weights from the interaction counts the PP cycles since
+  // the previous decomposition scattered onto lb_w, which start summing
+  // afresh here.  Before the first cycle every lb_w is 0 and the sampling
+  // degenerates to uniform density (the same collective sequence).
+  std::vector<double> w(particles_.size());
+  for (std::size_t i = 0; i < particles_.size(); ++i)
+    w[i] = std::exchange(particles_[i].lb_w, 0.0);
+  const domain::Decomposition fresh = domain::sample_and_decompose_weighted(
+      world_, config_.dims, pos, w, config_.sampling, substep_id);
   decomp_ = smoother_.smooth(fresh);
   report_.dd.add("sampling method", sw.seconds());
 
@@ -227,26 +216,17 @@ void ParallelSimulation::pp_force_cycle() {
   report_.pp.add("force calculation", times.force_s);
   report_.pp_stats.merge(stats);
 
-  // Scatter the per-group cost onto the group's local members: each local
-  // particle adds its share of its group's measured cost to the sampling
-  // weight of the next domain decomposition (load-balance v2).
-  if (config_.lb_mode == LoadBalanceMode::kGroupCost) {
-    for (const auto& gc : report_.pp_group_costs) {
-      const double w = (config_.cost_metric == CostMetric::kInteractions
-                            ? static_cast<double>(gc.interactions)
-                            : gc.walk_s + gc.force_s) /
-                       static_cast<double>(gc.ni);
-      const tree::TreeNode node = octree.node(gc.node);
-      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
-        const std::uint32_t orig = octree.original_index(i);
-        if (orig < n_local) particles_[orig].lb_w += w;
-      }
+  // Scatter each group's interaction count onto its local members: each
+  // local particle adds its share to the sampling weight of the next
+  // domain decomposition.
+  for (const auto& gc : report_.pp_group_costs) {
+    const double w = static_cast<double>(gc.interactions) / static_cast<double>(gc.ni);
+    const tree::TreeNode node = octree.node(gc.node);
+    for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
+      const std::uint32_t orig = octree.original_index(i);
+      if (orig < n_local) particles_[orig].lb_w += w;
     }
   }
-
-  last_force_cost_ = config_.cost_metric == CostMetric::kInteractions
-                         ? static_cast<double>(stats.interactions)
-                         : times.traverse_s + times.force_s;
 
   for (std::size_t i = 0; i < n_local; ++i) particles_[i].acc_s = acc[i];
   if (ep) report_.traffic_pp += ep->delta();
@@ -365,7 +345,6 @@ void ParallelSimulation::checkpoint(const std::string& dir, std::size_t keep_las
   ckpt::RankShard shard;
   shard.payload = std::as_bytes(std::span<const Particle>(particles_));
   shard.n_items = particles_.size();
-  shard.rank_cost = last_force_cost_;
   ckpt::write_checkpoint(world_, dir, gs, shard, keep_last);
   parx::set_fault_context(step_counter_, parx::FaultPhase::kAny);
 }
@@ -391,7 +370,6 @@ void ParallelSimulation::restore_checkpoint(const std::string& ckpt_path) {
   pending_long_kick_ = gs.pending_long_kick;
   substep_counter_ = gs.substep;
   step_counter_ = gs.step;
-  last_force_cost_ = r.rank_cost;
   decomp_ = domain::Decomposition::unflatten(gs.dims, gs.decomp_flat);
   smoother_.set_history(gs.smoother_history);
   report_ = StepReport{};
@@ -533,15 +511,11 @@ void ParallelSimulation::synchronize() {
 }
 
 std::uint64_t config_fingerprint(const ParallelSimConfig& config) {
-  ckpt::Fnv1a64 h;
+  util::Fnv1a64 h;
   h.mix(config.dims[0]).mix(config.dims[1]).mix(config.dims[2]);
   h.mix(config.nsub);
   h.mix(config.theta).mix(config.ncrit).mix(config.leaf_capacity).mix(config.eps);
   h.mix(static_cast<int>(config.kernel));
-  h.mix(static_cast<int>(config.cost_metric));
-  // lb_mode changes the sampling weights and therefore the cuts and the
-  // dynamics.
-  h.mix(static_cast<int>(config.lb_mode));
   h.mix(config.sampling.target_samples).mix(config.sampling.seed);
   h.mix(config.metric.comoving);
   h.mix(config.metric.cosmology.omega_m)

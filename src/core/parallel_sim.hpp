@@ -5,10 +5,10 @@
 //   step = domain decomposition  +  PP cycle x nsub  +  one PM cycle,
 //
 // with the 3-D multi-section decomposition re-sampled once per step using
-// the measured force cost (per group and summed over the previous step's
-// PP cycles, under load-balance v2), ghost (boundary) particle exchange
-// for the short-range tree, and the parallel PM with the direct or relay
-// mesh conversion.  Phase timings accumulate under the row names of
+// the force cost (each group's interaction count, summed over the previous
+// step's PP cycles), ghost (boundary) particle exchange for the
+// short-range tree, and the parallel PM with the direct or relay mesh
+// conversion.  Phase timings accumulate under the row names of
 // Table I.
 //
 // The PM cycle is *pipelined*: it is evaluated at the end of each step (at
@@ -37,22 +37,13 @@
 
 namespace greem::core {
 
-/// What feeds the cost-weighted domain sampling.  kWallTime follows the
-/// paper (the measured traversal+force seconds of the previous cycle) but
-/// is run-to-run nondeterministic; kInteractions uses the traversal
-/// interaction count, which is bit-reproducible and makes whole runs --
-/// including checkpoint/restore round trips -- bitwise deterministic.
-enum class CostMetric { kWallTime, kInteractions };
-
-/// How the cost feeding the sampling rates is resolved spatially
-/// (docs/load-balance.md).  kRankCost is load-balance v1: one scalar per
-/// rank (the paper's measured force time), uniform sampling within the
-/// rank.  kGroupCost is v2: the per-group tree::GroupCost attribution is
-/// scattered onto each group's particles (Particle::lb_w) and used as
-/// per-particle sampling weights, so the cuts move toward where the work
-/// sits *inside* a domain.  Changes the cuts and therefore the dynamics:
-/// part of config_fingerprint.
-enum class LoadBalanceMode { kRankCost, kGroupCost };
+/// The domain sampling weighs each particle by its group's tree-walk
+/// interaction count (docs/load-balance.md), which is bit-reproducible, so
+/// whole runs -- checkpoint/restore round trips included -- are bitwise
+/// deterministic.  This one-value enum and ParallelSimConfig::cost_metric
+/// are read by nothing; they remain only because perfbench/greem_perf.cpp
+/// still assigns the field.
+enum class CostMetric { kInteractions };
 
 /// Per-step invariant sentinel: a cheap collective check that converts
 /// silent state corruption (a bit flip that slipped past the transport
@@ -91,8 +82,7 @@ struct ParallelSimConfig {
   domain::SamplingParams sampling;
   TimeMetric metric;
   int nsub = 2;
-  CostMetric cost_metric = CostMetric::kWallTime;
-  LoadBalanceMode lb_mode = LoadBalanceMode::kGroupCost;
+  CostMetric cost_metric = CostMetric::kInteractions;  ///< unread; see CostMetric
 
   /// Invariant sentinel; excluded from config_fingerprint (it observes the
   /// dynamics, it does not change them).  Must be set identically on every
@@ -156,10 +146,9 @@ class ParallelSimulation {
 
   /// Collective: write a checkpoint of the current state under `dir`,
   /// pruning to the newest `keep_last` committed checkpoints (0 = keep
-  /// all).  Restoring it reproduces this simulation bitwise -- including a
-  /// pending long-range half-kick and the domain-decomposition history --
-  /// provided cost_metric is kInteractions (wall-time cost weighting is
-  /// inherently nondeterministic).  Throws ckpt::CkptError on failure.
+  /// all).  Restoring it reproduces this simulation bitwise, including a
+  /// pending long-range half-kick and the domain-decomposition history.
+  /// Throws ckpt::CkptError on failure.
   void checkpoint(const std::string& dir, std::size_t keep_last = 2);
 
   /// Collective: replace the full simulation state with the committed
@@ -188,7 +177,7 @@ class ParallelSimulation {
     std::size_t n_ghost_imported = 0;
     /// Per-group cost attribution of the final PP cycle (walk/force
     /// seconds, interactions, ghost imports per group) -- rank-local, in
-    /// tree.groups(ncrit, n_local) order; the load-balance v2 input.
+    /// tree.groups(ncrit, n_local) order; the load-balance input.
     std::vector<tree::GroupCost> pp_group_costs;
     /// Global traffic per phase bucket, accumulated from ledger epochs.
     /// Observed on rank 0 only (the ledger is global); empty elsewhere
@@ -234,7 +223,6 @@ class ParallelSimulation {
   std::vector<Particle> particles_;
   double clock_;
   double pending_long_kick_ = 0;
-  double last_force_cost_ = -1;  ///< <0: use particle count as proxy
   /// Domain decompositions run so far: the constructor's plus one per
   /// step.  Seeds each decomposition's sampling; checkpointed as
   /// `substep`.
@@ -253,8 +241,8 @@ class ParallelSimulation {
 };
 
 /// Stable digest of every config field that affects the dynamics (rank
-/// grid, force/integration parameters, PM setup, sampling seed, cost
-/// metric, cosmology).  Recorded in checkpoint manifests and verified on
+/// grid, force/integration parameters, PM setup, sampling seed,
+/// cosmology).  Recorded in checkpoint manifests and verified on
 /// restore, so a checkpoint cannot silently resume under different
 /// physics.  Reporting/paths (step_report_path, restore_from,
 /// pool_threads) are excluded.

@@ -23,8 +23,8 @@ struct Particle {
   /// checkpoints with the particle, like acc_s.
   Vec3 acc_l;
   double mass = 0;
-  /// Predicted short-range work share (load-balance v2): the per-particle
-  /// slice of its Barnes group's measured cost, summed over the PP cycles
+  /// Predicted short-range work share: the per-particle slice of its
+  /// Barnes group's interaction count, summed over the PP cycles
   /// since the last domain decomposition, which consumes it as this
   /// particle's sampling weight and resets it.  Migrates and checkpoints
   /// with the particle so cuts stay reproducible across exchanges and

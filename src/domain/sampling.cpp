@@ -2,55 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <numeric>
 
 namespace greem::domain {
-
-namespace {
-
-// One (weight, capacity) pair per rank, allgathered so every rank runs the
-// identical apportionment and agrees on all quotas without extra traffic.
-struct RankLoad {
-  double weight;
-  double capacity;
-};
-
-std::vector<std::size_t> collect_quotas(parx::Comm& comm, double local_weight,
-                                        std::size_t local_capacity, std::size_t target) {
-  RankLoad mine{local_weight, static_cast<double>(local_capacity)};
-  auto all = comm.allgatherv(std::span<const RankLoad>(&mine, 1));
-  std::vector<double> weights(all.size());
-  std::vector<std::size_t> caps(all.size());
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    weights[r] = all[r].weight;
-    caps[r] = static_cast<std::size_t>(all[r].capacity);
-  }
-  return apportion_samples(weights, caps, target);
-}
-
-// Gather the selected sample positions at the root, build the multisection
-// there, then broadcast size-then-payload (non-root ranks do not know the
-// flattened cut count up front: it depends on dims only, but being explicit
-// keeps the protocol self-describing and removes the old dead-variable
-// pattern around comm.bcast of an empty vector).
-Decomposition gather_build_bcast(parx::Comm& comm, std::array<int, 3> dims,
-                                 std::span<const Vec3> mine) {
-  auto gathered = comm.gatherv(mine, 0);
-
-  std::vector<double> flat;
-  if (comm.rank() == 0) {
-    Decomposition d = build_multisection(dims, std::move(gathered));
-    flat = d.flatten();
-  }
-  std::uint64_t flat_count = flat.size();
-  comm.bcast_span(std::span<std::uint64_t>(&flat_count, 1), 0);
-  flat.resize(flat_count);
-  comm.bcast_span(std::span<double>(flat), 0);
-  return Decomposition::unflatten(dims, flat);
-}
-
-}  // namespace
 
 std::vector<std::size_t> apportion_samples(std::span<const double> weights,
                                            std::span<const std::size_t> capacities,
@@ -170,21 +123,6 @@ std::vector<std::size_t> apportion_samples(std::span<const double> weights,
   return alloc;
 }
 
-std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k, Rng& rng) {
-  k = std::min(k, n);
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  // Partial Fisher-Yates: after i swaps the prefix [0, i) is a uniform
-  // k-subset drawn without replacement.
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + rng.uniform_index(n - i);
-    std::swap(idx[i], idx[j]);
-  }
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end());
-  return idx;
-}
-
 std::vector<std::size_t> sample_weighted_without_replacement(std::span<const double> weights,
                                                              std::size_t k, Rng& rng) {
   const std::size_t n = weights.size();
@@ -215,39 +153,45 @@ std::vector<std::size_t> sample_weighted_without_replacement(std::span<const dou
   return selected;
 }
 
-Decomposition sample_and_decompose(parx::Comm& comm, std::array<int, 3> dims,
-                                   std::span<const Vec3> local_pos, double local_cost,
-                                   const SamplingParams& params, std::uint64_t step) {
-  auto quotas = collect_quotas(comm, std::max(local_cost, 0.0), local_pos.size(),
-                               params.target_samples);
-  const std::size_t want = quotas[static_cast<std::size_t>(comm.rank())];
-
-  Rng rng(params.seed + step, static_cast<std::uint64_t>(comm.rank()));
-  auto picks = sample_without_replacement(local_pos.size(), want, rng);
-  std::vector<Vec3> mine;
-  mine.reserve(picks.size());
-  for (std::size_t i : picks) mine.push_back(local_pos[i]);
-
-  return gather_build_bcast(comm, dims, mine);
-}
-
 Decomposition sample_and_decompose_weighted(parx::Comm& comm, std::array<int, 3> dims,
                                             std::span<const Vec3> local_pos,
                                             std::span<const double> weights,
                                             const SamplingParams& params, std::uint64_t step) {
-  double wsum = 0.0;
+  // One (weight, capacity) pair per rank, allgathered so every rank runs the
+  // identical apportionment and agrees on all quotas without extra traffic.
+  struct RankLoad {
+    double weight;
+    double capacity;
+  };
+  RankLoad mine{0.0, static_cast<double>(local_pos.size())};
   for (double w : weights)
-    if (w > 0) wsum += w;
-  auto quotas = collect_quotas(comm, wsum, local_pos.size(), params.target_samples);
-  const std::size_t want = quotas[static_cast<std::size_t>(comm.rank())];
+    if (w > 0) mine.weight += w;
+  const auto all = comm.allgatherv(std::span<const RankLoad>(&mine, 1));
+  std::vector<double> rank_weights(all.size());
+  std::vector<std::size_t> caps(all.size());
+  for (std::size_t r = 0; r < all.size(); ++r) {
+    rank_weights[r] = all[r].weight;
+    caps[r] = static_cast<std::size_t>(all[r].capacity);
+  }
+  const auto quotas = apportion_samples(rank_weights, caps, params.target_samples);
 
   Rng rng(params.seed + step, static_cast<std::uint64_t>(comm.rank()));
-  auto picks = sample_weighted_without_replacement(weights, want, rng);
-  std::vector<Vec3> mine;
-  mine.reserve(picks.size());
-  for (std::size_t i : picks) mine.push_back(local_pos[i]);
+  const auto picks = sample_weighted_without_replacement(
+      weights, quotas[static_cast<std::size_t>(comm.rank())], rng);
+  std::vector<Vec3> samples;
+  samples.reserve(picks.size());
+  for (std::size_t i : picks) samples.push_back(local_pos[i]);
 
-  return gather_build_bcast(comm, dims, mine);
+  // Gather at the root, build the multisection there, then broadcast
+  // size-then-payload so the protocol is self-describing.
+  auto gathered = comm.gatherv(std::span<const Vec3>(samples), 0);
+  std::vector<double> flat;
+  if (comm.rank() == 0) flat = build_multisection(dims, std::move(gathered)).flatten();
+  std::uint64_t flat_count = flat.size();
+  comm.bcast_span(std::span<std::uint64_t>(&flat_count, 1), 0);
+  flat.resize(flat_count);
+  comm.bcast_span(std::span<double>(flat), 0);
+  return Decomposition::unflatten(dims, flat);
 }
 
 }  // namespace greem::domain

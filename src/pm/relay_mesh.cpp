@@ -59,16 +59,18 @@ MeshConverter::MeshConverter(parx::Comm& world, ConverterParams params)
   // rank order is our stand-in for physical locality).
   comm_fft_ = world.split(world.rank() < params_.n_fft ? 0 : 1, world.rank());
 
-  if (params_.method == MeshConversion::kRelay) {
-    n_groups_eff_ = std::max(1, params_.n_groups);
-    // Every group must hold at least n_fft processes so its first n_fft
-    // members can carry partial slabs.
-    n_groups_eff_ = std::min(n_groups_eff_, std::max(1, p / params_.n_fft));
-    base_group_size_ = p / n_groups_eff_;
-    comm_smalla2a_ = world.split(group_of(world.rank()), world.rank());
-    const int g = group_of(world.rank());
-    comm_reduce_ = world.split(world.rank() - group_start(g), g);
-  }
+  // kDirect is the relay path with one group: COMM_SMALLA2A is the world
+  // in rank order and every COMM_REDUCE has one member, so the cross-group
+  // reduce and bcast are skipped.  Otherwise every group must hold at
+  // least n_fft processes so its first n_fft members can carry partial
+  // slabs.
+  n_groups_eff_ = params_.method == MeshConversion::kDirect
+                      ? 1
+                      : std::min(std::max(1, params_.n_groups), std::max(1, p / params_.n_fft));
+  base_group_size_ = p / n_groups_eff_;
+  const int g = group_of(world.rank());
+  comm_smalla2a_ = world.split(g, world.rank());
+  comm_reduce_ = world.split(world.rank() - group_start(g), g);
 }
 
 int MeshConverter::group_of(int world_rank) const {
@@ -220,13 +222,8 @@ LocalMesh MeshConverter::backward_unpack(parx::Comm& comm,
   return out;
 }
 
-parx::Comm& MeshConverter::conv_comm() {
-  return params_.method == MeshConversion::kDirect ? world_ : comm_smalla2a_;
-}
-
-std::vector<CellRegion> MeshConverter::conv_slice(
+std::vector<CellRegion> MeshConverter::group_slice(
     const std::vector<CellRegion>& world_regions) const {
-  if (params_.method == MeshConversion::kDirect) return world_regions;
   const int gs = group_start(group_of(world_.rank()));
   return {world_regions.begin() + gs, world_regions.begin() + gs + comm_smalla2a_.size()};
 }
@@ -234,25 +231,23 @@ std::vector<CellRegion> MeshConverter::conv_slice(
 std::vector<double> MeshConverter::gather_density(const LocalMesh& local_density,
                                                   TimingBreakdown* t) {
   Stopwatch sw;
-  const bool direct = params_.method == MeshConversion::kDirect;
-  parx::Comm& comm = conv_comm();
-  const auto regions = conv_slice(world_density_regions_);
-  // Direct: one alltoallv over the world.  Relay, step 1 (paper): an
-  // alltoallv inside the group -> partial slabs on the group's first n_fft
-  // members.  Traffic is recorded at send time, so the a2a phase probe
-  // closes once the sends are posted (see the PhaseProbe note).
+  const auto regions = group_slice(world_density_regions_);
+  // Step 1 (paper): an alltoallv inside the group -> partial slabs on the
+  // group's first n_fft members.  Traffic is recorded at send time, so the
+  // a2a phase probe closes once the sends are posted (see the PhaseProbe
+  // note).
   parx::AlltoallvHandle<double> a2a;
   {
-    telemetry::Span span(direct ? "pm/direct/forward_a2a" : "pm/relay/forward_a2a");
-    PhaseProbe probe(world_, direct ? "direct_forward_a2a" : "relay_forward_a2a");
-    a2a = comm.ialltoallv(forward_pack(comm, regions, local_density));
+    telemetry::Span span("pm/relay/forward_a2a");
+    PhaseProbe probe(world_, "relay_forward_a2a");
+    a2a = comm_smalla2a_.ialltoallv(forward_pack(comm_smalla2a_, regions, local_density));
   }
   std::vector<double> slab;
   {
-    telemetry::Span span(direct ? "pm/direct/forward_wait" : "pm/relay/forward_wait");
-    slab = forward_unpack(comm, regions, comm.wait_alltoallv(a2a));
+    telemetry::Span span("pm/relay/forward_wait");
+    slab = forward_unpack(comm_smalla2a_, regions, comm_smalla2a_.wait_alltoallv(a2a));
   }
-  if (!direct) {
+  {
     // Step 2: reduce the partial slabs across groups onto the root group.
     telemetry::Span span("pm/relay/reduce");
     PhaseProbe probe(world_, "relay_reduce");
@@ -268,30 +263,30 @@ std::vector<double> MeshConverter::gather_density(const LocalMesh& local_density
 LocalMesh MeshConverter::scatter_potential(const std::vector<double>& slab_phi,
                                            TimingBreakdown* t) {
   Stopwatch sw;
-  const bool direct = params_.method == MeshConversion::kDirect;
-  parx::Comm& comm = conv_comm();
-  const auto regions = conv_slice(world_potential_regions_);
-  // Relay, step 4 (paper): bcast the slab potential across groups...
+  const auto regions = group_slice(world_potential_regions_);
+  // Step 4 (paper): bcast the slab potential across groups...
   std::vector<double> relayed;
-  if (!direct) {
-    relayed = slab_phi;
+  const bool relay = comm_smalla2a_.rank() < params_.n_fft && comm_reduce_.size() > 1;
+  {
     telemetry::Span span("pm/relay/bcast");
     PhaseProbe probe(world_, "relay_bcast");
-    if (comm_smalla2a_.rank() < params_.n_fft && comm_reduce_.size() > 1)
+    if (relay) {
+      relayed = slab_phi;
       comm_reduce_.bcast(relayed, 0);
+    }
   }
-  // ...step 5: alltoallv inside the group (direct: over the world) to each
-  // member's local mesh.
+  // ...step 5: alltoallv inside the group to each member's local mesh.
   parx::AlltoallvHandle<double> a2a;
   {
-    telemetry::Span span(direct ? "pm/direct/backward_a2a" : "pm/relay/backward_a2a");
-    PhaseProbe probe(world_, direct ? "direct_backward_a2a" : "relay_backward_a2a");
-    a2a = comm.ialltoallv(backward_pack(comm, regions, direct ? slab_phi : relayed));
+    telemetry::Span span("pm/relay/backward_a2a");
+    PhaseProbe probe(world_, "relay_backward_a2a");
+    a2a = comm_smalla2a_.ialltoallv(
+        backward_pack(comm_smalla2a_, regions, relay ? relayed : slab_phi));
   }
   LocalMesh out;
   {
-    telemetry::Span span(direct ? "pm/direct/backward_wait" : "pm/relay/backward_wait");
-    out = backward_unpack(comm, regions, comm.wait_alltoallv(a2a));
+    telemetry::Span span("pm/relay/backward_wait");
+    out = backward_unpack(comm_smalla2a_, regions, comm_smalla2a_.wait_alltoallv(a2a));
   }
   if (t) t->add("communication", sw.seconds());
   return out;

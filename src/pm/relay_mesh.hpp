@@ -5,7 +5,8 @@
 //  * kDirect — the straightforward conversion: one global alltoallv over
 //    the world communicator.  Each FFT process then receives a message from
 //    every rank whose local mesh overlaps its slab (~p^(2/3) senders; ~4000
-//    on the full K computer), which congests its endpoint.
+//    on the full K computer), which congests its endpoint.  It runs as
+//    the relay path below with a single group, the whole world.
 //
 //  * kRelay — the paper's relay mesh method: ranks are divided into groups
 //    of size >= the number of FFT processes (group 0, the "root group",
@@ -40,8 +41,8 @@ struct ConverterParams {
 
 class MeshConverter {
  public:
-  /// Collective over `world`.  Builds the FFT communicator (COMM_FFT) and,
-  /// for kRelay, COMM_SMALLA2A / COMM_REDUCE via comm splits.
+  /// Collective over `world`.  Builds the FFT communicator (COMM_FFT),
+  /// COMM_SMALLA2A and COMM_REDUCE via comm splits.
   MeshConverter(parx::Comm& world, ConverterParams params);
 
   const ConverterParams& params() const { return params_; }
@@ -73,11 +74,8 @@ class MeshConverter {
  private:
   int group_of(int world_rank) const;
   int group_start(int g) const;
-
-  /// The conversion communicator (world for kDirect, my group for kRelay)
-  /// and that communicator's slice of a world-indexed region table.
-  parx::Comm& conv_comm();
-  std::vector<CellRegion> conv_slice(const std::vector<CellRegion>& world_regions) const;
+  /// My group's slice of a world-indexed region table.
+  std::vector<CellRegion> group_slice(const std::vector<CellRegion>& world_regions) const;
 
   // Pack/unpack halves of the conversion over one communicator whose
   // ranks 0..n_fft-1 hold slabs; `regions` holds the region of each comm
@@ -97,8 +95,8 @@ class MeshConverter {
   parx::Comm world_;
   ConverterParams params_;
   parx::Comm comm_fft_;      // FFT ranks only
-  parx::Comm comm_smalla2a_; // relay: my group
-  parx::Comm comm_reduce_;   // relay: same in-group position across groups
+  parx::Comm comm_smalla2a_; // my group (the world under kDirect)
+  parx::Comm comm_reduce_;   // same in-group position across groups
   int n_groups_eff_ = 1;
   int base_group_size_ = 0;
 

@@ -140,10 +140,6 @@ core::ParallelSimConfig make_sim_config(const JobSpec& spec, int nranks) {
   cfg.eps = spec.eps;
   cfg.nsub = spec.nsub;
   cfg.sampling.target_samples = 10000;
-  // Interaction-count cost weighting is the one choice that makes whole
-  // runs -- including rollback round trips -- bitwise deterministic, the
-  // precondition of the solo-vs-daemon contract.
-  cfg.cost_metric = core::CostMetric::kInteractions;
   return cfg;
 }
 

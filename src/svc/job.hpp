@@ -101,9 +101,8 @@ std::string spec_problem(const JobSpec& spec);
 /// Near-cubic rank grid with product == nranks (greedy prime split).
 std::array<int, 3> dims_for(int nranks);
 
-/// The ParallelSimConfig a spec runs under on `nranks` ranks.  Fixes the
-/// determinism-critical choices: CostMetric::kInteractions (bitwise
-/// reproducible scheduling input) and a seeded sampling RNG.  `job_label`
+/// The ParallelSimConfig a spec runs under on `nranks` ranks, with a
+/// seeded sampling RNG so runs are bitwise reproducible.  `job_label`
 /// and `step_report_path` are left empty -- the service fills them from
 /// the job id, a solo run may leave them empty.
 core::ParallelSimConfig make_sim_config(const JobSpec& spec, int nranks);

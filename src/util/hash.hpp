@@ -3,8 +3,7 @@
 // zlib-compatible) guards checkpoint shards and parx transport frames; the
 // FNV-1a 64 running hash fingerprints configurations and seeds the
 // deterministic lossy-link model.  One implementation, one test
-// (util_test); ckpt/hash.hpp re-exports these under greem::ckpt for its
-// historical callers.
+// (util_test).
 
 #include <cstddef>
 #include <cstdint>

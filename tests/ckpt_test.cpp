@@ -9,11 +9,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
+#include <string>
 
 #include "ckpt/atomic_file.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/hash.hpp"
 #include "ckpt/journal.hpp"
 #include "ckpt/manifest.hpp"
 #include "ckpt/recovery.hpp"
@@ -21,20 +22,13 @@
 #include "parx/fault.hpp"
 #include "parx/runtime.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace greem::ckpt {
 namespace {
 
 namespace fs = std::filesystem;
-
-// The hash primitives themselves are tested in util_test (they moved to
-// util/hash); ckpt/hash.hpp only re-exports them.  One smoke check that
-// the re-export still resolves:
-
-TEST(CkptHash, ReexportResolvesToUtilImplementation) {
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-}
 
 // ---------------------------------------------------------- job journal --
 
@@ -218,8 +212,9 @@ Manifest sample_manifest() {
   m.state.decomp_flat = {0.0, 0.5000000001, 1.0, 0.0, 1.0 / 3.0, 1.0};
   m.state.smoother_history = {{0.1, 0.2}, {0.3, 0.4}};
   for (int r = 0; r < 4; ++r)
-    m.shards.push_back({r, "shard_0000" + std::to_string(r) + ".bin", 100 + r, 9600,
-                        0xABCD0000u + r, 1e-3 * r});
+    m.shards.push_back({r, "shard_0000" + std::to_string(r) + ".bin",
+                        static_cast<std::uint64_t>(100 + r), 9600,
+                        0xABCD0000u + r});
   return m;
 }
 
@@ -284,9 +279,6 @@ ParallelSimConfig deterministic_config(std::array<int, 3> dims) {
   cfg.ncrit = 32;
   cfg.eps = 1e-3;
   cfg.sampling.target_samples = 2000;
-  // Interaction-count cost weighting: the one config change that makes the
-  // whole run (and therefore checkpoint round trips) bitwise reproducible.
-  cfg.cost_metric = core::CostMetric::kInteractions;
   return cfg;
 }
 
@@ -420,6 +412,51 @@ TEST(Ckpt, CorruptShardFailsLoudlyOnEveryRank) {
   parx::run_ranks(2, [&](parx::Comm& world) {
     // The CRC mismatch is detected by rank 1 but thrown on every rank
     // (collective agreement), so no rank proceeds with stale state.
+    EXPECT_THROW(read_checkpoint(world, *latest), CkptError);
+  });
+}
+
+TEST(Ckpt, ShardLayoutIsVersion2AndVersion1IsRefused) {
+  const std::string dir = testing::TempDir() + "/ckpt_shard_version";
+  fs::remove_all(dir);
+  run_sim({2, 1, 1}, test_particles(300, 23), 1, 0.004, &dir, 1);
+  const auto latest = find_latest(dir);
+  ASSERT_TRUE(latest.has_value());
+  const auto manifest = read_manifest(*latest);
+  ASSERT_TRUE(manifest.has_value());
+
+  // Version 2: 8-byte magic, then a 32-byte header {u32 version, u32 rank,
+  // u64 n_items, u64 payload_bytes, u32 crc32, u32 reserved}, then the
+  // payload, whose CRC32 the manifest records.
+  const std::string shard = *latest + "/shard_00001.bin";
+  std::string bytes;
+  {
+    std::ifstream f(shard, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kMagic = 8, kHeader = 32;
+  ASSERT_GT(bytes.size(), kMagic + kHeader);
+  EXPECT_EQ(bytes.compare(0, kMagic, "GREEMCK1"), 0);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + kMagic, sizeof version);
+  EXPECT_EQ(version, 2u);
+  const std::string payload = bytes.substr(kMagic + kHeader);
+  EXPECT_EQ(payload.size(), manifest->shards[1].bytes);
+  EXPECT_EQ(util::crc32(payload.data(), payload.size()), manifest->shards[1].crc32);
+
+  // Rewrite the shard as version 1 wrote it: the same header with
+  // version 1, followed by an 8-byte per-rank cost, then the payload.
+  {
+    std::string v1 = bytes.substr(0, kMagic + kHeader);
+    const std::uint32_t one = 1;
+    std::memcpy(v1.data() + kMagic, &one, sizeof one);
+    const double cost = 12.5;
+    v1.append(reinterpret_cast<const char*>(&cost), sizeof cost);
+    v1 += payload;
+    std::ofstream f(shard, std::ios::binary | std::ios::trunc);
+    f.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+  parx::run_ranks(2, [&](parx::Comm& world) {
     EXPECT_THROW(read_checkpoint(world, *latest), CkptError);
   });
 }

@@ -220,15 +220,18 @@ TEST(Apportionment, AllZeroWeightsFallBackToCapacities) {
 // -------------------------------------------- sampling without replacement --
 
 TEST(Sampling, WithoutReplacementIsDistinct) {
+  // Constant weights: a uniform draw without replacement.
+  const std::vector<double> ones(1000, 1.0);
   Rng rng(99);
-  const auto idx = sample_without_replacement(1000, 200, rng);
+  const auto idx = sample_weighted_without_replacement(ones, 200, rng);
   ASSERT_EQ(idx.size(), 200u);
   for (std::size_t i = 1; i < idx.size(); ++i)
     EXPECT_LT(idx[i - 1], idx[i]);  // strictly increasing => distinct
   for (std::size_t i : idx) EXPECT_LT(i, 1000u);
   // k == n returns every index exactly once.
   Rng rng2(99);
-  const auto all = sample_without_replacement(50, 50, rng2);
+  const auto all =
+      sample_weighted_without_replacement(std::span<const double>(ones).first(50), 50, rng2);
   ASSERT_EQ(all.size(), 50u);
   for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
 }
@@ -257,7 +260,8 @@ TEST(Sampling, FullRateSamplingGivesEqualCountCuts) {
     for (const auto& p : ps) local.push_back(p.pos);
     SamplingParams sp;
     sp.target_samples = 12000;  // == global N: every particle is a sample
-    const auto d = sample_and_decompose(comm, {2, 2, 1}, local, 1.0, sp, 0);
+    const std::vector<double> w(local.size(), 1.0);
+    const auto d = sample_and_decompose_weighted(comm, {2, 2, 1}, local, w, sp, 0);
     std::vector<double> counts(4, 0.0);
     for (const auto& p : local) counts[static_cast<std::size_t>(d.find_domain(p))] += 1;
     comm.allreduce_sum(std::span<double>(counts));
@@ -293,9 +297,9 @@ TEST(Sampling, EmptyAndZeroWeightRanksStayConsistent) {
 }
 
 TEST(Sampling, PerParticleWeightsShrinkExpensiveRegions) {
-  // Load-balance v2: both ranks hold uniform particles, but the work sits
-  // at x < 0.25.  The scalar-cost path cannot see this (equal rank costs
-  // leave the cut near 0.5); per-particle weights pull the cut left.
+  // Both ranks hold uniform particles, but the work sits at x < 0.25.
+  // Equal weights cannot see this (the cut stays near 0.5); per-particle
+  // weights pull the cut left.
   parx::run_ranks(2, [](parx::Comm& comm) {
     Rng rng(70 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local(3000);
@@ -308,8 +312,9 @@ TEST(Sampling, PerParticleWeightsShrinkExpensiveRegions) {
     sp.target_samples = 3000;
     const auto d = sample_and_decompose_weighted(comm, {2, 1, 1}, local, w, sp, 1);
     EXPECT_LT(d.xcuts[1], 0.4);
-    const auto ds = sample_and_decompose(comm, {2, 1, 1}, local, 1.0, sp, 1);
-    EXPECT_GT(ds.xcuts[1], 0.45);  // scalar cost: cut stays near the middle
+    const std::vector<double> flat_w(local.size(), 1.0);
+    const auto ds = sample_and_decompose_weighted(comm, {2, 1, 1}, local, flat_w, sp, 1);
+    EXPECT_GT(ds.xcuts[1], 0.45);  // equal weights: cut stays near the middle
   });
 }
 
@@ -320,7 +325,8 @@ TEST(Sampling, CollectiveDecompositionIsConsistentAcrossRanks) {
     for (auto& p : local) p = {rng.uniform(), rng.uniform(), rng.uniform()};
     SamplingParams sp;
     sp.target_samples = 400;
-    const auto d = sample_and_decompose(comm, {2, 2, 1}, local, 1.0, sp, 3);
+    const std::vector<double> w(local.size(), 1.0);
+    const auto d = sample_and_decompose_weighted(comm, {2, 2, 1}, local, w, sp, 3);
     // All ranks hold the same decomposition.
     const auto flat = d.flatten();
     auto flat0 = flat;
@@ -334,7 +340,8 @@ TEST(Sampling, CollectiveDecompositionIsConsistentAcrossRanks) {
 }
 
 TEST(Sampling, CostWeightingOversamplesExpensiveRanks) {
-  // Rank 0 reports 9x the cost of the others; its domain should shrink.
+  // Every particle of rank 0 weighs 9x those of rank 1, so rank 0's
+  // sample quota is 9x larger and its domain should shrink.
   parx::run_ranks(2, [](parx::Comm& comm) {
     Rng rng(20 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local(2000);
@@ -345,8 +352,8 @@ TEST(Sampling, CostWeightingOversamplesExpensiveRanks) {
     }
     SamplingParams sp;
     sp.target_samples = 2000;
-    const double cost = comm.rank() == 0 ? 9.0 : 1.0;
-    const auto d = sample_and_decompose(comm, {2, 1, 1}, local, cost, sp, 1);
+    const std::vector<double> w(local.size(), comm.rank() == 0 ? 9.0 : 1.0);
+    const auto d = sample_and_decompose_weighted(comm, {2, 1, 1}, local, w, sp, 1);
     // The x cut moves left of 0.5 so the expensive region gets less volume.
     EXPECT_LT(d.xcuts[1], 0.45);
   });

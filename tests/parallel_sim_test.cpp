@@ -222,30 +222,23 @@ TEST(ParallelSim, DefaultConfigFingerprintIsPinned) {
   // mismatch.  Pinning the default config's digest makes any edit to
   // ParallelSimConfig or to the digest that would stop existing
   // checkpoints from restoring fail here first.
-  EXPECT_EQ(config_fingerprint(ParallelSimConfig{}), 0x5e73ab49e5f125d8ULL);
-  // The sampling mode (v1 vs v2) changes the cuts and hence the dynamics,
-  // so a checkpoint written under one must not restore under the other.
-  ParallelSimConfig cfg_v1;
-  cfg_v1.lb_mode = LoadBalanceMode::kRankCost;
-  EXPECT_NE(config_fingerprint(ParallelSimConfig{}), config_fingerprint(cfg_v1));
+  EXPECT_EQ(config_fingerprint(ParallelSimConfig{}), 0xdfde2c58b76a3c5fULL);
 }
 
 // --------------------------------------------- thread-count determinism --
 
 namespace {
 
-/// Run a clustered IC on 8 ranks for 3 full steps under the deterministic
-/// cost metric and return the final particles, sorted by id.
-std::vector<Particle> clustered_8rank_run(const std::vector<Particle>& initial) {
+/// Run a clustered IC on 8 ranks under `cfg` for `steps` full steps and
+/// return the final particles, sorted by id.
+std::vector<Particle> clustered_8rank_run(const std::vector<Particle>& initial,
+                                          const ParallelSimConfig& cfg, int steps) {
   std::vector<Particle> out;
   std::mutex mu;
   parx::run_ranks(8, [&](parx::Comm& world) {
     std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
-    auto cfg = test_config({2, 2, 2});
-    cfg.cost_metric = CostMetric::kInteractions;  // deterministic schedule
-    cfg.sampling.target_samples = 4000;
     ParallelSimulation sim(world, cfg, std::move(local), 0.0);
-    for (int s = 1; s <= 3; ++s) sim.step(s * 0.002);
+    for (int s = 1; s <= steps; ++s) sim.step(s * 0.002);
     sim.synchronize();
     std::lock_guard lock(mu);
     const auto loc = sim.local();
@@ -259,22 +252,47 @@ std::vector<Particle> clustered_8rank_run(const std::vector<Particle>& initial) 
 }  // namespace
 
 TEST(ParallelSim, IsBitwiseDeterministicAcrossThreadCounts) {
-  // Under the interaction-count cost metric every full step -- the
-  // decomposition, the ghost exchange, the group walk and the PM cycle --
-  // must give bitwise the same particles whatever the intra-rank thread
-  // count is.
+  // Every full step -- the decomposition, the ghost exchange, the group
+  // walk and the PM cycle -- must give bitwise the same particles whatever
+  // the intra-rank thread count is.
   auto initial = with_velocities(clustered_particles(3000, 1.0, 2, 0.8, 0.03, 61), 62);
+  auto cfg = test_config({2, 2, 2});
+  cfg.sampling.target_samples = 4000;
   const std::size_t hw = num_threads();
   set_num_threads(1);
-  const auto serial = clustered_8rank_run(initial);
+  const auto serial = clustered_8rank_run(initial, cfg, 3);
   set_num_threads(4);
-  const auto threaded = clustered_8rank_run(initial);
+  const auto threaded = clustered_8rank_run(initial, cfg, 3);
   set_num_threads(hw);
 
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(std::memcmp(&serial[i], &threaded[i], sizeof(Particle)), 0)
         << "thread counts diverged at particle " << i;
+  }
+}
+
+TEST(ParallelSim, DefaultConfigIsBitwiseDeterministicAcrossThreadCounts) {
+  // The default config, not a test one: its sampling weights (lb_w, which
+  // every Particle carries and every snapshot and checkpoint stores) are
+  // interaction counts, so the whole final state, lb_w included, is the
+  // same bytes at any pool size.
+  const auto initial = with_velocities(clustered_particles(3000, 1.0, 2, 0.8, 0.03, 63), 64);
+  ParallelSimConfig cfg;
+  cfg.dims = {2, 2, 2};
+  const std::size_t hw = num_threads();
+  set_num_threads(1);
+  const auto one = clustered_8rank_run(initial, cfg, 2);
+  set_num_threads(3);
+  const auto three = clustered_8rank_run(initial, cfg, 2);
+  set_num_threads(hw);
+
+  ASSERT_EQ(one.size(), initial.size());
+  ASSERT_EQ(one.size(), three.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&one[i], &three[i], sizeof(Particle)), 0)
+        << "thread counts diverged at particle " << one[i].id << " (lb_w " << one[i].lb_w
+        << " vs " << three[i].lb_w << ")";
   }
 }
 
@@ -318,8 +336,7 @@ TEST(ParallelSim, DecompositionFaultFiresOnceAndRollsBack) {
   std::filesystem::remove_all(dir);
   constexpr std::uint64_t kSteps = 3;
   const auto schedule = [](std::uint64_t i) { return static_cast<double>(i + 1) * 0.004; };
-  auto cfg = test_config({2, 2, 1});
-  cfg.cost_metric = CostMetric::kInteractions;  // bitwise-reproducible cuts
+  const auto cfg = test_config({2, 2, 1});
 
   auto run = [&](const parx::FaultPlan& plan, ckpt::RecoveryStats* stats) {
     parx::Runtime rt(4);
@@ -399,9 +416,7 @@ TEST(Sentinel, CatchesMassDriftAndRecoveryRollsItBack) {
   std::filesystem::remove_all(dir);
   auto initial = with_velocities(random_uniform_particles(300, 1.0, 31), 32);
   const double dt = 0.002;
-  // Bitwise comparison needs the deterministic load-balance cost metric.
-  auto cfg = test_config({2, 1, 1});
-  cfg.cost_metric = CostMetric::kInteractions;
+  const auto cfg = test_config({2, 1, 1});
 
   // Reference: the same schedule with no corruption.
   std::mutex ref_mu;
