@@ -45,7 +45,6 @@ bool AtomicFileWriter::write(const void* data, std::size_t n) {
     }
     p += w;
     n -= static_cast<std::size_t>(w);
-    bytes_ += static_cast<std::uint64_t>(w);
   }
   return true;
 }

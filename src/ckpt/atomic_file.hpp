@@ -44,14 +44,10 @@ class AtomicFileWriter {
   /// Drop the temp file without touching the final path.  Idempotent.
   void abort();
 
-  const std::string& path() const { return path_; }
-  std::uint64_t bytes_written() const { return bytes_; }
-
  private:
   std::string path_;
   std::string tmp_path_;
   int fd_ = -1;
-  std::uint64_t bytes_ = 0;
   bool ok_ = false;
   bool done_ = false;
 };

@@ -61,13 +61,6 @@ std::optional<std::uint64_t> step_of_dir(const std::string& name) {
   return step;
 }
 
-/// Collective success agreement: every rank passes its local verdict and
-/// either all ranks continue or all throw CkptError with `what`.
-void agree_or_throw(parx::Comm& world, bool local_ok, const char* what) {
-  const int ok = world.allreduce_min(local_ok ? 1 : 0);
-  if (!ok) throw CkptError(what);
-}
-
 /// Fixed-size record gathered at rank 0 to build the manifest shard list.
 struct ShardRecord {
   std::uint64_t n_items;
@@ -76,20 +69,17 @@ struct ShardRecord {
   std::uint32_t ok;
 };
 
-void prune_old(const std::string& dir, std::size_t keep_last) {
-  if (keep_last == 0) return;
-  auto committed = list_committed(dir);
-  if (committed.size() <= keep_last) return;
-  // Everything strictly older than the oldest kept checkpoint goes,
-  // including uncommitted leftovers from interrupted writes.
-  const std::string& oldest_kept = committed[committed.size() - keep_last];
-  const auto cutoff = step_of_dir(fs::path(oldest_kept).filename().string());
+/// Rank 0: remove the manifests of the checkpoints `keep_last` supersedes,
+/// oldest first, stopping at one that cannot be removed; returns the step
+/// below which every directory may go (0 = none).
+std::uint64_t uncommit_superseded(const std::string& dir, std::size_t keep_last) {
+  const auto committed = keep_last ? list_committed(dir) : std::vector<std::string>{};
+  if (committed.size() <= keep_last) return 0;
+  std::size_t i = 0;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_directory()) continue;
-    const auto step = step_of_dir(entry.path().filename().string());
-    if (step && cutoff && *step < *cutoff) fs::remove_all(entry.path(), ec);
-  }
+  while (i + keep_last < committed.size() && fs::remove(fs::path(committed[i]) / kManifestName, ec))
+    ++i;
+  return step_of_dir(fs::path(committed[i]).filename().string()).value_or(0);
 }
 
 }  // namespace
@@ -112,7 +102,7 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
     fs::remove(fs::path(ckpt_path) / kManifestName, ec);
     ok = fs::is_directory(ckpt_path, ec);
   }
-  agree_or_throw(world, ok, "ckpt: cannot create checkpoint directory");
+  if (!world.allreduce_min(ok ? 1 : 0)) throw CkptError("ckpt: cannot create checkpoint directory");
 
   // Every rank writes its shard atomically.
   const std::string shard_path = (fs::path(ckpt_path) / shard_file_name(rank)).string();
@@ -120,8 +110,9 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
   h.rank = static_cast<std::uint32_t>(rank);
   h.n_items = shard.n_items;
   h.payload_bytes = shard.payload.size();
-  h.payload_crc32 = util::crc32(shard.payload);
+  h.payload_crc32 = [&] { telemetry::Span s("ckpt/crc"); return util::crc32(shard.payload); }();
   {
+    telemetry::Span commit_span("ckpt/shard_commit");
     AtomicFileWriter w(shard_path);
     w.write(kShardMagic, sizeof(kShardMagic));
     w.write_value(h);
@@ -134,8 +125,12 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
   ShardRecord rec{h.n_items, h.payload_bytes, h.payload_crc32, ok ? 1u : 0u};
   auto records = world.gatherv(std::span<const ShardRecord>(&rec, 1), 0);
 
-  bool commit_ok = ok;
+  // The final agree doubles as rank 0's broadcast of the retention cutoff:
+  // 0 = some rank failed, else 1 + the step below which directories go.
+  std::uint64_t verdict = ok ? ~std::uint64_t{0} : 0;
   if (rank == 0) {
+    telemetry::Span manifest_span("ckpt/manifest");
+    bool commit_ok = ok;
     Manifest m;
     m.state = global;
     for (std::size_t r = 0; r < records.size(); ++r) {
@@ -150,9 +145,27 @@ WriteStats write_checkpoint(parx::Comm& world, const std::string& dir,
     if (commit_ok)
       commit_ok = atomic_write_file((fs::path(ckpt_path) / kManifestName).string(),
                                     manifest_to_json(m));
-    if (commit_ok) prune_old(dir, keep_last);
+    // Uncommit the superseded checkpoints before the agree, so every shard
+    // removal after it only touches directories nothing can restore from.
+    verdict = commit_ok ? 1 + uncommit_superseded(dir, keep_last) : 0;
   }
-  agree_or_throw(world, commit_ok, "ckpt: checkpoint write failed");
+  verdict = world.allreduce_min(verdict);
+  if (verdict == 0) throw CkptError("ckpt: checkpoint write failed");
+  if (verdict > 1) {
+    // Each rank unlinks its own shards; rank 0 then clears the emptied
+    // directories and any older leftovers (uncommitted shards, .tmp files).
+    telemetry::Span retention_span("ckpt/retention");
+    std::vector<fs::path> old_dirs;
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+      const auto step = step_of_dir(entry.path().filename().string());
+      if (step && *step < verdict - 1 && entry.is_directory(ec)) old_dirs.push_back(entry.path());
+    }
+    for (const auto& d : old_dirs) fs::remove(d / shard_file_name(rank), ec);
+    world.barrier();
+    if (rank == 0)
+      for (const auto& d : old_dirs) fs::remove_all(d, ec);
+  }
 
   WriteStats stats{ckpt_path, shard.payload.size(), sw.seconds()};
   auto& reg = telemetry::Registry::global();

@@ -15,10 +15,12 @@
 //
 // Commit protocol: every rank writes + commits its shard, rank 0 gathers
 // the shard records (a gatherv, which also orders every shard commit
-// before the manifest write), writes MANIFEST.json, then prunes old
-// checkpoints per the retention policy.  Failures are agreed collectively
-// (allreduce) so either every rank sees a committed checkpoint or every
-// rank throws CkptError.
+// before the manifest write), writes MANIFEST.json and removes the
+// manifests of the checkpoints retention supersedes.  Failures are agreed
+// collectively (allreduce) so either every rank sees a committed
+// checkpoint or every rank throws CkptError.  Only then does each rank
+// unlink its own superseded shards; after a barrier rank 0 removes the
+// emptied directories and older leftovers.
 
 #include <cstddef>
 #include <cstdint>

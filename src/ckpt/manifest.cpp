@@ -1,5 +1,6 @@
 #include "ckpt/manifest.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -17,21 +18,17 @@ std::string hex_u64(std::uint64_t v) {
 }
 
 std::optional<std::uint64_t> parse_hex_u64(const std::string& s) {
-  if (s.empty() || s.size() > 16) return std::nullopt;
   std::uint64_t v = 0;
-  for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else return std::nullopt;
-  }
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, 16);
+  if (s.empty() || s.size() > 16 || ec != std::errc{} || ptr != end) return std::nullopt;
   return v;
 }
 
 }  // namespace
 
-void write_manifest(std::ostream& os, const Manifest& m) {
+std::string manifest_to_json(const Manifest& m) {
+  std::ostringstream os;
   telemetry::JsonWriter w(os, /*pretty=*/true);
   w.begin_object();
   w.field("format", kManifestFormat);
@@ -71,11 +68,6 @@ void write_manifest(std::ostream& os, const Manifest& m) {
   w.end_array();
   w.end_object();
   os << "\n";
-}
-
-std::string manifest_to_json(const Manifest& m) {
-  std::ostringstream os;
-  write_manifest(os, m);
   return os.str();
 }
 

@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -51,7 +50,6 @@ struct Manifest {
 };
 
 /// Serialize to JSON (the exact content of MANIFEST.json).
-void write_manifest(std::ostream& os, const Manifest& m);
 std::string manifest_to_json(const Manifest& m);
 
 /// Parse and validate a manifest document.  Returns nullopt on syntax

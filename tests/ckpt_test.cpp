@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <mutex>
 #include <string>
@@ -505,6 +506,61 @@ TEST(Ckpt, RetentionKeepsOnlyNewest) {
   EXPECT_NE(committed[0].find("ckpt_00000002"), std::string::npos);
   EXPECT_NE(committed[1].find("ckpt_00000003"), std::string::npos);
   EXPECT_FALSE(fs::exists(fs::path(dir) / "ckpt_00000001"));
+}
+
+/// Three steps on a 2x2x1 grid with a checkpoint after each; `before_last`
+/// runs on rank 0 just before the third write.
+void checkpoint_three_steps(const std::string& dir, const std::vector<Particle>& initial,
+                            double dt, std::size_t keep_last,
+                            const std::function<void()>& before_last = {}) {
+  parx::run_ranks(4, [&](parx::Comm& world) {
+    std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
+    ParallelSimulation sim(world, deterministic_config({2, 2, 1}), std::move(local), 0.0);
+    for (int s = 1; s <= 3; ++s) {
+      sim.step(s * dt);
+      if (s == 3 && world.rank() == 0 && before_last) before_last();
+      sim.checkpoint(dir, keep_last);
+    }
+  });
+}
+
+TEST(Ckpt, RetentionRemovesSupersededAndLeftoversOnEveryRank) {
+  const std::string dir = testing::TempDir() + "/ckpt_retention_parallel";
+  fs::remove_all(dir);
+  const auto initial = test_particles(400, 29);
+  const double dt = 0.004;
+  // An interrupted older write: shards (one from a larger rank grid) and a
+  // stray temp file, but no manifest.
+  const fs::path leftover = fs::path(dir) / "ckpt_00000001";
+  checkpoint_three_steps(dir, initial, dt, /*keep_last=*/1, [&] {
+    fs::create_directories(leftover);
+    for (const char* name : {"shard_00000.bin", "shard_00003.bin", "shard_00007.bin",
+                             "shard_00002.bin.tmp"})
+      std::ofstream(leftover / name) << "partial";
+  });
+  std::vector<std::string> left;
+  for (const auto& entry : fs::directory_iterator(dir))
+    left.push_back(entry.path().filename().string());
+  EXPECT_EQ(left, std::vector<std::string>{"ckpt_00000003"});
+  EXPECT_FALSE(fs::exists(leftover));
+  const auto latest = find_latest(dir);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(fs::path(*latest).filename(), "ckpt_00000003");
+
+  const auto full = run_sim({2, 2, 1}, initial, 4, dt);
+  const auto resumed = run_sim({2, 2, 1}, initial, 4, dt, nullptr, 0, &dir);
+  EXPECT_EQ(resumed.clock, full.clock);
+  expect_bitwise_equal(resumed.particles, full.particles);
+}
+
+TEST(Ckpt, RetentionKeepLastZeroKeepsEverything) {
+  const std::string dir = testing::TempDir() + "/ckpt_retention_all";
+  fs::remove_all(dir);
+  checkpoint_three_steps(dir, test_particles(200, 31), 0.004, /*keep_last=*/0);
+  const auto committed = list_committed(dir);
+  ASSERT_EQ(committed.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(fs::path(committed[i]).filename(), "ckpt_0000000" + std::to_string(i + 1));
 }
 
 TEST(Ckpt, FingerprintMismatchRejected) {
