@@ -12,13 +12,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "pp/kernels.hpp"
 #include "telemetry/json.hpp"
+#include "util/morton.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -45,6 +48,50 @@ Workload make_workload(std::size_t ni, std::size_t nj) {
     w.list.add({rng.uniform(), rng.uniform(), rng.uniform()}, 1.0 / static_cast<double>(nj));
   w.list.pad4();
   return w;
+}
+
+/// The `uniform` perfbench box's group shape: 43 targets in a cube of side
+/// 0.086 and 847 sources spread over the region within rcut = 0.094 of it
+/// (the walk's list), at the step's softening.
+Workload make_uniform_group() {
+  constexpr std::size_t kNi = 43, kNj = 847;
+  constexpr double kSide = 0.086, kLo = 0.4;
+  Rng rng(4321);
+  Workload w;
+  w.rcut = 0.094;
+  w.eps2 = 1e-6;
+  w.nj = kNj;
+  w.xi.resize(kNi);
+  w.acc.resize(kNi);
+  for (auto& p : w.xi)
+    p = {rng.uniform(kLo, kLo + kSide), rng.uniform(kLo, kLo + kSide),
+         rng.uniform(kLo, kLo + kSide)};
+  // Tree order, as the walk hands a group's targets to the kernel: each
+  // 4-target tile is a compact corner of the cube.
+  std::sort(w.xi.begin(), w.xi.end(),
+            [](const Vec3& a, const Vec3& b) { return morton_key(a) < morton_key(b); });
+  while (w.list.size() < kNj) {
+    const Vec3 p{rng.uniform(kLo - w.rcut, kLo + kSide + w.rcut),
+                 rng.uniform(kLo - w.rcut, kLo + kSide + w.rcut),
+                 rng.uniform(kLo - w.rcut, kLo + kSide + w.rcut)};
+    double d2 = 0;
+    for (const double c : {p.x, p.y, p.z}) {
+      const double d = std::max({kLo - c, c - (kLo + kSide), 0.0});
+      d2 += d * d;
+    }
+    if (d2 < w.rcut * w.rcut) w.list.add(p, 1.0 / static_cast<double>(kNj));
+  }
+  w.list.pad4();
+  return w;
+}
+
+/// Share of the list pairs the variant evaluates on `w` (1 unless the
+/// kernel culls pairs past the cutoff).
+double evaluated_fraction(pp::PhantomVariant v, Workload& w) {
+  const std::uint64_t pairs =
+      pp::pp_kernel_phantom_variant(v, w.xi, w.acc, w.list, w.rcut, w.eps2);
+  return static_cast<double>(pairs) /
+         (static_cast<double>(w.xi.size()) * static_cast<double>(w.nj));
 }
 
 void report_flops(benchmark::State& state, std::size_t ni, std::size_t nj, int flops) {
@@ -186,20 +233,31 @@ void write_kernel_json(const char* path) {
   }
   jw.end_array();
   // The dispatched kernel at the step's shape: the traced clustered
-  // replay's group means (<Ni>, <Nj>) = (19, 977), and ni = 1..8 at the same
-  // list length.  Against the (512, 2048) rate above these price what one
-  // call costs besides its interactions: the list set-up and the ni % 4 tail.
+  // replay's group means (<Ni>, <Nj>) = (19, 977), ni = 1..8 at the same
+  // list length, and the uniform box's group (43 targets against 847
+  // sources within rcut of their cube).  Against the (512, 2048) rate above
+  // these price what one call costs besides its interactions: the list
+  // set-up, the ni % 4 tail and the avx512 cull.  The rates count list
+  // pairs; `evaluated_fraction` is the share the kernel ran, so a rate
+  // rise from culling reads as work skipped, not faster arithmetic.
   jw.key("step_shape").begin_array();
-  for (const std::size_t shape_ni : {19, 1, 2, 3, 4, 5, 6, 7, 8}) {
-    auto sw = make_workload(shape_ni, kStepNj);
+  auto write_shape = [&](const char* name, Workload& sw) {
     const double r = measure_rate(pp::phantom_dispatch(), sw, 0.1);
     jw.begin_object();
-    jw.field("ni", shape_ni);
-    jw.field("nj", kStepNj);
+    jw.field("shape", name);
+    jw.field("ni", sw.xi.size());
+    jw.field("nj", sw.nj);
     jw.field("interactions_per_s", r);
     jw.field("gflops", r * pp::kFlopsPerInteraction * 1e-9);
+    jw.field("evaluated_fraction", evaluated_fraction(pp::phantom_dispatch(), sw));
     jw.end_object();
+  };
+  for (const std::size_t shape_ni : {19, 1, 2, 3, 4, 5, 6, 7, 8}) {
+    auto sw = make_workload(shape_ni, kStepNj);
+    write_shape(shape_ni == 19 ? "clustered_mean" : "list_977", sw);
   }
+  auto uniform = make_uniform_group();
+  write_shape("uniform_group", uniform);
   jw.end_array();
   jw.end_object();
   os << "\n";

@@ -401,6 +401,7 @@ void ParallelSimulation::write_step_record() {
 
   const tree::TraversalStats gstats = allreduce_sum(world_, report_.pp_stats);
   rec.interactions = gstats.interactions;
+  rec.pairs_evaluated = gstats.pairs_evaluated;
   rec.flops = static_cast<double>(rec.interactions) * pp::kFlopsPerInteraction;
   rec.flop_rate = rec.pp_seconds_max > 0 ? rec.flops / rec.pp_seconds_max : 0;
   rec.nodes_visited = gstats.nodes_visited;
@@ -541,9 +542,10 @@ TimingBreakdown allreduce_max(parx::Comm& comm, const TimingBreakdown& local) {
 }
 
 tree::TraversalStats allreduce_sum(parx::Comm& comm, const tree::TraversalStats& local) {
-  std::uint64_t vals[6] = {local.ngroups,      local.sum_ni,        local.sum_nj,
-                           local.interactions, local.nodes_visited, local.ghost_sources};
-  comm.allreduce_sum(std::span<std::uint64_t>(vals, 6));
+  std::uint64_t vals[7] = {local.ngroups,       local.sum_ni,          local.sum_nj,
+                           local.interactions,  local.nodes_visited,   local.ghost_sources,
+                           local.pairs_evaluated};
+  comm.allreduce_sum(std::span<std::uint64_t>(vals, 7));
   tree::TraversalStats out;
   out.ngroups = vals[0];
   out.sum_ni = vals[1];
@@ -551,6 +553,7 @@ tree::TraversalStats allreduce_sum(parx::Comm& comm, const tree::TraversalStats&
   out.interactions = vals[3];
   out.nodes_visited = vals[4];
   out.ghost_sources = vals[5];
+  out.pairs_evaluated = vals[6];
   return out;
 }
 

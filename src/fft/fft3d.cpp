@@ -32,21 +32,6 @@ void Fft3d::forward(std::vector<Complex>& data) const { transform(data, false); 
 
 void Fft3d::inverse(std::vector<Complex>& data) const { transform(data, true); }
 
-std::vector<Complex> Fft3d::forward_real(const std::vector<double>& real) const {
-  assert(real.size() == cells());
-  std::vector<Complex> data(real.size());
-  for (std::size_t i = 0; i < real.size(); ++i) data[i] = {real[i], 0.0};
-  forward(data);
-  return data;
-}
-
-std::vector<double> Fft3d::inverse_to_real(std::vector<Complex> data) const {
-  inverse(data);
-  std::vector<double> out(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = data[i].real();
-  return out;
-}
-
 Fft3dR2C::Fft3dR2C(std::size_t n) : n_(n), line_(n) {}
 
 std::vector<Complex> Fft3dR2C::forward(const std::vector<double>& real) const {

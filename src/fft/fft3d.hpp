@@ -30,12 +30,6 @@ class Fft3d {
   /// In-place inverse transform including the 1/n^3 normalization.
   void inverse(std::vector<Complex>& data) const;
 
-  /// Convenience: forward transform of a real field.
-  std::vector<Complex> forward_real(const std::vector<double>& real) const;
-
-  /// Convenience: inverse transform returning the real part.
-  std::vector<double> inverse_to_real(std::vector<Complex> data) const;
-
  private:
   void transform(std::vector<Complex>& data, bool inverse) const;
 

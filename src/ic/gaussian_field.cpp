@@ -49,8 +49,8 @@ std::vector<double> gaussian_random_field(std::size_t n, const PowerSpectrum& ps
 
 std::array<std::vector<double>, 3> displacement_field(const std::vector<double>& delta,
                                                       std::size_t n) {
-  fft::Fft3d fft(n);
-  auto delta_k = fft.forward_real(delta);
+  fft::Fft3dR2C fft(n);
+  const auto delta_k = fft.forward(delta);
   const double two_pi = 2.0 * std::numbers::pi;
 
   std::array<std::vector<double>, 3> psi;
@@ -60,7 +60,7 @@ std::array<std::vector<double>, 3> displacement_field(const std::vector<double>&
       const long kz = fft::wavenumber(z, n);
       for (std::size_t y = 0; y < n; ++y) {
         const long ky = fft::wavenumber(y, n);
-        for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t x = 0; x < fft.hx(); ++x) {
           const long kx = fft::wavenumber(x, n);
           const long kk[3] = {kx, ky, kz};
           const double k2 =
@@ -80,7 +80,7 @@ std::array<std::vector<double>, 3> displacement_field(const std::vector<double>&
         }
       }
     }
-    psi[static_cast<std::size_t>(axis)] = fft.inverse_to_real(std::move(pk));
+    psi[static_cast<std::size_t>(axis)] = fft.inverse(std::move(pk));
   }
   return psi;
 }

@@ -63,8 +63,8 @@ InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& p
 
   // Second derivatives of the first-order potential: (phi1,ij)_k =
   // k_i k_j delta_k / k^2, six fields by inverse FFT.
-  fft::Fft3d fft(n);
-  const auto delta_k = fft.forward_real(delta);
+  fft::Fft3dR2C fft(n);
+  const auto delta_k = fft.forward(delta);
   const double two_pi = 2.0 * std::numbers::pi;
   auto second_derivative = [&](int i, int j) {
     std::vector<fft::Complex> f(delta_k.size());
@@ -72,19 +72,24 @@ InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& p
       const long kz = fft::wavenumber(z, n);
       for (std::size_t y = 0; y < n; ++y) {
         const long ky = fft::wavenumber(y, n);
-        for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t x = 0; x < fft.hx(); ++x) {
           const long kx = fft::wavenumber(x, n);
           const long kk[3] = {kx, ky, kz};
           const double k2 = two_pi * two_pi * static_cast<double>(kx * kx + ky * ky + kz * kz);
+          // With exactly one of k_i, k_j on a Nyquist plane the mode is
+          // anti-Hermitian (the Nyquist component keeps its sign under
+          // k -> -k), so a real field holds none of it.
+          const bool nyquist_i = 2 * kk[i] == static_cast<long>(n);
+          const bool nyquist_j = 2 * kk[j] == static_cast<long>(n);
           const std::size_t c = fft.index(x, y, z);
-          f[c] = k2 == 0 ? fft::Complex{}
-                         : delta_k[c] * (two_pi * two_pi *
-                                         static_cast<double>(kk[i]) *
-                                         static_cast<double>(kk[j]) / k2);
+          f[c] = k2 == 0 || nyquist_i != nyquist_j
+                     ? fft::Complex{}
+                     : delta_k[c] * (two_pi * two_pi * static_cast<double>(kk[i]) *
+                                     static_cast<double>(kk[j]) / k2);
         }
       }
     }
-    return fft.inverse_to_real(std::move(f));
+    return fft.inverse(std::move(f));
   };
   const auto pxx = second_derivative(0, 0);
   const auto pyy = second_derivative(1, 1);

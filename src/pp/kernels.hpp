@@ -80,16 +80,27 @@ void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///     xi[0], and accumulates in double: within 1e-4 x max(1, |a|) on the
 ///     compact groups the tree walk forms (median ~3e-7).
 ///
+/// Returns the (target, source) pairs it evaluated.  The double variants
+/// run every pair of the padded list, xi.size() x list.size().  avx512
+/// runs each tile of four targets (and the ni % 4 tail) only on the
+/// sources within the cutoff of the tile's float box, plus a small margin,
+/// and returns those kept pairs, padding excluded; every pair it skips
+/// would have contributed an exact zero.
+///
 /// A target's last bits depend on its slot in `xi` on avx2: it evaluates
 /// whole 4-target blocks and hands the ni % 4 tail to the 1i x 4j basic
 /// loop, whose summation order and rsqrt seed differ from the block's.
-/// avx512 runs the tail through the block code, so there a target's result
-/// depends only on itself and xi[0].
+/// On avx512 they depend on xi[0] and on the kept set of the target's
+/// tile, which its tile-mates' box decides: sources past the cutoff of
+/// that box change no bit, but moving a target to another tile can move
+/// its live pairs to other lanes.  A list the cull keeps whole (every
+/// source within the cutoff of every box) gives a target the same bits in
+/// every slot and for every ni % 4.
 /// Either way the result is deterministic for a given `xi`, but compacting
 /// or reordering the targets (for example, dropping a group's ghost
 /// members) can change a target within the tolerance.
-void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
-                       const InteractionList& list, double rcut, double eps2);
+std::uint64_t pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
+                                const InteractionList& list, double rcut, double eps2);
 
 /// Implementations selectable for the phantom kernel.
 ///   kAuto          -- fastest available (avx512 > avx2 > basic)
@@ -102,7 +113,9 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///                     pair arithmetic relative to xi[0] with a
 ///                     _mm512_rsqrt14_ps seed (the software analog of
 ///                     HPC-ACE frsqrta) + one Newton step, double
-///                     accumulation across 512-entry j-blocks
+///                     accumulation across 512-entry j-blocks; each
+///                     4-target tile runs only the sources within the
+///                     cutoff of its box
 enum class PhantomVariant { kAuto, kScalar, kBasic, kBlockedAvx2, kBlockedAvx512 };
 
 /// True if `v` can execute on this CPU/build.
@@ -123,9 +136,9 @@ void set_phantom_variant(PhantomVariant v);
 /// Run one specific variant (resolved like phantom_dispatch if
 /// unavailable).  pp_kernel_phantom is equivalent to calling this with
 /// phantom_dispatch().
-void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
-                               std::span<Vec3> acc, const InteractionList& list,
-                               double rcut, double eps2);
+std::uint64_t pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
+                                        std::span<Vec3> acc, const InteractionList& list,
+                                        double rcut, double eps2);
 
 /// Plain Newtonian kernel (no cutoff) for the pure-tree / direct baselines.
 void pp_kernel_newton(std::span<const Vec3> xi, std::span<Vec3> acc,

@@ -204,8 +204,21 @@ void kernel_blocked_avx2(std::span<const Vec3> xi, std::span<Vec3> acc,
 // float within a block and are reduced into double across blocks.  rsqrt
 // seed: _mm512_rsqrt14_ps (14-bit, the hardware estimate HPC-ACE's frsqrta
 // stands for) + one Newton step, which reaches float's own rounding.
+//
+// A group-shared list holds every source within rcut of the group's box,
+// so a tile of four targets is often past the cutoff of much of it (half
+// of the list on a uniform box).  Those pairs come out of
+// cutoff_force_mixed as exact zeros, so each tile first compacts the
+// j-block to the sources within rcut of the float box of its own targets
+// and runs only those.  The cull keeps a margin over rcut^2 for the rsqrt
+// error in q < 2, and float subtraction and fma are monotone, so it drops
+// only pairs the mask zeroes: the live pairs are the same and only their
+// lanes move.
 
 constexpr std::size_t kJBlock = 512;  // 8 KB of float SoA per j-block
+/// Relative margin of the cull over rcut^2: covers the rsqrt14 + Newton
+/// error (~1e-7) in the kernel's q < 2 test with a wide berth.
+constexpr float kCullMargin = 1e-4f;
 
 __attribute__((target("avx512f")))
 inline __m512 cutoff_force_mixed(__m512 r2, __m512 mj, __m512 two_over_rcut) {
@@ -250,21 +263,71 @@ inline double reduce_ps_in_pd(__m512 v) {
 struct MixedBlock {
   alignas(64) float x[kJBlock], y[kJBlock], z[kJBlock], m[kJBlock];
   std::size_t n16 = 0;
+
+  /// Far-away massless sources fill [n, n16) up to the next whole chunk.
+  void pad(std::size_t n) {
+    n16 = (n + 15) & ~std::size_t{15};
+    for (std::size_t k = n; k < n16; ++k) {
+      x[k] = y[k] = z[k] = 1.0e9f;
+      m[k] = 0.0f;
+    }
+  }
 };
 
-/// NI targets (NI <= 4) against one j-block; the sums are added into
-/// acc[0..NI).  A target runs the same operations whatever NI is, so the
-/// ni % 4 tail gets the bits it would get inside a 4-target tile.
+/// Compacts into `kept`, in list order, the sources of `blk` whose
+/// distance d to the box [lo, hi] has d^2 + eps^2 < cut2, and pads it.
+/// d is taken per axis as max(lo - x, x - hi, 0) in float, so a target in
+/// the box is never nearer to a source than its box is.  Returns the kept
+/// count, padding excluded.
+__attribute__((target("avx512f"))) inline std::size_t cull_to_box(
+    const MixedBlock& blk, const float lo[3], const float hi[3], __m512 veps2, __m512 cut2,
+    MixedBlock& kept) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 lox = _mm512_set1_ps(lo[0]), loy = _mm512_set1_ps(lo[1]),
+               loz = _mm512_set1_ps(lo[2]);
+  const __m512 hix = _mm512_set1_ps(hi[0]), hiy = _mm512_set1_ps(hi[1]),
+               hiz = _mm512_set1_ps(hi[2]);
+  std::size_t nk = 0;
+  for (std::size_t j = 0; j < blk.n16; j += 16) {
+    const __m512 xj = _mm512_load_ps(blk.x + j);
+    const __m512 yj = _mm512_load_ps(blk.y + j);
+    const __m512 zj = _mm512_load_ps(blk.z + j);
+    const __m512 dx =
+        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(lox, xj), _mm512_sub_ps(xj, hix)), zero);
+    const __m512 dy =
+        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(loy, yj), _mm512_sub_ps(yj, hiy)), zero);
+    const __m512 dz =
+        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(loz, zj), _mm512_sub_ps(zj, hiz)), zero);
+    __m512 d2 = _mm512_fmadd_ps(dx, dx, veps2);
+    d2 = _mm512_fmadd_ps(dy, dy, d2);
+    d2 = _mm512_fmadd_ps(dz, dz, d2);
+    const __mmask16 in = _mm512_cmp_ps_mask(d2, cut2, _CMP_LT_OQ);
+    // Register compress + full 16-lane store: nk <= j keeps the store
+    // inside `kept`, and the next chunk overwrites the lanes past nk.
+    _mm512_storeu_ps(kept.x + nk, _mm512_maskz_compress_ps(in, xj));
+    _mm512_storeu_ps(kept.y + nk, _mm512_maskz_compress_ps(in, yj));
+    _mm512_storeu_ps(kept.z + nk, _mm512_maskz_compress_ps(in, zj));
+    _mm512_storeu_ps(kept.m + nk, _mm512_maskz_compress_ps(in, _mm512_load_ps(blk.m + j)));
+    nk += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(in)));
+  }
+  kept.pad(nk);
+  return nk;
+}
+
+/// NI targets (NI <= 4) at float coordinates (tx, ty, tz), relative to the
+/// group origin, against one j-block; the sums are added into acc[0..NI).
+/// A target runs the same operations whatever NI is, so the ni % 4 tail
+/// gets the bits it would get inside a 4-target tile on the same block.
 template <int NI>
 __attribute__((target("avx512f"))) inline void mixed_tile(const MixedBlock& blk,
-                                                         const Vec3* xi, Vec3* acc,
-                                                         const Vec3& origin, __m512 veps2,
-                                                         __m512 two_over_rcut) {
+                                                         const float* tx, const float* ty,
+                                                         const float* tz, Vec3* acc,
+                                                         __m512 veps2, __m512 two_over_rcut) {
   __m512 px[NI], py[NI], pz[NI], ax[NI], ay[NI], az[NI];
   for (int b = 0; b < NI; ++b) {
-    px[b] = _mm512_set1_ps(static_cast<float>(xi[b].x - origin.x));
-    py[b] = _mm512_set1_ps(static_cast<float>(xi[b].y - origin.y));
-    pz[b] = _mm512_set1_ps(static_cast<float>(xi[b].z - origin.z));
+    px[b] = _mm512_set1_ps(tx[b]);
+    py[b] = _mm512_set1_ps(ty[b]);
+    pz[b] = _mm512_set1_ps(tz[b]);
     ax[b] = ay[b] = az[b] = _mm512_setzero_ps();
   }
   for (std::size_t j = 0; j < blk.n16; j += 16) {
@@ -289,17 +352,42 @@ __attribute__((target("avx512f"))) inline void mixed_tile(const MixedBlock& blk,
     acc[b] += Vec3{reduce_ps_in_pd(ax[b]), reduce_ps_in_pd(ay[b]), reduce_ps_in_pd(az[b])};
 }
 
+/// The NI targets at xi (NI <= 4) against the sources of `blk` within the
+/// cutoff of their float box; returns the (target, kept source) pairs run.
+template <int NI>
+__attribute__((target("avx512f"))) inline std::uint64_t culled_tile(
+    const MixedBlock& blk, MixedBlock& kept, const Vec3* xi, Vec3* acc, const Vec3& origin,
+    __m512 veps2, __m512 two_over_rcut, __m512 cut2) {
+  float tx[NI], ty[NI], tz[NI];
+  for (int b = 0; b < NI; ++b) {
+    tx[b] = static_cast<float>(xi[b].x - origin.x);
+    ty[b] = static_cast<float>(xi[b].y - origin.y);
+    tz[b] = static_cast<float>(xi[b].z - origin.z);
+  }
+  float lo[3] = {tx[0], ty[0], tz[0]}, hi[3] = {tx[0], ty[0], tz[0]};
+  for (int b = 1; b < NI; ++b) {
+    lo[0] = std::min(lo[0], tx[b]), hi[0] = std::max(hi[0], tx[b]);
+    lo[1] = std::min(lo[1], ty[b]), hi[1] = std::max(hi[1], ty[b]);
+    lo[2] = std::min(lo[2], tz[b]), hi[2] = std::max(hi[2], tz[b]);
+  }
+  const std::size_t nk = cull_to_box(blk, lo, hi, veps2, cut2, kept);
+  mixed_tile<NI>(kept, tx, ty, tz, acc, veps2, two_over_rcut);
+  return std::uint64_t{NI} * nk;
+}
+
 __attribute__((target("avx512f")))
-void kernel_blocked_avx512(std::span<const Vec3> xi, std::span<Vec3> acc,
-                           const InteractionList& list, double rcut, double eps2) {
+std::uint64_t kernel_blocked_avx512(std::span<const Vec3> xi, std::span<Vec3> acc,
+                                    const InteractionList& list, double rcut, double eps2) {
   const std::size_t ni = xi.size();
-  if (ni == 0) return;
+  if (ni == 0) return 0;
   const Vec3 origin = xi[0];
   const __m512 two_over_rcut = _mm512_set1_ps(static_cast<float>(2.0 / rcut));
   const __m512 veps2 = _mm512_set1_ps(static_cast<float>(eps2));
+  const __m512 cut2 = _mm512_set1_ps(static_cast<float>(rcut * rcut) * (1.0f + kCullMargin));
   const std::size_t nj = list.size();
 
-  MixedBlock blk;
+  MixedBlock blk, kept;
+  std::uint64_t pairs = 0;
   for (std::size_t jb = 0; jb < nj; jb += kJBlock) {
     const std::size_t n = std::min(kJBlock, nj - jb);
     for (std::size_t k = 0; k < n; ++k) {
@@ -308,22 +396,24 @@ void kernel_blocked_avx512(std::span<const Vec3> xi, std::span<Vec3> acc,
       blk.z[k] = static_cast<float>(list.z[jb + k] - origin.z);
       blk.m[k] = static_cast<float>(list.m[jb + k]);
     }
-    // Far-away massless sources fill the last chunk.
-    blk.n16 = (n + 15) & ~std::size_t{15};
-    for (std::size_t k = n; k < blk.n16; ++k) {
-      blk.x[k] = blk.y[k] = blk.z[k] = 1.0e9f;
-      blk.m[k] = 0.0f;
-    }
+    blk.pad(n);
     std::size_t i = 0;
     for (; i + 4 <= ni; i += 4)
-      mixed_tile<4>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut);
+      pairs += culled_tile<4>(blk, kept, &xi[i], &acc[i], origin, veps2, two_over_rcut, cut2);
     switch (ni - i) {
-      case 3: mixed_tile<3>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
-      case 2: mixed_tile<2>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
-      case 1: mixed_tile<1>(blk, &xi[i], &acc[i], origin, veps2, two_over_rcut); break;
+      case 3:
+        pairs += culled_tile<3>(blk, kept, &xi[i], &acc[i], origin, veps2, two_over_rcut, cut2);
+        break;
+      case 2:
+        pairs += culled_tile<2>(blk, kept, &xi[i], &acc[i], origin, veps2, two_over_rcut, cut2);
+        break;
+      case 1:
+        pairs += culled_tile<1>(blk, kept, &xi[i], &acc[i], origin, veps2, two_over_rcut, cut2);
+        break;
       default: break;
     }
   }
+  return pairs;
 }
 
 #endif  // GREEM_X86_KERNELS
@@ -395,33 +485,30 @@ PhantomVariant phantom_dispatch() { return g_variant; }
 
 void set_phantom_variant(PhantomVariant v) { g_variant = resolve(v); }
 
-void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
-                               std::span<Vec3> acc, const InteractionList& list,
-                               double rcut, double eps2) {
+std::uint64_t pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
+                                        std::span<Vec3> acc, const InteractionList& list,
+                                        double rcut, double eps2) {
   switch (resolve(v)) {
-    case PhantomVariant::kScalar:
-      pp_kernel_scalar(xi, acc, list, rcut, eps2);
-      return;
-    case PhantomVariant::kBasic:
-      kernel_basic(xi, acc, list, rcut, eps2);
-      return;
 #ifdef GREEM_X86_KERNELS
+    case PhantomVariant::kBlockedAvx512:
+      return kernel_blocked_avx512(xi, acc, list, rcut, eps2);
     case PhantomVariant::kBlockedAvx2:
       kernel_blocked_avx2(xi, acc, list, rcut, eps2);
-      return;
-    case PhantomVariant::kBlockedAvx512:
-      kernel_blocked_avx512(xi, acc, list, rcut, eps2);
-      return;
+      break;
 #endif
+    case PhantomVariant::kScalar:
+      pp_kernel_scalar(xi, acc, list, rcut, eps2);
+      break;
     default:
       kernel_basic(xi, acc, list, rcut, eps2);
-      return;
+      break;
   }
+  return std::uint64_t{xi.size()} * list.size();
 }
 
-void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
-                       const InteractionList& list, double rcut, double eps2) {
-  pp_kernel_phantom_variant(g_variant, xi, acc, list, rcut, eps2);
+std::uint64_t pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
+                                const InteractionList& list, double rcut, double eps2) {
+  return pp_kernel_phantom_variant(g_variant, xi, acc, list, rcut, eps2);
 }
 
 }  // namespace greem::pp

@@ -36,6 +36,7 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("pp_seconds_mean", r.pp_seconds_mean);
   w.field("pp_imbalance", r.pp_imbalance());
   w.field("interactions", r.interactions);
+  w.field("pairs_evaluated", r.pairs_evaluated);
   w.field("flops", r.flops);
   w.field("flop_rate", r.flop_rate);
   w.field("nodes_visited", r.nodes_visited);

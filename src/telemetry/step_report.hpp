@@ -42,6 +42,9 @@ struct StepRecord {
   // Short-range work and achieved rate (global interactions, wall time of
   // the slowest rank's traversal+force).
   std::uint64_t interactions = 0;
+  /// Pairs the kernel ran, <= interactions: the avx512 kernel culls the
+  /// list pairs past the cutoff.  flops keep the list-pair accounting.
+  std::uint64_t pairs_evaluated = 0;
   double flops = 0;      ///< interactions * flops/interaction
   double flop_rate = 0;  ///< flops / pp_seconds_max
 

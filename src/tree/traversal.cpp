@@ -1,5 +1,6 @@
 #include "tree/traversal.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -13,22 +14,27 @@ namespace {
 
 // One group's monopole kernel under the configured dispatch (pad4 for
 // Phantom); kNewtonQuad runs the Newton part and the caller adds the node
-// quadrupoles.
-void evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
-                           const TraversalParams& params, std::span<Vec3> group_acc) {
+// quadrupoles.  Returns the list pairs the kernel evaluated: ni x nj, or
+// fewer where the Phantom kernel culls pairs past the cutoff.  pad4's
+// far massless entries are not list pairs, so they never count.
+std::uint64_t evaluate_group_kernel(std::span<const Vec3> targets, pp::InteractionList& list,
+                                    const TraversalParams& params,
+                                    std::span<Vec3> group_acc) {
+  const std::uint64_t list_pairs = std::uint64_t{targets.size()} * list.size();
   switch (params.kernel) {
     case KernelKind::kScalar:
       pp_kernel_scalar(targets, group_acc, list, params.rcut, params.eps2);
       break;
     case KernelKind::kPhantom:
       list.pad4();
-      pp_kernel_phantom(targets, group_acc, list, params.rcut, params.eps2);
-      break;
+      return std::min(list_pairs,
+                      pp_kernel_phantom(targets, group_acc, list, params.rcut, params.eps2));
     case KernelKind::kNewton:
     case KernelKind::kNewtonQuad:  // the node quadrupoles are added by the caller
       pp_kernel_newton(targets, group_acc, list, params.eps2);
       break;
   }
+  return list_pairs;
 }
 
 TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
@@ -124,7 +130,8 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       sw.restart();
       gather_targets(tree, sc.tidx, sc.tpos);
       sc.group_acc.assign(ni, Vec3{});
-      evaluate_group_kernel(sc.tpos, list, params, sc.group_acc);
+      local_stats.pairs_evaluated += evaluate_group_kernel(sc.tpos, list, params, sc.group_acc) +
+                                     ni * quad_nodes.size();
       if (quad) pp_kernel_quadrupole(sc.tpos, sc.group_acc, quad_nodes, params.eps2);
       // Disjoint writes: each tree-order particle belongs to one group.
       for (std::size_t k = 0; k < ni; ++k)
@@ -179,6 +186,7 @@ void TraversalStats::merge(const TraversalStats& o) {
   sum_ni += o.sum_ni;
   sum_nj += o.sum_nj;
   interactions += o.interactions;
+  pairs_evaluated += o.pairs_evaluated;
   nodes_visited += o.nodes_visited;
   ghost_sources += o.ghost_sources;
 }

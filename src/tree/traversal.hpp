@@ -46,6 +46,10 @@ struct TraversalStats {
   std::uint64_t sum_ni = 0;        ///< total targets over groups
   std::uint64_t sum_nj = 0;        ///< total interaction-list length over groups
   std::uint64_t interactions = 0;  ///< sum Ni * Nj
+  /// (target, source) pairs the kernel ran: interactions less the pairs
+  /// past the cutoff that the avx512 Phantom kernel culls per tile.
+  /// Deterministic; equal to interactions under every other kernel.
+  std::uint64_t pairs_evaluated = 0;
   std::uint64_t nodes_visited = 0;
   /// Ghost-import attribution: opened leaf sources whose original index is
   /// >= n_targets (parallel ranks: imported ghosts), summed over groups.

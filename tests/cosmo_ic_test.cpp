@@ -128,20 +128,20 @@ TEST(Displacement, DivergenceRecoversNegativeDelta) {
   const auto psi = ic::displacement_field(delta, n);
 
   // Spectral divergence of psi.
-  fft::Fft3d fft(n);
-  std::vector<fft::Complex> div(n * n * n, fft::Complex{});
+  fft::Fft3dR2C fft(n);
+  std::vector<fft::Complex> div(fft.spectrum_size(), fft::Complex{});
   for (int axis = 0; axis < 3; ++axis) {
-    auto pk = fft.forward_real(psi[static_cast<std::size_t>(axis)]);
+    const auto pk = fft.forward(psi[static_cast<std::size_t>(axis)]);
     for (std::size_t z = 0; z < n; ++z)
       for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t x = 0; x < fft.hx(); ++x) {
           const long k[3] = {fft::wavenumber(x, n), fft::wavenumber(y, n),
                              fft::wavenumber(z, n)};
           const double kc = 2.0 * std::numbers::pi * static_cast<double>(k[axis]);
           div[fft.index(x, y, z)] += fft::Complex(0.0, kc) * pk[fft.index(x, y, z)];
         }
   }
-  auto div_real = fft.inverse_to_real(std::move(div));
+  const auto div_real = fft.inverse(std::move(div));
   for (std::size_t i = 0; i < delta.size(); ++i)
     EXPECT_NEAR(-div_real[i], delta[i], 1e-8 + 1e-6 * std::abs(delta[i]));
 }

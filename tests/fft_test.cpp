@@ -19,6 +19,13 @@
 namespace greem::fft {
 namespace {
 
+/// Forward transform of a real field through the complex transform.
+std::vector<Complex> forward_of_real(const Fft3d& fft, const std::vector<double>& f) {
+  std::vector<Complex> data(f.begin(), f.end());
+  fft.forward(data);
+  return data;
+}
+
 std::vector<Complex> naive_dft(const std::vector<Complex>& x) {
   const std::size_t n = x.size();
   std::vector<Complex> out(n);
@@ -128,7 +135,7 @@ TEST(Fft3d, SingleModeTransformsToDelta) {
       for (std::size_t x = 0; x < n; ++x)
         f[fft.index(x, y, z)] = std::cos(2.0 * std::numbers::pi *
                                          (2.0 * x + 3.0 * y + 1.0 * z) / static_cast<double>(n));
-  auto fk = fft.forward_real(f);
+  auto fk = forward_of_real(fft, f);
   const double ncells = static_cast<double>(n * n * n);
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t y = 0; y < n; ++y)
@@ -148,9 +155,12 @@ TEST(Fft3d, RoundtripRecoversField) {
   Rng rng(9);
   std::vector<double> f(n * n * n);
   for (auto& v : f) v = rng.normal();
-  auto fk = fft.forward_real(f);
-  auto back = fft.inverse_to_real(std::move(fk));
-  for (std::size_t i = 0; i < f.size(); ++i) EXPECT_NEAR(back[i], f[i], 1e-11);
+  auto fk = forward_of_real(fft, f);
+  fft.inverse(fk);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_NEAR(fk[i].real(), f[i], 1e-11);
+    EXPECT_NEAR(fk[i].imag(), 0.0, 1e-11);
+  }
 }
 
 TEST(Fft3d, ParsevalHolds) {
@@ -159,7 +169,7 @@ TEST(Fft3d, ParsevalHolds) {
   Rng rng(10);
   std::vector<double> f(n * n * n);
   for (auto& v : f) v = rng.normal();
-  auto fk = fft.forward_real(f);
+  auto fk = forward_of_real(fft, f);
   double sum_x = 0, sum_k = 0;
   for (double v : f) sum_x += v * v;
   for (const auto& c : fk) sum_k += std::norm(c);
@@ -319,7 +329,7 @@ TEST(Fft3dR2C, MatchesComplexTransformAndRoundtrips) {
   for (auto& v : f) v = rng.normal();
 
   Fft3d complex_fft(n);
-  const auto ref = complex_fft.forward_real(f);
+  const auto ref = forward_of_real(complex_fft, f);
 
   Fft3dR2C r2c(n);
   const auto half = r2c.forward(f);

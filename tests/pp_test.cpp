@@ -41,6 +41,20 @@ void compact_group(Rng& rng, std::size_t ni, std::size_t nj, std::vector<Vec3>& 
              rng.uniform(0.5, 2.0));
 }
 
+/// A group of `ni` targets spread over a cube of side 0.35, wider than the
+/// rcut = 0.3 the tests use, and `nj` sources over most of the unit box, so
+/// each 4-target tile of the avx512 kernel keeps its own part of the list.
+void wide_group(Rng& rng, std::size_t ni, std::size_t nj, std::vector<Vec3>& xi,
+                InteractionList& list) {
+  xi.resize(ni);
+  for (auto& p : xi)
+    p = {rng.uniform(0.35, 0.7), rng.uniform(0.35, 0.7), rng.uniform(0.35, 0.7)};
+  list.clear();
+  for (std::size_t j = 0; j < nj; ++j)
+    list.add({rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)},
+             rng.uniform(0.5, 2.0));
+}
+
 void expect_within(std::span<const Vec3> got, std::span<const Vec3> ref, double tol,
                    const char* what) {
   ASSERT_EQ(got.size(), ref.size());
@@ -212,10 +226,11 @@ TEST(Kernels, EveryPhantomVariantMatchesScalar) {
 
 TEST(Kernels, TargetInITailAgreesWithTargetInBlock) {
   // avx2 hands the ni % 4 tail to the 1i x 4j basic loop, and avx512
-  // shifts coordinates to xi[0], so a target's last bits depend on its slot
-  // in xi.  Slot changes stay within the variant's budget: the same target
-  // evaluated as the tail of a 5-target span and as the first slot of a
-  // 4-block must agree to twice the per-variant tolerance against scalar.
+  // shifts coordinates to xi[0] and culls each tile's sources to its box,
+  // so a target's last bits depend on its slot in xi.  Slot changes stay
+  // within the variant's budget: the same target evaluated as the tail of
+  // a 5-target span and as the first slot of a 4-block must agree to twice
+  // the per-variant tolerance against scalar.
   Rng rng(23);
   InteractionList list;
   for (std::size_t j = 0; j < 61; ++j)
@@ -403,16 +418,40 @@ TEST_P(MixedKernelShape, TracksScalarOnCompactGroups) {
   }
 }
 
+TEST_P(MixedKernelShape, TracksScalarOnWideGroups) {
+  // Targets spread over a box wider than rcut: every tile culls a different
+  // part of the list, so the kept blocks, their padding and the tail tile
+  // all differ from one tile to the next.
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
+  const auto [ni, nj] = GetParam();
+  Rng rng(2000 + ni * 7919 + nj);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<Vec3> xi;
+    InteractionList list;
+    wide_group(rng, ni, nj, xi, list);
+    std::vector<Vec3> ref(ni), got(ni);
+    pp_kernel_scalar(xi, ref, list, 0.3, 1e-6);
+    list.pad4();
+    pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, got, list, 0.3, 1e-6);
+    expect_within(got, ref, variant_tolerance(PhantomVariant::kBlockedAvx512), "avx512");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Edges, MixedKernelShape,
     ::testing::Values(std::tuple{1, 977}, std::tuple{2, 977}, std::tuple{3, 977},
                       std::tuple{5, 977}, std::tuple{19, 977}, std::tuple{37, 977},
                       std::tuple{4, 20}, std::tuple{6, 509}, std::tuple{8, 512},
-                      std::tuple{7, 513}, std::tuple{9, 1100}, std::tuple{5, 1536}));
+                      std::tuple{7, 513}, std::tuple{9, 1100}, std::tuple{5, 1536},
+                      std::tuple{43, 977}));
 
 TEST(Kernels, MixedKernelResultIsSlotInvariant) {
-  // With xi[0] fixed, avx512 gives a target bitwise the same acceleration
-  // in every later slot and for every ni % 4: the tail runs the block code.
+  // With xi[0] fixed and a list the cull keeps whole (rcut 1.0 covers the
+  // whole compact group), avx512 gives a target bitwise the same
+  // acceleration in every later slot and for every ni % 4: the tail runs
+  // the block code.  At rcut 0.3 a tile keeps the sources within the cutoff
+  // of its own box, so the target's live pairs can sit in other lanes from
+  // one slot to the next: the results then agree to twice the tolerance.
   if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
   Rng rng(77);
   std::vector<Vec3> pool;
@@ -420,17 +459,111 @@ TEST(Kernels, MixedKernelResultIsSlotInvariant) {
   compact_group(rng, 12, 700, pool, list);
   list.pad4();
   const Vec3 t = pool.back();
-  std::vector<Vec3> first;
-  for (std::size_t ni = 2; ni <= 11; ++ni) {
-    for (std::size_t slot = 1; slot < ni; ++slot) {
-      std::vector<Vec3> xi(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(ni));
-      xi[slot] = t;
-      std::vector<Vec3> a(ni);
-      pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, a, list, 0.3, 1e-6);
-      if (first.empty()) first.push_back(a[slot]);
-      EXPECT_EQ(a[slot].x, first[0].x) << "ni " << ni << " slot " << slot;
-      EXPECT_EQ(a[slot].y, first[0].y) << "ni " << ni << " slot " << slot;
-      EXPECT_EQ(a[slot].z, first[0].z) << "ni " << ni << " slot " << slot;
+  for (const double rcut : {1.0, 0.3}) {
+    std::vector<Vec3> first;
+    for (std::size_t ni = 2; ni <= 11; ++ni) {
+      for (std::size_t slot = 1; slot < ni; ++slot) {
+        std::vector<Vec3> xi(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(ni));
+        xi[slot] = t;
+        std::vector<Vec3> a(ni);
+        const std::uint64_t pairs =
+            pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, a, list, rcut, 1e-6);
+        if (first.empty()) first.push_back(a[slot]);
+        if (rcut == 1.0) {
+          EXPECT_EQ(pairs, ni * 700) << "ni " << ni;
+          EXPECT_EQ(a[slot].x, first[0].x) << "ni " << ni << " slot " << slot;
+          EXPECT_EQ(a[slot].y, first[0].y) << "ni " << ni << " slot " << slot;
+          EXPECT_EQ(a[slot].z, first[0].z) << "ni " << ni << " slot " << slot;
+        } else {
+          const double tol = 2 * variant_tolerance(PhantomVariant::kBlockedAvx512) *
+                             std::max(1.0, first[0].norm());
+          EXPECT_NEAR(a[slot].x, first[0].x, tol) << "ni " << ni << " slot " << slot;
+          EXPECT_NEAR(a[slot].y, first[0].y, tol) << "ni " << ni << " slot " << slot;
+          EXPECT_NEAR(a[slot].z, first[0].z, tol) << "ni " << ni << " slot " << slot;
+        }
+      }
+    }
+  }
+}
+
+/// Distance from p to the bounding box of `pts` (0 inside).
+double box_distance(const std::vector<Vec3>& pts, const Vec3& p) {
+  Vec3 lo = pts[0], hi = pts[0];
+  for (const Vec3& q : pts) {
+    lo = {std::min(lo.x, q.x), std::min(lo.y, q.y), std::min(lo.z, q.z)};
+    hi = {std::max(hi.x, q.x), std::max(hi.y, q.y), std::max(hi.z, q.z)};
+  }
+  const Vec3 d{std::max({lo.x - p.x, p.x - hi.x, 0.0}), std::max({lo.y - p.y, p.y - hi.y, 0.0}),
+               std::max({lo.z - p.z, p.z - hi.z, 0.0})};
+  return d.norm();
+}
+
+TEST(Kernels, SourcesPastTheCutoffChangeNoBit) {
+  // Sources farther than 1.001 rcut from the group's box are past the
+  // cutoff of every target and of every tile's box.  Interleaved among the
+  // live sources of one j-block (<= 512 entries) they change no bit of any
+  // acceleration: each tile culls them before its lanes are filled.
+  if (!phantom_variant_available(PhantomVariant::kBlockedAvx512)) GTEST_SKIP();
+  const double rcut = 0.3, eps2 = 1e-6;
+  Rng rng(61);
+  for (const std::size_t ni : {1, 4, 6, 37}) {
+    std::vector<Vec3> xi;
+    InteractionList live;
+    compact_group(rng, ni, 230, xi, live);
+    InteractionList mixed;
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      mixed.add({live.x[j], live.y[j], live.z[j]}, live.m[j]);
+      Vec3 far;
+      do {
+        far = {rng.uniform(-0.2, 1.2), rng.uniform(-0.3, 1.0), rng.uniform(0.0, 1.4)};
+      } while (box_distance(xi, far) <= 1.001 * rcut);
+      mixed.add(far, rng.uniform(0.5, 2.0));
+    }
+    ASSERT_LE(mixed.size(), 512u);
+    live.pad4();
+    mixed.pad4();
+    std::vector<Vec3> a_live(ni), a_mixed(ni);
+    const std::uint64_t p_live =
+        pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, a_live, live, rcut, eps2);
+    const std::uint64_t p_mixed =
+        pp_kernel_phantom_variant(PhantomVariant::kBlockedAvx512, xi, a_mixed, mixed, rcut, eps2);
+    EXPECT_EQ(p_mixed, p_live) << "ni " << ni;
+    for (std::size_t i = 0; i < ni; ++i) {
+      EXPECT_EQ(a_mixed[i].x, a_live[i].x) << "ni " << ni << " target " << i;
+      EXPECT_EQ(a_mixed[i].y, a_live[i].y) << "ni " << ni << " target " << i;
+      EXPECT_EQ(a_mixed[i].z, a_live[i].z) << "ni " << ni << " target " << i;
+    }
+  }
+}
+
+TEST(Kernels, CullKeepsEveryLivePair) {
+  // One target against sources at r = rcut (1 +- 1e-4): the kernel must
+  // run at least every pair with r^2 + eps^2 < rcut^2 in double.  The
+  // double variants run every pair of the padded list.
+  const double rcut = 0.3, eps2 = 1e-8;
+  Rng rng(43);
+  for (const PhantomVariant v : kAllVariants) {
+    if (!phantom_variant_available(v)) continue;
+    for (int trial = 0; trial < 64; ++trial) {
+      const std::vector<Vec3> xi{{rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
+                                  rng.uniform(0.3, 0.7)}};
+      InteractionList list;
+      std::uint64_t live = 0;
+      for (int j = 0; j < 40; ++j) {
+        Vec3 dir{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        dir = dir * (1.0 / dir.norm());
+        const double r = rcut * (j % 2 == 0 ? 1.0 - 1e-4 : 1.0 + 1e-4);
+        const Vec3 src = xi[0] + dir * r;
+        const Vec3 d = src - xi[0];
+        if (d.norm2() + eps2 < rcut * rcut) ++live;
+        list.add(src, 1.0);
+      }
+      ASSERT_GT(live, 0u);
+      list.pad4();
+      std::vector<Vec3> acc(1);
+      const std::uint64_t pairs = pp_kernel_phantom_variant(v, xi, acc, list, rcut, eps2);
+      EXPECT_GE(pairs, live) << phantom_variant_name(v) << " trial " << trial;
+      EXPECT_LE(pairs, list.size()) << phantom_variant_name(v);
     }
   }
 }

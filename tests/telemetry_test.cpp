@@ -575,7 +575,8 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   constexpr std::size_t kN = 600;
   auto particles = core::random_uniform_particles(kN, 1.0, 99);
 
-  std::atomic<std::uint64_t> rank_interactions{0}, rank_nodes{0}, rank_groups{0};
+  std::atomic<std::uint64_t> rank_interactions{0}, rank_pairs{0}, rank_nodes{0},
+      rank_groups{0};
   parx::run_ranks(2, [&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -583,6 +584,7 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
     sim.step(0.001);
     sim.step(0.002);
     rank_interactions += sim.last_step().pp_stats.interactions;
+    rank_pairs += sim.last_step().pp_stats.pairs_evaluated;
     rank_nodes += sim.last_step().pp_stats.nodes_visited;
     rank_groups += sim.last_step().pp_stats.ngroups;
     // last_record() is filled collectively; every rank sees the aggregate.
@@ -612,6 +614,12 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   const double interactions = last.find("interactions")->num;
   EXPECT_DOUBLE_EQ(interactions, static_cast<double>(rank_interactions.load()));
   EXPECT_DOUBLE_EQ(last.find("flops")->num, interactions * pp::kFlopsPerInteraction);
+  // The kernel's evaluated pairs: the ranks' sum, never more than the list
+  // pairs (the flop accounting stays on the list pairs).
+  ASSERT_NE(last.find("pairs_evaluated"), nullptr);
+  EXPECT_DOUBLE_EQ(last.find("pairs_evaluated")->num, static_cast<double>(rank_pairs.load()));
+  EXPECT_GT(rank_pairs.load(), 0u);
+  EXPECT_LE(rank_pairs.load(), rank_interactions.load());
   const double pp_max = last.find("pp_seconds_max")->num;
   ASSERT_GT(pp_max, 0.0);
   EXPECT_NEAR(last.find("flop_rate")->num,
@@ -650,6 +658,35 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   }
 
   std::remove(path);
+}
+
+TEST(StepReport, PairsEvaluatedEqualInteractionsUnderTheScalarKernel) {
+  // Only the avx512 Phantom kernel culls list pairs past the cutoff: under
+  // the scalar kernel every list pair is evaluated, and under the dispatched
+  // Phantom kernel the count is positive and at most the list pairs.
+  core::ParallelSimConfig cfg;
+  cfg.dims = {2, 1, 1};
+  cfg.pm.n_mesh = 16;
+  cfg.theta = 0.5;
+  cfg.ncrit = 32;
+  cfg.eps = 1e-3;
+  cfg.sampling.target_samples = 2000;
+  auto particles = core::random_uniform_particles(600, 1.0, 99);
+  for (const tree::KernelKind kernel : {tree::KernelKind::kScalar, tree::KernelKind::kPhantom}) {
+    cfg.kernel = kernel;
+    parx::run_ranks(2, [&](parx::Comm& world) {
+      std::vector<core::Particle> local =
+          world.rank() == 0 ? particles : std::vector<core::Particle>{};
+      core::ParallelSimulation sim(world, cfg, std::move(local), 0.0);
+      sim.step(0.001);
+      const tree::TraversalStats& st = sim.last_step().pp_stats;
+      EXPECT_GT(st.pairs_evaluated, 0u);
+      if (kernel == tree::KernelKind::kScalar)
+        EXPECT_EQ(st.pairs_evaluated, st.interactions);
+      else
+        EXPECT_LE(st.pairs_evaluated, st.interactions);
+    });
+  }
 }
 
 TEST(StepReport, PpGroupsCoverEveryInteractionOfASingleCycleStep) {
