@@ -199,6 +199,7 @@ void ParallelSimulation::pp_force_cycle() {
   }
   tree::Octree octree(pos, mass, {config_.leaf_capacity, 21});
   report_.pp.add("tree construction", sw.seconds());
+  report_.n_tree_particles += pos.size();
 
   // "tree traversal" + "force calculation": groups walk, kernel.
   tree::TraversalParams tp;
@@ -407,6 +408,11 @@ void ParallelSimulation::write_step_record() {
   rec.nodes_visited = gstats.nodes_visited;
   const double walk_s = world_.allreduce_sum(report_.pp.get("tree traversal"));
   rec.walk_mnodes_s = walk_s > 0 ? static_cast<double>(rec.nodes_visited) / walk_s / 1e6 : 0;
+  const double build_s = world_.allreduce_sum(report_.pp.get("tree construction"));
+  const std::uint64_t tree_particles =
+      world_.allreduce_sum(static_cast<std::uint64_t>(report_.n_tree_particles));
+  rec.tree_build_mpart_s =
+      build_s > 0 ? static_cast<double>(tree_particles) / build_s / 1e6 : 0;
   rec.groups = gstats.ngroups;
   rec.mean_ni = gstats.mean_ni();
   rec.mean_nj = gstats.mean_nj();

@@ -175,6 +175,7 @@ class ParallelSimulation {
     TimingBreakdown pm, pp, dd;      ///< this rank's phase seconds (busy time)
     tree::TraversalStats pp_stats;   ///< this rank's traversal statistics
     std::size_t n_ghost_imported = 0;
+    std::size_t n_tree_particles = 0;  ///< locals + ghosts over the step's trees
     /// Per-group cost attribution of the final PP cycle (walk/force
     /// seconds, interactions, ghost imports per group) -- rank-local, in
     /// tree.groups(ncrit, n_local) order; the load-balance input.

@@ -49,8 +49,13 @@ std::vector<double> gaussian_random_field(std::size_t n, const PowerSpectrum& ps
 
 std::array<std::vector<double>, 3> displacement_field(const std::vector<double>& delta,
                                                       std::size_t n) {
-  fft::Fft3dR2C fft(n);
-  const auto delta_k = fft.forward(delta);
+  const fft::Fft3dR2C fft(n);
+  return displacement_from_spectrum(fft, fft.forward(delta));
+}
+
+std::array<std::vector<double>, 3> displacement_from_spectrum(
+    const fft::Fft3dR2C& fft, const std::vector<fft::Complex>& delta_k) {
+  const std::size_t n = fft.n();
   const double two_pi = 2.0 * std::numbers::pi;
 
   std::array<std::vector<double>, 3> psi;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fft/fft3d.hpp"
 #include "ic/powerspec.hpp"
 
 namespace greem::ic {
@@ -19,5 +20,10 @@ std::vector<double> gaussian_random_field(std::size_t n, const PowerSpectrum& ps
 /// psi_k = i k / k^2 * delta_k (so that delta = -div psi).
 std::array<std::vector<double>, 3> displacement_field(const std::vector<double>& delta,
                                                       std::size_t n);
+
+/// The same from delta's half spectrum, fft.forward(delta), for callers
+/// that need the spectrum for more than the displacement.
+std::array<std::vector<double>, 3> displacement_from_spectrum(
+    const fft::Fft3dR2C& fft, const std::vector<fft::Complex>& delta_k);
 
 }  // namespace greem::ic

@@ -53,18 +53,14 @@ InitialConditions zeldovich_ics(const ZeldovichParams& params, const PowerSpectr
   return assemble(n, a, psi, vfac);
 }
 
-InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& ps,
-                           const cosmo::Cosmology& cosmology) {
-  const std::size_t n = params.n_per_dim;
-  const double a = params.a_start;
-
-  const auto delta = gaussian_random_field(n, ps, params.seed);
-  const auto psi1 = displacement_field(delta, n);
+Lpt2Displacements lpt2_displacements(const std::vector<double>& delta, std::size_t n) {
+  const fft::Fft3dR2C fft(n);
+  const auto delta_k = fft.forward(delta);
+  Lpt2Displacements out;
+  out.psi1 = displacement_from_spectrum(fft, delta_k);
 
   // Second derivatives of the first-order potential: (phi1,ij)_k =
   // k_i k_j delta_k / k^2, six fields by inverse FFT.
-  fft::Fft3dR2C fft(n);
-  const auto delta_k = fft.forward(delta);
   const double two_pi = 2.0 * std::numbers::pi;
   auto second_derivative = [&](int i, int j) {
     std::vector<fft::Complex> f(delta_k.size());
@@ -106,7 +102,17 @@ InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& p
 
   // psi2 = D2 grad(phi2) with D2 = -(3/7) D1^2 (D1 = 1 at the IC epoch):
   // in k-space (3/7) i k delta2_k / k^2 = (3/7) * displacement_field(delta2).
-  const auto psi2 = displacement_field(delta2, n);
+  out.psi2 = displacement_field(delta2, n);
+  return out;
+}
+
+InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& ps,
+                           const cosmo::Cosmology& cosmology) {
+  const std::size_t n = params.n_per_dim;
+  const double a = params.a_start;
+
+  const auto delta = gaussian_random_field(n, ps, params.seed);
+  const auto [psi1, psi2] = lpt2_displacements(delta, n);
 
   const double f1 = cosmology.growth_rate(a);
   // Second-order growth rate, f2 ~ 2 Omega_m(a)^(6/11) (Bouchet et al.).

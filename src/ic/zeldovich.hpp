@@ -3,6 +3,7 @@
 // and are displaced by the linear displacement field; comoving momenta
 // follow the linear growing mode, p = a^2 H(a) f(a) psi(q) D-scaled.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,5 +42,15 @@ InitialConditions zeldovich_ics(const ZeldovichParams& params, const PowerSpectr
 /// zeldovich_ics; for a single plane wave the two are identical.
 InitialConditions lpt2_ics(const ZeldovichParams& params, const PowerSpectrum& ps,
                            const cosmo::Cosmology& cosmology);
+
+/// The two displacement orders of lpt2_ics for an n^3 density contrast:
+/// psi1 = displacement_field(delta) and psi2 = displacement_field(delta2)
+/// of the second-order source delta2 (psi2 enters the positions scaled by
+/// 3/7).  delta is transformed once, for psi1 and phi1's second
+/// derivatives alike.
+struct Lpt2Displacements {
+  std::array<std::vector<double>, 3> psi1, psi2;
+};
+Lpt2Displacements lpt2_displacements(const std::vector<double>& delta, std::size_t n);
 
 }  // namespace greem::ic

@@ -10,6 +10,7 @@ namespace greem::io {
 namespace {
 
 constexpr char kMagic[8] = {'G', 'R', 'E', 'E', 'M', 'S', 'N', '1'};
+static_assert(sizeof(SnapshotHeader) == 32, "the header's bytes are the file format");
 
 }  // namespace
 
@@ -19,10 +20,9 @@ bool write_snapshot(const std::string& path, const SnapshotHeader& header,
   // never a truncated file under the final name.
   ckpt::AtomicFileWriter out(path);
   out.write(kMagic, sizeof(kMagic));
-  // memset, not copy: the struct's tail padding would otherwise leak
-  // indeterminate bytes into the file and break byte-identical snapshots.
-  SnapshotHeader h;
-  std::memset(&h, 0, sizeof(h));
+  // Every header byte is a field, so value-initializing it fixes the
+  // file's bytes (reserved stays 0) and snapshots stay byte-identical.
+  SnapshotHeader h{};
   h.clock = header.clock;
   h.particle_mass = header.particle_mass;
   h.comoving = header.comoving;

@@ -16,6 +16,7 @@ struct SnapshotHeader {
   double clock = 0;       ///< scale factor or time
   double particle_mass = 0;
   std::uint32_t comoving = 0;
+  std::uint32_t reserved = 0;  ///< always 0: the header has no padding bytes
 };
 
 bool write_snapshot(const std::string& path, const SnapshotHeader& header,

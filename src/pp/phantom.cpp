@@ -216,6 +216,13 @@ void kernel_blocked_avx2(std::span<const Vec3> xi, std::span<Vec3> acc,
 // lanes move.
 
 constexpr std::size_t kJBlock = 512;  // 8 KB of float SoA per j-block
+/// Full lane masks.  The kernel calls the zero-masking form of every
+/// intrinsic whose plain form passes an undefined vector through as the
+/// merge source (rsqrt14, max, cvtps_pd, extractf64x4): with every lane
+/// selected it is the same instruction, and GCC 12 does not flag the
+/// undefined operand as maybe-uninitialized.
+constexpr __mmask16 kAll16 = 0xFFFF;
+constexpr __mmask8 kAll8 = 0xFF;
 /// Relative margin of the cull over rcut^2: covers the rsqrt14 + Newton
 /// error (~1e-7) in the kernel's q < 2 test with a wide berth.
 constexpr float kCullMargin = 1e-4f;
@@ -224,7 +231,7 @@ __attribute__((target("avx512f")))
 inline __m512 cutoff_force_mixed(__m512 r2, __m512 mj, __m512 two_over_rcut) {
   const __m512 one = _mm512_set1_ps(1.0f);
   const __m512 two = _mm512_set1_ps(2.0f);
-  const __m512 y0 = _mm512_rsqrt14_ps(r2);
+  const __m512 y0 = _mm512_maskz_rsqrt14_ps(kAll16, r2);
   const __m512 h0 = _mm512_fnmadd_ps(_mm512_mul_ps(r2, y0), y0, one);
   const __m512 y1 = _mm512_fmadd_ps(_mm512_mul_ps(y0, h0), _mm512_set1_ps(0.5f), y0);
   const __m512 q = _mm512_mul_ps(_mm512_mul_ps(r2, y1), two_over_rcut);
@@ -233,7 +240,7 @@ inline __m512 cutoff_force_mixed(__m512 r2, __m512 mj, __m512 two_over_rcut) {
   // float leaves a residue in the polynomial) are masked to exact zeros.
   const __mmask16 live = _mm512_mask_cmp_ps_mask(
       _mm512_cmp_ps_mask(r2, _mm512_setzero_ps(), _CMP_GT_OQ), q, two, _CMP_LT_OQ);
-  const __m512 zeta = _mm512_max_ps(_mm512_sub_ps(q, one), _mm512_setzero_ps());
+  const __m512 zeta = _mm512_maskz_max_ps(kAll16, _mm512_sub_ps(q, one), _mm512_setzero_ps());
   const __m512 z2 = _mm512_mul_ps(zeta, zeta);
   const __m512 z6 = _mm512_mul_ps(_mm512_mul_ps(z2, z2), z2);
   const __m512 q2 = _mm512_mul_ps(q, q);
@@ -249,13 +256,24 @@ inline __m512 cutoff_force_mixed(__m512 r2, __m512 mj, __m512 two_over_rcut) {
                              _mm512_mul_ps(_mm512_mul_ps(y1, y1), y1));
 }
 
-/// Sum of the 16 float lanes, widened to double before the first add.
+/// 256-bit half kHalf (0 low, 1 high) of a 512-bit vector.
+template <int kHalf>
+__attribute__((target("avx512f"))) inline __m256d half_of(__m512d v) {
+  return _mm512_maskz_extractf64x4_pd(kAll8, v, kHalf);
+}
+
+/// Sum of the 16 float lanes, widened to double before the first add; the
+/// double lanes then add in _mm512_reduce_add_pd's order (high half + low
+/// half, then the 128-bit halves, then the two lanes).
 __attribute__((target("avx512f")))
 inline double reduce_ps_in_pd(__m512 v) {
-  const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
-  const __m512d hi =
-      _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)));
-  return _mm512_reduce_add_pd(_mm512_add_pd(lo, hi));
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m512d lo = _mm512_maskz_cvtps_pd(kAll8, _mm256_castpd_ps(half_of<0>(vd)));
+  const __m512d hi = _mm512_maskz_cvtps_pd(kAll8, _mm256_castpd_ps(half_of<1>(vd)));
+  const __m512d s = _mm512_add_pd(lo, hi);
+  const __m256d t = _mm256_add_pd(half_of<1>(s), half_of<0>(s));
+  const __m128d u = _mm_add_pd(_mm256_extractf128_pd(t, 1), _mm256_castpd256_pd128(t));
+  return u[0] + u[1];
 }
 
 /// One j-block of the list in float, relative to the group origin, padded
@@ -293,11 +311,17 @@ __attribute__((target("avx512f"))) inline std::size_t cull_to_box(
     const __m512 yj = _mm512_load_ps(blk.y + j);
     const __m512 zj = _mm512_load_ps(blk.z + j);
     const __m512 dx =
-        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(lox, xj), _mm512_sub_ps(xj, hix)), zero);
+        _mm512_maskz_max_ps(
+            kAll16, _mm512_maskz_max_ps(kAll16, _mm512_sub_ps(lox, xj), _mm512_sub_ps(xj, hix)),
+            zero);
     const __m512 dy =
-        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(loy, yj), _mm512_sub_ps(yj, hiy)), zero);
+        _mm512_maskz_max_ps(
+            kAll16, _mm512_maskz_max_ps(kAll16, _mm512_sub_ps(loy, yj), _mm512_sub_ps(yj, hiy)),
+            zero);
     const __m512 dz =
-        _mm512_max_ps(_mm512_max_ps(_mm512_sub_ps(loz, zj), _mm512_sub_ps(zj, hiz)), zero);
+        _mm512_maskz_max_ps(
+            kAll16, _mm512_maskz_max_ps(kAll16, _mm512_sub_ps(loz, zj), _mm512_sub_ps(zj, hiz)),
+            zero);
     __m512 d2 = _mm512_fmadd_ps(dx, dx, veps2);
     d2 = _mm512_fmadd_ps(dy, dy, d2);
     d2 = _mm512_fmadd_ps(dz, dz, d2);

@@ -41,6 +41,7 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("flop_rate", r.flop_rate);
   w.field("nodes_visited", r.nodes_visited);
   w.field("walk_mnodes_s", r.walk_mnodes_s);
+  w.field("tree_build_mpart_s", r.tree_build_mpart_s);
   w.field("groups", r.groups);
   w.field("mean_ni", r.mean_ni);
   w.field("mean_nj", r.mean_nj);

@@ -54,6 +54,11 @@ struct StepRecord {
   std::uint64_t nodes_visited = 0;
   double walk_mnodes_s = 0;  ///< nodes_visited / sum of traversal s / 1e6
 
+  /// Tree-construction rate (Table I "tree construction"): the particles in
+  /// every rank's trees (locals plus ghosts, every PP cycle of the step),
+  /// summed over ranks, / the ranks' summed tree-construction s / 1e6.
+  double tree_build_mpart_s = 0;
+
   // Table I group statistics of the step's PP cycles, global: walked
   // groups, and their mean targets <Ni> and mean list length <Nj>.
   std::uint64_t groups = 0;

@@ -3,10 +3,11 @@
 //
 // Particles are sorted by Morton key over the bounding cube of the input,
 // so every tree cell owns a contiguous particle range; nodes are stored in
-// a flat array built by recursive partitioning of the key-sorted range.
-// Tied keys (particles in the same finest cell, duplicate positions) keep
-// their input order: the sort is a stable radix sort, so the tree is a
-// pure function of the inputs.  Monopole (center-of-mass) moments are
+// a flat array built by recursive partitioning on the keys' octal digits
+// (an MSD radix sort that yields the cells as it goes).  Tied keys
+// (particles in the same finest cell, duplicate positions) keep their
+// input order: every partition is stable, so the tree is a pure function
+// of the inputs.  Monopole (center-of-mass) moments are
 // accumulated bottom-up, which is the expansion GreeM uses for the
 // short-range tree walk.
 //

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "analysis/power_measure.hpp"
@@ -246,6 +247,24 @@ TEST(Lpt2, EqualsZeldovichForSinglePlaneWave) {
   for (std::size_t i = 0; i < z1.pos.size(); ++i) {
     EXPECT_EQ(z1.pos[i], l1.pos[i]);
     EXPECT_EQ(l1.mom[i], Vec3{});
+  }
+}
+
+TEST(Lpt2, FirstOrderIsTheZeldovichDisplacementBitwise) {
+  // lpt2_displacements transforms delta once for psi1 and the second
+  // derivatives; psi1 must be displacement_field's, bit for bit.
+  const std::size_t n = 16;
+  const ic::CutoffPowerLaw ps(1e-6, 0.0, 5.0 * 2.0 * std::numbers::pi);
+  const auto delta = ic::gaussian_random_field(n, ps, 11);
+  const auto psi = ic::displacement_field(delta, n);
+  const auto lpt = ic::lpt2_displacements(delta, n);
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    ASSERT_EQ(lpt.psi1[axis].size(), psi[axis].size());
+    EXPECT_EQ(std::memcmp(lpt.psi1[axis].data(), psi[axis].data(),
+                          psi[axis].size() * sizeof(double)),
+              0)
+        << "axis " << axis;
+    EXPECT_EQ(lpt.psi2[axis].size(), psi[axis].size());
   }
 }
 

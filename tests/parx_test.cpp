@@ -636,7 +636,7 @@ TEST(Fault, WatchdogConvertsHangIntoRecoverableFault) {
   const std::uint64_t fired0 = fired.value();
   Runtime rt(2);
   rt.set_fault_plan(FaultPlan().at(*parse_fault_at("1:any:0:hang")));
-  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = ""});
+  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = "", .flight_dump_path = ""});
   std::atomic<int> comm_errors{0};
   rt.run([&](Comm& c) {
     set_fault_context(1, FaultPhase::kDD);
@@ -747,7 +747,7 @@ TEST(Fault, WatchdogIgnoresParkedWaitWithLiveTraffic) {
   auto& fired = telemetry::Registry::global().counter("parx/watchdog_fired");
   const std::uint64_t fired0 = fired.value();
   Runtime rt(2);
-  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = ""});
+  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = "", .flight_dump_path = ""});
   rt.run([](Comm& c) {
     const int tag = 11;
     if (c.rank() == 0) {
@@ -774,7 +774,7 @@ TEST(Fault, WatchdogStillFiresOnGenuinelyStuckWait) {
   const std::uint64_t fired0 = fired.value();
   Runtime rt(2);
   rt.set_fault_plan(FaultPlan().at(*parse_fault_at("1:any:1:hang")));
-  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = ""});
+  rt.set_watchdog({.quiescence_s = 0.15, .dump_path = "", .flight_dump_path = ""});
   std::atomic<int> comm_errors{0};
   rt.run([&](Comm& c) {
     set_fault_context(1, FaultPhase::kDD);

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -631,6 +632,13 @@ TEST(StepReport, FlopTotalsMatchInteractionCounts) {
   EXPECT_DOUBLE_EQ(last.find("nodes_visited")->num, static_cast<double>(rank_nodes.load()));
   EXPECT_GT(rank_nodes.load(), 0u);
   EXPECT_GT(last.find("walk_mnodes_s")->num, 0.0);
+
+  // Tree construction rate over the step's two PP cycles (each builds one
+  // tree per rank over its locals and ghosts).
+  ASSERT_NE(last.find("tree_build_mpart_s"), nullptr);
+  const double build_rate = last.find("tree_build_mpart_s")->num;
+  EXPECT_TRUE(std::isfinite(build_rate));
+  EXPECT_GT(build_rate, 0.0);
 
   // The Table I group block: the ranks' group count, <Ni> and <Nj>.
   ASSERT_NE(last.find("groups"), nullptr);

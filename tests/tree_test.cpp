@@ -338,6 +338,56 @@ TEST(Octree, MatchesReferenceBuild) {
     for (int k = 0; k < 40; ++k) p.push_back({0.3 + k * 1e-10, 0.3, 0.3 - k * 1e-10});
     sets.push_back({"one finest cell", p});
   }
+  {
+    // The step's input: a rank's locals (its box, some drifted slightly
+    // out), then the ghosts it imports, images outside the unit cube at
+    // coordinates in (-rcut, 0) and [1, 1 + rcut).
+    const double rcut = 0.09;
+    Rng rng(76);
+    std::vector<Vec3> p;
+    for (int k = 0; k < 3000; ++k)
+      p.push_back({rng.uniform(0.0, 0.5), rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0)});
+    for (int k = 0; k < 1500; ++k) {
+      Vec3 q{rng.uniform(-rcut, 0.0), rng.uniform(1.0, 1.0 + rcut), rng.uniform(0.0, 1.0)};
+      if (k % 3 == 0) q.z = rng.uniform(-rcut, 0.0);
+      if (k % 3 == 1) q.z = rng.uniform(1.0, 1.0 + rcut);
+      p.push_back(q);
+    }
+    p.push_back({-rcut * (1 - 1e-12), 1.0, 1.0});  // the extreme corners of the shell
+    p.push_back({0.5, 1.0 + rcut * (1 - 1e-12), -rcut * (1 - 1e-12)});
+    sets.push_back({"locals then ghost images", p});
+  }
+  {
+    // A clump deep inside one finest-but-ten cell: the anchors stretch the
+    // cube to the unit box, so every clump particle shares its top 30 key
+    // bits (ten octal digits) -- the radix build must skip shared bits.
+    const double cell = 1.0 / 1024;
+    const Vec3 centre{(317 + 0.5) * cell, (600 + 0.5) * cell, (21 + 0.5) * cell};
+    std::vector<Vec3> p{{0, 0, 0}, {1, 1, 1}};
+    for (const auto& q : core::plummer_particles(6000, 1.0, centre, 2e-5, 77))
+      if ((q.pos - centre).norm() < 0.3 * cell) p.push_back(q.pos);
+    sets.push_back({"tight clump", p});
+  }
+  {
+    // Points on finest-cell boundaries of the unit grid (dyadic
+    // coordinates k / 2^21, and the coarse boundaries 1/2, 1/4, ...), where
+    // the key's truncation decides the cell.
+    std::vector<Vec3> p{{0, 0, 0}, {1, 1, 1}};
+    Rng rng(78);
+    const double finest = 1.0 / static_cast<double>(1 << kMortonBits);
+    for (int k = 0; k < 2000; ++k) {
+      Vec3 q;
+      for (std::size_t a = 0; a < 3; ++a)
+        q[a] = std::floor(rng.uniform() * static_cast<double>(1 << kMortonBits)) * finest;
+      p.push_back(q);
+    }
+    for (int level = 1; level <= kMortonBits; ++level) {
+      const double b = std::ldexp(1.0, -level);
+      p.push_back({b, 0.5, 1 - b});
+      p.push_back({b, b, b});
+    }
+    sets.push_back({"finest-cell boundaries", p});
+  }
   sets.push_back({"single", {{0.3, 0.2, 0.9}}});
   sets.push_back({"empty", {}});
 
@@ -641,6 +691,38 @@ TEST(Ghost, MatchesReferenceSelection) {
         EXPECT_GT(exported, 0u);
         if (dims == std::array{1, 1, 1}) {
           EXPECT_FALSE(want.pos[0].empty());  // periodic self-ghosts
+        }
+      }
+    }
+  }
+}
+
+TEST(Ghost, MatchesReferenceSelectionAroundSimdWidths) {
+  // Particle counts below, at and above one and two vector widths (8
+  // doubles), so the filter's vector body and its scalar tail both run;
+  // boxes that take the nearest-image path and boxes that take the exact
+  // image test.
+  Rng rng(82);
+  for (const auto dims : {std::array{2, 2, 2}, std::array{1, 2, 2}}) {
+    const auto boxes = uneven_boxes(dims, rng);
+    for (const double rcut : {0.05, 0.3}) {
+      for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u}) {
+        const Box& own = boxes[0];
+        std::vector<Vec3> pos;
+        std::vector<double> mass;
+        for (std::size_t k = 0; k < n; ++k) {
+          Vec3 q;
+          for (std::size_t a = 0; a < 3; ++a) q[a] = rng.uniform(own.lo[a], own.hi[a]);
+          pos.push_back(q);
+          mass.push_back(rng.uniform(0.5, 1.5));
+        }
+        const auto got = select_ghosts(pos, mass, boxes, 0, rcut);
+        const auto want = reference_ghosts(pos, mass, boxes, 0, rcut);
+        for (std::size_t d = 0; d < boxes.size(); ++d) {
+          const std::string what = "n " + std::to_string(n) + " rcut " + std::to_string(rcut) +
+                                   " -> " + std::to_string(d);
+          EXPECT_TRUE(same_bytes(got.pos[d], want.pos[d])) << what << ": positions";
+          EXPECT_TRUE(same_bytes(got.mass[d], want.mass[d])) << what << ": masses";
         }
       }
     }
